@@ -1,14 +1,13 @@
 """Desk-scale attentive GRU sequence-to-sequence models and a decoding suite
 built around noisy parallel approximate decoding."""
 
-from .chains import ChainResult, NpadConfig, noise_sigma, npad_decode, npad_search, run_chain
-from .core import ContractError, RngStream, categorical_sample, derive_seed, gaussian_vec, matvec, softmax
+from .chains import ChainResult, NpadConfig, npad_decode, npad_search, run_chain
+from .core import ContractError, RngStream, categorical_sample, derive_seed, gaussian_vec, softmax
 from .decode import (
     DecodeLimits,
     Hypothesis,
     NoiseSchedule,
     ScheduledNoise,
-    SilentNoise,
     beam_decode,
     diverse_beam_decode,
     exact_decode,

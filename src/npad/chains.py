@@ -8,34 +8,31 @@ growing M can only improve the selected score. Chain 0 optionally runs with
 zero noise, which guarantees the selection is never worse than a single run
 of the inner decoder.
 
-Chains never communicate until final selection; sequential and parallel
-execution produce identical results.
+Greedy and sampling chains advance in lockstep as the rows of one batched
+step; a beam chain's live hypotheses are the rows of its own steps. Rows never
+interact, so each chain's result is bitwise the one it gets when run alone.
+The distinct chain outputs are then rescored together as rows.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .core import ContractError, RngStream, derive_seed
+import numpy as np
+
+from .core import ContractError, RngStream, categorical_sample, derive_seed
 from .decode import (
     DecodeLimits,
     Hypothesis,
     NoiseSchedule,
     ScheduledNoise,
-    SilentNoise,
     beam_search,
-    force_score,
-    greedy_search,
-    sample_search,
+    force_scores,
+    lockstep_search,
+    resolve_limits,
 )
 from .model import BoundModel
 
 INNER_DECODERS = ("greedy", "beam", "sample")
-
-
-def noise_sigma(schedule: NoiseSchedule, t: int) -> float:
-    """Noise level at decoding step t >= 1 (sigma0 / t under inverse_t)."""
-    return schedule.sigma_at(t)
 
 
 @dataclass(frozen=True)
@@ -66,27 +63,67 @@ class ChainResult:
     sigma0_effective: float
 
 
-def run_chain_on(model, cfg: NpadConfig, m: int) -> ChainResult:
-    """Run chain m of the configuration against a bound model."""
-    if not 0 <= m < cfg.chains:
-        raise ContractError(f"chain index {m} outside 0..{cfg.chains - 1}")
-    limits = cfg.limits or None
-    chain_seed = derive_seed(cfg.base_seed, m)
-    sigma0 = 0.0 if (m == 0 and cfg.include_zero_chain) else cfg.schedule.sigma0
+def _sigma0(cfg: NpadConfig, m: int) -> float:
+    return 0.0 if (m == 0 and cfg.include_zero_chain) else cfg.schedule.sigma0
+
+
+def _noise(cfg: NpadConfig, m: int, dim: int) -> ScheduledNoise | None:
+    """Chain m's private noise stream; None for a zero-noise chain."""
+    sigma0 = _sigma0(cfg, m)
     if sigma0 == 0.0:
-        noise = SilentNoise(model.state_dim)
-    else:
-        noise = ScheduledNoise(RngStream(derive_seed(chain_seed, 0)),
-                               NoiseSchedule(sigma0, cfg.schedule.rule), model.state_dim)
+        return None
+    return ScheduledNoise(RngStream(derive_seed(derive_seed(cfg.base_seed, m), 0)),
+                          NoiseSchedule(sigma0), dim)
+
+
+def _lockstep(model, cfg: NpadConfig, chains: list[int], limits: DecodeLimits):
+    """Greedy or sampling chains as the rows of one lockstep decode."""
+    noises = [_noise(cfg, m, model.state_dim) for m in chains]
+    noise = None
+    if any(noises):
+        # Each chain's whole stream up front: the values its per-step draws would take.
+        table = np.stack([n.table(limits.max_len) if n else np.zeros((limits.max_len, model.state_dim))
+                          for n in noises])
+
+        def noise(t, rows):
+            return table[rows, t - 1]
+
     if cfg.inner == "greedy":
-        hyp = greedy_search(model, noise, limits)
-    elif cfg.inner == "beam":
-        hyp, _ = beam_search(model, cfg.beam_width, noise, limits)
+        def pick(logp, rows):
+            return np.argmax(logp, axis=1)
     else:
-        sampler = RngStream(derive_seed(chain_seed, 1))
-        hyp = sample_search(model, sampler, limits, noise)
-    rescored = force_score(model, hyp.tokens)
-    return ChainResult(m, hyp, hyp.logp, rescored, sigma0)
+        samplers = [RngStream(derive_seed(derive_seed(cfg.base_seed, m), 1)) for m in chains]
+
+        def pick(logp, rows):
+            return [categorical_sample(samplers[r], p) for r, p in zip(rows, np.exp(logp))]
+
+    return lockstep_search(model, len(chains), pick, noise, limits)
+
+
+def run_chains(model, cfg: NpadConfig, chains) -> list[ChainResult]:
+    """Run the given chains of the configuration against a bound model.
+
+    Chain m's result does not depend on which other chains run with it.
+    """
+    chains = list(chains)
+    for m in chains:
+        if not 0 <= m < cfg.chains:
+            raise ContractError(f"chain index {m} outside 0..{cfg.chains - 1}")
+    limits = resolve_limits(model, cfg.limits)
+    if cfg.inner == "beam":
+        hyps = [beam_search(model, cfg.beam_width, _noise(cfg, m, model.state_dim), limits)[0]
+                for m in chains]
+    else:
+        hyps = _lockstep(model, cfg, chains, limits)
+    distinct = list(dict.fromkeys(tuple(h.tokens) for h in hyps))
+    rescored = dict(zip(distinct, force_scores(model, distinct)))
+    return [ChainResult(m, h, h.logp, rescored[tuple(h.tokens)], _sigma0(cfg, m))
+            for m, h in zip(chains, hyps)]
+
+
+def run_chain_on(model, cfg: NpadConfig, m: int) -> ChainResult:
+    """Run chain m of the configuration alone against a bound model."""
+    return run_chains(model, cfg, [m])[0]
 
 
 def select_best(results: list[ChainResult]) -> ChainResult:
@@ -104,13 +141,9 @@ def select_best(results: list[ChainResult]) -> ChainResult:
     return best
 
 
-def npad_search(model, cfg: NpadConfig, workers: int = 1):
+def npad_search(model, cfg: NpadConfig):
     """Run all chains against a bound model; returns (best, all results)."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda m: run_chain_on(model, cfg, m), range(cfg.chains)))
-    else:
-        results = [run_chain_on(model, cfg, m) for m in range(cfg.chains)]
+    results = run_chains(model, cfg, range(cfg.chains))
     return select_best(results), results
 
 
@@ -118,5 +151,5 @@ def run_chain(params, source, cfg: NpadConfig, m: int) -> ChainResult:
     return run_chain_on(BoundModel(params, source), cfg, m)
 
 
-def npad_decode(params, source, cfg: NpadConfig, workers: int = 1):
-    return npad_search(BoundModel(params, source), cfg, workers)
+def npad_decode(params, source, cfg: NpadConfig):
+    return npad_search(BoundModel(params, source), cfg)

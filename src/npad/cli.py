@@ -10,9 +10,8 @@ import argparse
 import json
 import sys
 
-from .chains import NpadConfig, npad_search
-from .core import ContractError, RngStream, derive_seed
-from .decode import DecodeLimits, NoiseSchedule, default_limits
+from .core import ContractError, RngStream
+from .decode import SearchSpaceError
 from .evaluate import (
     RESULT_COLUMNS,
     STRATEGIES,
@@ -22,7 +21,7 @@ from .evaluate import (
     run_experiment,
     write_results_csv,
 )
-from .model import BoundModel, Dims, VocabError, init_params, score_sequence
+from .model import Dims, VocabError, init_params, score_sequence
 from .serialize import FormatError, atomic_write, load_model, load_pairs, load_sources, load_vocab, save_model, save_pairs, save_vocab
 from .tasks import ConfigError, TASK_KINDS, gen_task, split_pairs
 from .train import DivergenceError, TrainConfig, train
@@ -189,8 +188,11 @@ def cmd_decode(args) -> int:
     tgt_vocab = load_vocab(args.vocab_tgt)
     sources = load_sources(args.input, src_vocab)
     base_seed = args.seed if args.seed is not None else 0
+    trace = bool(args.trace_chains) and cell.strategy in ("sample", "npad")
+    if args.trace_chains and not trace:
+        print("note: --trace-chains only applies to npad/sample; ignored", file=sys.stderr)
     records = decode_corpus(params, sources, None, cell, base_seed,
-                            args.max_len, args.workers)
+                            args.max_len, args.workers, keep_chains=trace)
     lines = []
     for r in records:
         lines.append(json.dumps({
@@ -199,37 +201,15 @@ def cmd_decode(args) -> int:
             "complete": r.complete, "steps": len(r.tokens), "seed": args.seed,
         }))
     _write_lines(args.output, lines)
-    if args.trace_chains:
-        if cell.strategy not in ("sample", "npad"):
-            print("note: --trace-chains only applies to npad/sample; ignored", file=sys.stderr)
-        else:
-            _write_chain_trace(args, params, sources, cell, base_seed)
+    if trace:
+        _write_lines(args.trace_chains, [
+            json.dumps({
+                "chain_index": c.chain_index, "sigma0_effective": c.sigma0_effective,
+                "tokens": c.hypothesis.tokens, "noisy_logp": c.noisy_logp,
+                "rescored_logp": c.rescored_logp, "input_id": r.input_id,
+            })
+            for r in records for c in r.chains])
     return 0
-
-
-def _write_chain_trace(args, params, sources, cell: Cell, base_seed: int) -> None:
-    lines = []
-    for i, source in enumerate(sources):
-        model = BoundModel(params, source)
-        limits = DecodeLimits(args.max_len) if args.max_len else default_limits(model.source_len)
-        if cell.strategy == "sample":
-            cfg = NpadConfig(chains=cell.chains or 1, schedule=NoiseSchedule(0.0),
-                             inner="sample", include_zero_chain=False,
-                             base_seed=derive_seed(base_seed, i), limits=limits)
-        else:
-            cfg = NpadConfig(chains=cell.chains, schedule=NoiseSchedule(cell.sigma0),
-                             inner="beam" if (cell.beam_width or 1) > 1 else "greedy",
-                             beam_width=cell.beam_width or 1,
-                             include_zero_chain=cell.include_zero_chain,
-                             base_seed=derive_seed(base_seed, i), limits=limits)
-        _, results = npad_search(model, cfg)
-        for r in results:
-            lines.append(json.dumps({
-                "chain_index": r.chain_index, "sigma0_effective": r.sigma0_effective,
-                "tokens": r.hypothesis.tokens, "noisy_logp": r.noisy_logp,
-                "rescored_logp": r.rescored_logp, "input_id": i,
-            }))
-    _write_lines(args.trace_chains, lines)
 
 
 def cmd_score(args) -> int:
@@ -328,6 +308,8 @@ def main(argv=None) -> int:
         print(f"error: vocab: {e}", file=sys.stderr)
     except DivergenceError as e:
         print(f"error: training diverged: {e}", file=sys.stderr)
+    except SearchSpaceError as e:
+        print(f"error: {e}", file=sys.stderr)
     except ContractError as e:
         print(f"error: invalid arguments: {e}", file=sys.stderr)
     return 1

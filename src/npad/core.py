@@ -65,17 +65,6 @@ class RngStream:
         return f"RngStream(seed={self.seed})"
 
 
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with explicit shape checking."""
-    m = np.asarray(m, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if m.ndim != 2 or v.ndim != 1:
-        raise ContractError(f"matvec expects a matrix and a vector, got {m.shape} and {v.shape}")
-    if m.shape[1] != v.shape[0]:
-        raise ContractError(f"dimension mismatch: {m.shape} x {v.shape}")
-    return m @ v
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Stable softmax (max-subtraction); output is positive and sums to 1."""
     x = np.asarray(logits, dtype=np.float64)
@@ -99,14 +88,11 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: 1 / (1 + e^-x) for x >= 0 and
+    e^x / (1 + e^x) below, both from one exp(-|x|)."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def gaussian_vec(rng: RngStream, dim: int, sigma: float) -> np.ndarray:

@@ -2,9 +2,12 @@
 and an exhaustive oracle for tiny instances.
 
 Every decoder accepts a per-step noise source so the parallel-chain
-meta-decoder can wrap any of them. Engines operate on the step interface of
-`model.BoundModel` (or any object with the same surface); thin wrappers with
-(params, source) signatures are provided for each strategy.
+meta-decoder can wrap any of them. Engines operate on the batched step
+interface of `model.BoundModel` (or any object with the same surface) and
+advance all their rows through one `step_batch` call per step: independent
+decodes in lockstep, a beam's live hypotheses, an exhaustive search level or
+a set of sequences being rescored. Thin wrappers with (params, source)
+signatures are provided for each strategy.
 
 Scores are raw cumulative log-probabilities; no length normalization is
 applied anywhere. Top-K ties break by (score desc, parent index asc, token
@@ -13,14 +16,18 @@ so runs are reproducible.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ContractError, RngStream, categorical_sample, gaussian_vec
-from .model import BoundModel, DecoderState
+from .model import BoundModel, DecoderState, VocabError
 
 MAX_EXACT_SPACE = 10**6
+# Rows per kernel call in the exhaustive search: bounds its (rows, source_len,
+# d_hid) attention temporaries, which a whole level of prefixes would not.
+EXACT_ROWS = 1024
 
 
 class SearchSpaceError(ValueError):
@@ -40,7 +47,7 @@ def default_limits(source_len: int) -> DecodeLimits:
     return DecodeLimits(max_len=2 * source_len + 5)
 
 
-def _resolve_limits(model, limits: DecodeLimits | None) -> DecodeLimits:
+def resolve_limits(model, limits: DecodeLimits | None) -> DecodeLimits:
     if limits is not None:
         return limits
     return default_limits(getattr(model, "source_len", 1))
@@ -51,13 +58,10 @@ class NoiseSchedule:
     """Annealed noise level: sigma_t = sigma0 / t for step t >= 1."""
 
     sigma0: float
-    rule: str = "inverse_t"
 
     def __post_init__(self):
-        if self.sigma0 < 0:
-            raise ContractError(f"sigma0 must be >= 0, got {self.sigma0}")
-        if self.rule != "inverse_t":
-            raise ContractError(f"unknown schedule rule {self.rule!r}")
+        if not math.isfinite(self.sigma0) or self.sigma0 < 0:
+            raise ContractError(f"sigma0 must be finite and >= 0, got {self.sigma0}")
 
     def sigma_at(self, t: int) -> float:
         if t < 1:
@@ -65,18 +69,13 @@ class NoiseSchedule:
         return self.sigma0 / t
 
 
-class SilentNoise:
-    """Always-zero noise source."""
-
-    def __init__(self, dim: int):
-        self._zeros = np.zeros(dim)
-
-    def vector(self, t: int) -> np.ndarray:
-        return self._zeros
-
-
 class ScheduledNoise:
-    """Gaussian noise with the scheduled per-step standard deviation."""
+    """Gaussian noise with the scheduled per-step standard deviation.
+
+    A step with sigma_t == 0 draws nothing. Successive draws from one stream
+    fill the same values whether they are taken a vector, a block of rows or
+    a whole table at a time.
+    """
 
     def __init__(self, rng: RngStream, schedule: NoiseSchedule, dim: int):
         self.rng = rng
@@ -85,6 +84,19 @@ class ScheduledNoise:
 
     def vector(self, t: int) -> np.ndarray:
         return gaussian_vec(self.rng, self.dim, self.schedule.sigma_at(t))
+
+    def rows(self, t: int, n: int) -> np.ndarray | None:
+        """n successive step-t vectors as an (n, dim) block; None when sigma_t is 0."""
+        sigma = self.schedule.sigma_at(t)
+        return self.rng.normal_vec((n, self.dim)) * sigma if sigma else None
+
+    def table(self, steps: int) -> np.ndarray:
+        """Row t-1 is the step-t vector, as `vector(1)`, ..., `vector(steps)` draw them."""
+        sigmas = [self.schedule.sigma_at(t) for t in range(1, steps + 1)]
+        drawn = sum(s > 0 for s in sigmas)        # sigma_t decreases: zeros come last
+        out = np.zeros((steps, self.dim))
+        out[:drawn] = self.rng.normal_vec((drawn, self.dim)) * np.array(sigmas[:drawn])[:, None]
+        return out
 
 
 @dataclass
@@ -95,23 +107,88 @@ class Hypothesis:
     complete: bool
 
 
-def _silent(model) -> SilentNoise:
-    return SilentNoise(model.state_dim)
+def force_scores(model, sequences) -> list[float]:
+    """Non-noisy log-probability of each token sequence, teacher-forced
+    together as rows of one batch.
+
+    Rows run longest first, so the rows still running at step t are a prefix
+    of the batch. Each value is bitwise the one-sequence replay.
+    """
+    seqs = [list(s) for s in sequences]
+    if not seqs:
+        return []
+    if not all(seqs):
+        raise ContractError("cannot score an empty token sequence")
+    if any(not 0 <= tok < model.n_tokens for s in seqs for tok in s):
+        raise VocabError(f"token index out of range (|V_tgt|={model.n_tokens})")
+    order = sorted(range(len(seqs)), key=lambda i: -len(seqs[i]))
+    lengths = np.array([len(seqs[i]) for i in order])
+    forced = np.zeros((len(seqs), lengths[0]), dtype=np.int64)
+    for row, i in enumerate(order):
+        forced[row, :lengths[row]] = seqs[i]
+    running = (lengths > np.arange(lengths[0])[:, None]).sum(axis=1)   # rows still running at step t
+    index = np.arange(len(seqs))
+    H = np.tile(model.initial().h, (len(seqs), 1))
+    prev = np.full(len(seqs), model.bos)
+    totals = np.zeros(len(seqs))
+    for t, b in enumerate(running):
+        H, logp = model.step_batch(H[:b], prev[:b])
+        prev = forced[:b, t]
+        totals[:b] += logp[index[:b], prev]
+    scores = [0.0] * len(seqs)
+    for row, i in enumerate(order):
+        scores[i] = float(totals[row])
+    return scores
 
 
 def force_score(model, tokens) -> float:
     """Non-noisy log-probability of `tokens` under the bound model (replay)."""
-    if not tokens:
-        raise ContractError("cannot score an empty token sequence")
-    state = model.initial()
-    prev = model.bos
-    zero = np.zeros(model.state_dim)
-    total = 0.0
-    for tok in tokens:
-        state, logp = model.step(state, prev, zero)
-        total += float(logp[tok])
-        prev = tok
-    return total
+    return force_scores(model, [tokens])[0]
+
+
+def lockstep_search(model, n: int, pick, noise=None,
+                    limits: DecodeLimits | None = None) -> list[Hypothesis]:
+    """Run n independent decodes in lockstep, one batch row each.
+
+    `pick(logp, rows)` chooses the next token of each running row from its
+    (len(rows), V) log-probabilities; `rows` holds the decode indices of the
+    batch rows. `noise(t, rows)` gives their step-t noise rows, or None. A
+    decode leaves the batch at EOS or max_len; its score accumulates the same
+    (possibly noisy) distributions its tokens were picked from.
+    """
+    limits = resolve_limits(model, limits)
+    rows = np.arange(n)
+    H = np.tile(model.initial().h, (n, 1))
+    prev = np.full(n, model.bos)
+    scores = np.zeros(n)
+    tokens = np.zeros((n, limits.max_len), dtype=np.int64)
+    out: list = [None] * n
+    for t in range(1, limits.max_len + 1):
+        H, logp = model.step_batch(H, prev, noise(t, rows) if noise else None)
+        prev = np.asarray(pick(logp, rows))
+        scores += logp[np.arange(rows.size), prev]
+        tokens[:, t - 1] = prev
+        ended = prev == model.eos
+        if t == limits.max_len:
+            ended[:] = True
+        if ended.any():
+            for i in np.flatnonzero(ended):
+                out[rows[i]] = Hypothesis(tokens[i, :t].tolist(), float(scores[i]),
+                                          DecoderState(H[i], t), bool(prev[i] == model.eos))
+            keep = ~ended
+            rows, H, prev, scores, tokens = rows[keep], H[keep], prev[keep], scores[keep], tokens[keep]
+            if not rows.size:
+                break
+    return out
+
+
+def _argmax(logp, rows):
+    return np.argmax(logp, axis=1)
+
+
+def _noise_rows(noise):
+    """A noise source as lockstep_search's noise(t, rows) callable."""
+    return (lambda t, rows: noise.rows(t, rows.size)) if noise else None
 
 
 def greedy_search(model, noise=None, limits: DecodeLimits | None = None) -> Hypothesis:
@@ -120,41 +197,16 @@ def greedy_search(model, noise=None, limits: DecodeLimits | None = None) -> Hypo
     The accumulated score comes from the same (possibly noisy) distributions
     used for selection.
     """
-    limits = _resolve_limits(model, limits)
-    noise = noise or _silent(model)
-    state = model.initial()
-    prev = model.bos
-    tokens: list[int] = []
-    total = 0.0
-    for _ in range(limits.max_len):
-        state, logp = model.step(state, prev, noise.vector(state.t + 1))
-        tok = int(np.argmax(logp))
-        tokens.append(tok)
-        total += float(logp[tok])
-        if tok == model.eos:
-            return Hypothesis(tokens, total, state, True)
-        prev = tok
-    return Hypothesis(tokens, total, state, False)
+    return lockstep_search(model, 1, _argmax, _noise_rows(noise), limits)[0]
 
 
 def sample_search(model, rng: RngStream, limits: DecodeLimits | None = None,
                   noise=None) -> Hypothesis:
     """Ancestral sampling from the per-step output distributions."""
-    limits = _resolve_limits(model, limits)
-    noise = noise or _silent(model)
-    state = model.initial()
-    prev = model.bos
-    tokens: list[int] = []
-    total = 0.0
-    for _ in range(limits.max_len):
-        state, logp = model.step(state, prev, noise.vector(state.t + 1))
-        tok = categorical_sample(rng, np.exp(logp))
-        tokens.append(tok)
-        total += float(logp[tok])
-        if tok == model.eos:
-            return Hypothesis(tokens, total, state, True)
-        prev = tok
-    return Hypothesis(tokens, total, state, False)
+    def pick(logp, rows):
+        return [categorical_sample(rng, np.exp(logp[0]))]
+
+    return lockstep_search(model, 1, pick, _noise_rows(noise), limits)[0]
 
 
 def _better_completed(a: Hypothesis, b: Hypothesis | None) -> bool:
@@ -166,52 +218,65 @@ def _better_completed(a: Hypothesis, b: Hypothesis | None) -> bool:
     return a.tokens < b.tokens
 
 
+def _best(hyps):
+    best = None
+    for hyp in hyps:
+        if _better_completed(hyp, best):
+            best = hyp
+    return best
+
+
 def _beam_engine(model, width: int, eta: float, noise, limits: DecodeLimits):
     """Shared beam loop; eta > 0 adds the per-parent sibling rank penalty.
 
-    Live width starts at `width` and shrinks by one for every hypothesis that
-    completes; the search stops when it reaches zero or max_len is hit.
-    Penalties affect selection only: stored scores stay unpenalized.
+    The live hypotheses are the rows of one step. Live width starts at
+    `width` and shrinks by one for every hypothesis that completes; the
+    search stops when it reaches zero or max_len is hit. Penalties affect
+    selection only: stored scores stay unpenalized.
     """
     if width < 1:
         raise ContractError(f"beam width must be >= 1, got {width}")
-    if eta < 0:
-        raise ContractError(f"eta must be >= 0, got {eta}")
-    live = [Hypothesis([], 0.0, model.initial(), False)]
+    if not math.isfinite(eta) or eta < 0:
+        raise ContractError(f"eta must be finite and >= 0, got {eta}")
+    n_tokens = model.n_tokens
+    H = model.initial().h[None]
+    prev = np.array([model.bos])
+    scores = np.zeros(1)
+    live: list[list[int]] = [[]]
     completed: list[Hypothesis] = []
     k_live = width
-    for _ in range(limits.max_len):
-        candidates = []  # (selection_score, parent_idx, token, raw_score, state)
-        for pi, hyp in enumerate(live):
-            prev = hyp.tokens[-1] if hyp.tokens else model.bos
-            state, logp = model.step(hyp.state, prev, noise.vector(hyp.state.t + 1))
-            order = sorted(range(model.n_tokens), key=lambda j: (-logp[j], j))
-            for rank, tok in enumerate(order, start=1):
-                raw = hyp.logp + float(logp[tok])
-                candidates.append((raw - eta * rank, pi, tok, raw, state))
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+    for t in range(1, limits.max_len + 1):
+        H, logp = model.step_batch(H, prev, noise.rows(t, len(live)) if noise else None)
+        raw = scores[:, None] + logp
+        sel = raw
+        if eta:
+            # rank r of each token among its parent's expansions: score desc, token asc
+            rank = np.empty_like(logp)
+            np.put_along_axis(rank, np.argsort(-logp, axis=1, kind="stable"),
+                              np.arange(1.0, n_tokens + 1), axis=1)
+            sel = raw - eta * rank
+        # A stable sort of the row-major candidates keeps ties in (parent, token) order.
+        top = np.argsort(-sel, axis=None, kind="stable")[:k_live]
+        kept = []
         next_live = []
-        for _, pi, tok, raw, state in candidates[:k_live]:
-            hyp = Hypothesis(live[pi].tokens + [tok], raw, state, tok == model.eos)
-            if hyp.complete:
-                completed.append(hyp)
+        for flat in top:
+            pi, tok = divmod(int(flat), n_tokens)
+            tokens = live[pi] + [tok]
+            if tok == model.eos:
+                completed.append(Hypothesis(tokens, float(raw[pi, tok]), DecoderState(H[pi], t), True))
                 k_live -= 1
             else:
-                next_live.append(hyp)
+                kept.append(flat)
+                next_live.append(tokens)
         live = next_live
         if k_live <= 0 or not live:
             break
+        kept = np.array(kept)
+        H, prev, scores = H[kept // n_tokens], kept % n_tokens, raw.ravel()[kept]
     if completed:
-        best = None
-        for hyp in completed:
-            if _better_completed(hyp, best):
-                best = hyp
-        return best, completed
-    best_live = None
-    for hyp in live:
-        if _better_completed(hyp, best_live):
-            best_live = hyp
-    return best_live, []
+        return _best(completed), completed
+    return _best(Hypothesis(tokens, float(scores[i]), DecoderState(H[i], t), False)
+                 for i, tokens in enumerate(live)), []
 
 
 def beam_search(model, width: int, noise=None, limits: DecodeLimits | None = None):
@@ -220,8 +285,7 @@ def beam_search(model, width: int, noise=None, limits: DecodeLimits | None = Non
     If nothing completes within max_len, the best live hypothesis is returned
     flagged incomplete and the completed list is empty.
     """
-    limits = _resolve_limits(model, limits)
-    return _beam_engine(model, width, 0.0, noise or _silent(model), limits)
+    return _beam_engine(model, width, 0.0, noise, resolve_limits(model, limits))
 
 
 def diverse_beam_search(model, width: int, eta: float, noise=None,
@@ -229,35 +293,45 @@ def diverse_beam_search(model, width: int, eta: float, noise=None,
     """Beam search where the r-th ranked expansion of each parent has its
     selection score reduced by eta * r. Reported scores are unpenalized.
     """
-    limits = _resolve_limits(model, limits)
-    return _beam_engine(model, width, eta, noise or _silent(model), limits)
+    return _beam_engine(model, width, eta, noise, resolve_limits(model, limits))
 
 
 def exact_search(model, limits: DecodeLimits | None = None) -> Hypothesis:
     """Enumerate every EOS-terminated sequence up to max_len; return the argmax.
 
+    Runs level by level: every prefix of one length is a row of one step.
     Ties break lexicographically by token indices. Tractable only for tiny
     vocabularies and lengths; refuses spaces above 10^6 sequences.
     """
-    limits = _resolve_limits(model, limits)
+    limits = resolve_limits(model, limits)
     if model.n_tokens ** limits.max_len > MAX_EXACT_SPACE:
         raise SearchSpaceError(
             f"search space {model.n_tokens}^{limits.max_len} exceeds {MAX_EXACT_SPACE}")
-    zero = np.zeros(model.state_dim)
+    eos = model.eos
+    others = np.array([tok for tok in range(model.n_tokens) if tok != eos])
+    H = model.initial().h[None]
+    prev = np.array([model.bos])
+    scores = np.zeros(1)
+    prefixes = np.zeros((1, 0), dtype=np.int64)
     best: Hypothesis | None = None
-
-    def visit(state, prev, tokens, logp, depth):
-        nonlocal best
-        state, lp = model.step(state, prev, zero)
-        cand = Hypothesis(tokens + [model.eos], logp + float(lp[model.eos]), state, True)
+    for depth in range(1, limits.max_len + 1):
+        steps = [model.step_batch(H[i:i + EXACT_ROWS], prev[i:i + EXACT_ROWS])
+                 for i in range(0, prev.size, EXACT_ROWS)]
+        H = np.concatenate([h for h, _ in steps])
+        logp = np.concatenate([lp for _, lp in steps])
+        ends = scores + logp[:, eos]
+        ties = np.flatnonzero(ends == ends.max())
+        i = min(ties, key=lambda k: prefixes[k].tolist())
+        cand = Hypothesis(prefixes[i].tolist() + [eos], float(ends[i]), DecoderState(H[i], depth), True)
         if _better_completed(cand, best):
             best = cand
-        if depth + 1 < limits.max_len:
-            for tok in range(model.n_tokens):
-                if tok != model.eos:
-                    visit(state, tok, tokens + [tok], logp + float(lp[tok]), depth + 1)
-
-    visit(model.initial(), model.bos, [], 0.0, 0)
+        if depth == limits.max_len:
+            break
+        n = scores.size
+        scores = (scores[:, None] + logp[:, others]).ravel()
+        prev = np.tile(others, n)
+        prefixes = np.hstack([np.repeat(prefixes, others.size, axis=0), prev[:, None]])
+        H = np.repeat(H, others.size, axis=0)
     return best
 
 

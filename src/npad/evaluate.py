@@ -11,9 +11,9 @@ import json
 import multiprocessing as mp
 from collections import Counter
 from dataclasses import dataclass, field
-from math import exp, log
+from math import exp, isfinite, log
 
-from .chains import NpadConfig, npad_search
+from .chains import ChainResult, NpadConfig, npad_search
 from .core import ContractError, derive_seed
 from .decode import (
     DecodeLimits,
@@ -46,6 +46,10 @@ class Cell:
     include_zero_chain: bool = True
 
     def __post_init__(self):
+        for name in ("sigma0", "eta"):
+            value = getattr(self, name)
+            if value is not None and not isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
         if self.strategy in ("beam", "diverse") and (self.beam_width or 0) < 1:
@@ -69,6 +73,7 @@ class EvalRecord:
     rescored_logp: float
     reference: tuple[int, ...]
     complete: bool
+    chains: list[ChainResult] | None = field(default=None, repr=False, compare=False)
 
 
 def mean_nll(records: list[EvalRecord]) -> float:
@@ -133,25 +138,28 @@ def corpus_bleu(hypotheses, references, max_n: int = 4, smooth: bool = False) ->
     return bp * exp(sum(log_precisions) / len(log_precisions))
 
 
-def decode_with_cell(params, source, cell: Cell, seed: int,
-                     max_len: int | None = None):
-    """Decode one source under a cell; returns (tokens, rescored_logp, complete)."""
+def npad_config(cell: Cell, seed: int, limits: DecodeLimits) -> NpadConfig:
+    """The chain configuration of a sample or npad cell."""
+    if cell.strategy == "sample":
+        return NpadConfig(chains=cell.chains or 1, schedule=NoiseSchedule(0.0),
+                          inner="sample", include_zero_chain=False,
+                          base_seed=seed, limits=limits)
+    return NpadConfig(chains=cell.chains, schedule=NoiseSchedule(cell.sigma0),
+                      inner="beam" if (cell.beam_width or 1) > 1 else "greedy",
+                      beam_width=cell.beam_width or 1,
+                      include_zero_chain=cell.include_zero_chain,
+                      base_seed=seed, limits=limits)
+
+
+def _decode_cell(params, source, cell: Cell, seed: int, max_len: int | None = None):
+    """`decode_with_cell` plus the chain results of a sample or npad cell
+    (None for the other strategies)."""
     model = BoundModel(params, source)
     limits = DecodeLimits(max_len) if max_len else default_limits(model.source_len)
     if cell.strategy in ("sample", "npad"):
-        if cell.strategy == "sample":
-            cfg = NpadConfig(chains=cell.chains or 1, schedule=NoiseSchedule(0.0),
-                             inner="sample", include_zero_chain=False,
-                             base_seed=seed, limits=limits)
-        else:
-            inner = "beam" if (cell.beam_width or 1) > 1 else "greedy"
-            cfg = NpadConfig(chains=cell.chains, schedule=NoiseSchedule(cell.sigma0),
-                             inner=inner, beam_width=cell.beam_width or 1,
-                             include_zero_chain=cell.include_zero_chain,
-                             base_seed=seed, limits=limits)
-        best, _ = npad_search(model, cfg)
+        best, results = npad_search(model, npad_config(cell, seed, limits))
         hyp = best.hypothesis
-        return list(hyp.tokens), best.rescored_logp, hyp.complete
+        return list(hyp.tokens), best.rescored_logp, hyp.complete, results
     if cell.strategy == "greedy":
         hyp = greedy_search(model, None, limits)
     elif cell.strategy == "beam":
@@ -160,36 +168,45 @@ def decode_with_cell(params, source, cell: Cell, seed: int,
         hyp, _ = diverse_beam_search(model, cell.beam_width, cell.eta, None, limits)
     else:
         hyp = exact_search(model, limits)
-    return list(hyp.tokens), force_score(model, hyp.tokens), hyp.complete
+    return list(hyp.tokens), force_score(model, hyp.tokens), hyp.complete, None
+
+
+def decode_with_cell(params, source, cell: Cell, seed: int,
+                     max_len: int | None = None):
+    """Decode one source under a cell; returns (tokens, rescored_logp, complete)."""
+    return _decode_cell(params, source, cell, seed, max_len)[:3]
 
 
 _CTX: dict | None = None
 
 
+def _decode_item(ctx: dict, i: int):
+    outcome = _decode_cell(ctx["params"], ctx["sources"][i], ctx["cell"],
+                           derive_seed(ctx["base_seed"], i), ctx["max_len"])
+    return outcome if ctx["keep_chains"] else outcome[:3] + (None,)
+
+
 def _corpus_chunk(indices):
-    ctx = _CTX
-    out = []
-    for i in indices:
-        seed = derive_seed(ctx["base_seed"], i)
-        out.append(decode_with_cell(ctx["params"], ctx["sources"][i], ctx["cell"],
-                                    seed, ctx["max_len"]))
-    return out
+    return [_decode_item(_CTX, i) for i in indices]
 
 
 def decode_corpus(params, sources, references, cell: Cell, base_seed: int,
-                  max_len: int | None = None, workers: int = 1) -> list[EvalRecord]:
+                  max_len: int | None = None, workers: int = 1,
+                  keep_chains: bool = False) -> list[EvalRecord]:
     """Decode every source under a cell; per-sentence seeds derive from
     (base_seed, input_id), so results are independent of worker count.
+    With keep_chains, each record of a sample or npad cell keeps its chain
+    results.
     """
     global _CTX
     n = len(sources)
+    ctx = {"params": params, "sources": sources, "cell": cell,
+           "base_seed": base_seed, "max_len": max_len, "keep_chains": keep_chains}
     if workers > 1 and n > 1:
-        _CTX = {"params": params, "sources": sources, "cell": cell,
-                "base_seed": base_seed, "max_len": max_len}
+        _CTX = ctx
         try:
             chunks = [list(range(k, n, workers)) for k in range(workers)]
-            ctx = mp.get_context("fork")
-            with ctx.Pool(workers) as pool:
+            with mp.get_context("fork").Pool(workers) as pool:
                 parts = pool.map(_corpus_chunk, chunks)
         finally:
             _CTX = None
@@ -198,12 +215,11 @@ def decode_corpus(params, sources, references, cell: Cell, base_seed: int,
             for i, outcome in zip(chunk, part):
                 outcomes[i] = outcome
     else:
-        outcomes = [decode_with_cell(params, sources[i], cell, derive_seed(base_seed, i), max_len)
-                    for i in range(n)]
+        outcomes = [_decode_item(ctx, i) for i in range(n)]
     records = []
-    for i, (tokens, logp, complete) in enumerate(outcomes):
+    for i, (tokens, logp, complete, chains) in enumerate(outcomes):
         ref = tuple(references[i]) if references is not None else ()
-        records.append(EvalRecord(i, cell.strategy, tokens, logp, ref, complete))
+        records.append(EvalRecord(i, cell.strategy, tokens, logp, ref, complete, chains))
     return records
 
 

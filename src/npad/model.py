@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ContractError, RngStream, log_softmax, sigmoid, softmax
+from .core import ContractError, RngStream, sigmoid, softmax
 
 PAD, BOS, EOS = 0, 1, 2
 PAD_TOKEN, BOS_TOKEN, EOS_TOKEN = "<pad>", "<s>", "</s>"
@@ -253,9 +253,62 @@ def attention_context(params: ModelParams, state: DecoderState, enc: EncodedSour
     return _attend(params, state.h, enc)
 
 
+def _matvec_rows(W: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Row i is W @ X[i]: a stack of gemv calls, never one gemm.
+
+    A gemm's per-row bits depend on the batch size; a stack of gemv calls
+    gives each row exactly the bits of the single-vector product.
+    """
+    return (W @ X[:, :, None])[:, :, 0]
+
+
+def _gru_rows(tensors: dict, pre: str, X: np.ndarray, Hprev: np.ndarray) -> np.ndarray:
+    """`_gru_fwd` on each row of X (B, d_in) and Hprev (B, d_hid)."""
+    def gate(g: str, h: np.ndarray) -> np.ndarray:
+        return (_matvec_rows(tensors[f"{pre}.W{g}"], X) + _matvec_rows(tensors[f"{pre}.U{g}"], h)
+                + tensors[f"{pre}.b{g}"])
+
+    z = sigmoid(gate("z", Hprev))
+    r = sigmoid(gate("r", Hprev))
+    n = np.tanh(gate("n", r * Hprev))
+    return (1.0 - z) * Hprev + z * n
+
+
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def step_rows(params: ModelParams, enc: EncodedSource, H: np.ndarray, prev: np.ndarray,
+              noise: np.ndarray | None = None):
+    """The batched decoder step: one transition for each row of H (B, d_hid).
+
+    `prev` (B,) holds each row's previous target token and `noise` (B, d_hid)
+    each row's noise (None for none). Returns (H' (B, d_hid), logp (B, |V_tgt|)).
+
+    Row i's bits equal those of the single-vector step on row i alone, for
+    every B: products are stacks of per-row gemv calls and reductions run
+    along each row. Rows never interact. Arguments are not checked here; the
+    decoders build them and `decoder_step` checks single-vector calls.
+    """
+    t = params.tensors
+    Q = H if noise is None else H + noise
+    M = np.tanh(enc.att_keys + Q[:, None, :] @ t["att.Wq"].T)          # (B, L, d_hid)
+    alpha = _softmax_rows(M @ t["att.v"])
+    C = (enc.annotations.T @ alpha[:, :, None])[:, :, 0]
+    Hn = _gru_rows(t, "dec", np.concatenate([t["tgt_embed"][prev], C], axis=1), Q)
+    logits = _matvec_rows(t["out.W"], np.concatenate([Hn, C], axis=1)) + t["out.b"]
+    return Hn, _log_softmax_rows(logits)
+
+
 def decoder_step(params: ModelParams, state: DecoderState, prev_token: int,
                  enc: EncodedSource, noise: np.ndarray | None = None):
-    """One decoder transition.
+    """One decoder transition: a one-row call of `step_rows`.
 
     The noise vector is added to the previous hidden state before anything
     else happens: the attention query and the GRU both see the perturbed
@@ -263,21 +316,15 @@ def decoder_step(params: ModelParams, state: DecoderState, prev_token: int,
     state and the log-probability vector over the following token.
     """
     dims = params.dims
-    t = params.tensors
-    if noise is None:
-        q = state.h
-    else:
+    if noise is not None:
         noise = np.asarray(noise, dtype=np.float64)
         if noise.shape != (dims.d_hid,):
             raise ContractError(f"noise dim {noise.shape} != d_hid {dims.d_hid}")
-        q = state.h + noise
+        noise = noise[None]
     if not 0 <= prev_token < dims.n_tgt:
         raise VocabError(f"target token index {prev_token} out of range (|V_tgt|={dims.n_tgt})")
-    context, _ = _attend(params, q, enc)
-    u = np.concatenate([t["tgt_embed"][prev_token], context])
-    h, _ = _gru_fwd(t, "dec", u, q)
-    logits = t["out.W"] @ np.concatenate([h, context]) + t["out.b"]
-    return DecoderState(h=h, t=state.t + 1), log_softmax(logits)
+    H, logp = step_rows(params, enc, state.h[None], np.array([prev_token]), noise)
+    return DecoderState(h=H[0], t=state.t + 1), logp[0]
 
 
 def _check_target(dims: Dims, target) -> list[int]:
@@ -314,8 +361,8 @@ class BoundModel:
     """A model bound to one encoded source: the step interface decoders use.
 
     Decoding engines only rely on this surface (n_tokens, eos, bos,
-    state_dim, source_len, initial(), step()), which keeps them testable
-    against hand-built table models.
+    state_dim, source_len, initial(), step_batch()), which keeps them
+    testable against hand-built table models.
     """
 
     def __init__(self, params: ModelParams, source):
@@ -332,3 +379,7 @@ class BoundModel:
 
     def step(self, state: DecoderState, prev_token: int, noise: np.ndarray | None = None):
         return decoder_step(self.params, state, prev_token, self.enc, noise)
+
+    def step_batch(self, H: np.ndarray, prev: np.ndarray, noise: np.ndarray | None = None):
+        """`step_rows` on this source: (H (B, d), prev (B,), noise (B, d) | None) -> (H', logp)."""
+        return step_rows(self.params, self.enc, H, prev, noise)

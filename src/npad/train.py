@@ -6,12 +6,13 @@ Gradients are dictionaries keyed exactly like ModelParams.tensors.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractError, RngStream
-from .model import BOS, ModelParams, _attend, _gru_fwd, encode_with_cache, log_softmax, score_sequence
+from .core import ContractError, RngStream, log_softmax
+from .model import BOS, ModelParams, _attend, _gru_fwd, encode_with_cache, score_sequence
 from .tasks import SequencePair
 
 
@@ -34,6 +35,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ContractError("epochs must be >= 1")
+        for name in ("lr", "lr_decay", "clip_norm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
         if self.clip_norm <= 0:
             raise ContractError("clip_norm must be > 0")
         if self.batch_size < 1:

@@ -5,6 +5,9 @@ A TableModel defines its per-step next-token distributions directly via a
 be computed by hand. A scalar hidden state lets tests couple injected noise
 to the first-step logits (noise_weight shifts token 0's logit by that many
 units per unit of perturbation).
+
+The batched interface carries each row's step count next to its hidden
+value: a row of H is [h, t]. Noise rows stay state_dim = 1 wide.
 """
 import numpy as np
 
@@ -25,7 +28,7 @@ class TableModel:
         self.noise_weight = noise_weight
 
     def initial(self):
-        return DecoderState(h=np.zeros(1), t=0)
+        return DecoderState(h=np.zeros(2), t=0)
 
     def step(self, state, prev_token, noise=None):
         row = self.rows.get((state.t, prev_token), self.default).copy()
@@ -37,6 +40,16 @@ class TableModel:
         with np.errstate(divide="ignore"):
             logp = shifted - np.log(np.exp(shifted).sum())
         return DecoderState(h=np.zeros(1), t=state.t + 1), logp
+
+    def step_batch(self, H, prev, noise=None):
+        """`step` on each row in turn."""
+        H_next, logps = np.empty_like(H), []
+        for i, (h, t) in enumerate(H):
+            state, logp = self.step(DecoderState(h=np.array([h]), t=int(t)), int(prev[i]),
+                                    None if noise is None else noise[i])
+            H_next[i] = [state.h[0], state.t]
+            logps.append(logp)
+        return H_next, np.array(logps)
 
 
 def point_mass_eos(n_tokens=3):

@@ -105,6 +105,35 @@ def test_decode_flag_validation(workspace):
     assert main(base + ["--strategy", "mystery"]) != 0
 
 
+def test_non_finite_hyperparameters_exit_1(workspace, capsys):
+    d = workspace["data"]
+    base = ["decode", "--model", workspace["model"],
+            "--vocab-src", f"{d}/vocab_src.txt", "--vocab-tgt", f"{d}/vocab_tgt.txt",
+            "--input", f"{d}/test.tsv"]
+    assert main(base + ["--strategy", "npad", "--chains", "2", "--sigma0", "nan",
+                        "--seed", "1"]) == 1
+    assert "sigma0 must be finite" in capsys.readouterr().err
+    assert main(base + ["--strategy", "diverse", "--beam-width", "2", "--eta", "inf"]) == 1
+    assert "eta must be finite" in capsys.readouterr().err
+    assert main(["train", "--input", f"{d}/train.tsv", "--valid", f"{d}/valid.tsv",
+                 "--vocab-src", f"{d}/vocab_src.txt", "--vocab-tgt", f"{d}/vocab_tgt.txt",
+                 "--model", str(workspace["root"] / "nan.bin"), "--lr", "nan",
+                 "--epochs", "1", "--seed", "5"]) == 1
+    assert "lr must be finite" in capsys.readouterr().err
+    assert not (workspace["root"] / "nan.bin").exists()
+
+
+def test_intractable_exact_search_exit_1(workspace, capsys):
+    d = workspace["data"]
+    rc = main(["decode", "--strategy", "exact", "--model", workspace["model"],
+               "--vocab-src", f"{d}/vocab_src.txt", "--vocab-tgt", f"{d}/vocab_tgt.txt",
+               "--input", f"{d}/test.tsv", "--max-len", "20"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error: search space 7^20 exceeds" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_flag_and_missing_file_are_distinct(workspace, capsys):
     d = workspace["data"]
     rc_flag = main(["decode", "--strategy", "greedy", "--model", workspace["model"],

@@ -12,29 +12,9 @@ from npad.core import (
     derive_seed,
     gaussian_vec,
     log_softmax,
-    matvec,
     sigmoid,
     softmax,
 )
-
-
-class TestMatvec:
-    def test_identity(self):
-        out = matvec(np.eye(3), np.array([1.0, 2.0, 3.0]))
-        assert out.tolist() == [1.0, 2.0, 3.0]
-
-    def test_zero_matrix_annihilates(self):
-        out = matvec(np.zeros((2, 3)), np.array([4.0, -1.0, 2.5]))
-        assert out.tolist() == [0.0, 0.0]
-
-    def test_hand_multiplication(self):
-        # oracle: [[1,2],[3,4]] . [1,1] = [1+2, 3+4]
-        out = matvec(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 1.0]))
-        assert out.tolist() == [3.0, 7.0]
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ContractError):
-            matvec(np.zeros((2, 3)), np.zeros(4))
 
 
 class TestSoftmax:

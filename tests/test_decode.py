@@ -10,7 +10,6 @@ from npad.decode import (
     NoiseSchedule,
     ScheduledNoise,
     SearchSpaceError,
-    SilentNoise,
     beam_decode,
     beam_search,
     default_limits,
@@ -19,6 +18,7 @@ from npad.decode import (
     exact_decode,
     exact_search,
     force_score,
+    force_scores,
     greedy_decode,
     greedy_search,
     sample_decode,
@@ -67,9 +67,28 @@ class TestNoiseSchedule:
             assert draws.std() == pytest.approx(0.4 / t, rel=0.05)
 
     def test_silent_noise_is_zero(self):
-        n = SilentNoise(3)
+        # zero noise is exact zeros, or no rows at all, and consumes no draws
+        n = ScheduledNoise(RngStream(4), NoiseSchedule(0.0), 3)
         assert n.vector(1).tolist() == [0.0, 0.0, 0.0]
         assert n.vector(99).tolist() == [0.0, 0.0, 0.0]
+        assert n.rows(1, 5) is None
+        assert n.table(4).tolist() == [[0.0] * 3] * 4
+        assert n.rng.uniform() == RngStream(4).uniform()
+
+    def test_rows_and_table_equal_successive_vectors(self):
+        schedule = NoiseSchedule(0.7)
+        per_step = ScheduledNoise(RngStream(8), schedule, 5)
+        vectors = [per_step.vector(t) for t in range(1, 7)]
+        table = ScheduledNoise(RngStream(8), schedule, 5).table(6)
+        assert np.array_equal(table, np.stack(vectors))
+        rows = ScheduledNoise(RngStream(8), schedule, 5).rows(3, 2)
+        per_step = ScheduledNoise(RngStream(8), schedule, 5)
+        assert np.array_equal(rows, np.stack([per_step.vector(3), per_step.vector(3)]))
+
+    def test_non_finite_sigma0_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ContractError):
+                NoiseSchedule(bad)
 
 
 def test_default_limits_follow_source_length():
@@ -114,11 +133,13 @@ class TestBeam:
             assert g.complete == b.complete
 
     def test_huge_beam_matches_exact_oracle(self):
-        for seed in range(30):
+        # the last case has 3^7 prefixes at its deepest level, more than one
+        # kernel call of the exhaustive search takes
+        for seed, max_len in [(seed, 3) for seed in range(30)] + [(30, 8)]:
             params, source = random_case(seed)
-            limits = DecodeLimits(3)
+            limits = DecodeLimits(max_len)
             e = exact_decode(params, source, limits)
-            b, _ = beam_decode(params, source, 4 ** 3, limits=limits)
+            b, _ = beam_decode(params, source, 4 ** max_len, limits=limits)
             assert b.tokens == e.tokens, f"seed {seed}"
             assert b.logp == e.logp
 
@@ -150,6 +171,28 @@ class TestBeam:
     def test_rejects_bad_width(self, tiny_params):
         with pytest.raises(ContractError):
             beam_decode(tiny_params, [3], 0)
+
+    def test_exact_ties_break_by_parent_then_token(self):
+        # four equal step-1 scores keep tokens 0 and 1 (token asc); at step 2
+        # four candidates tie again and parent [0]'s EOS and token 3 win
+        # (parent asc, then token asc); [0, 3] then completes through row (2, 3)
+        rows = {
+            (0, TableModel.bos): [0.25, 0.25, 0.25, 0.25],
+            (1, 0): [0.1, 0.1, 0.4, 0.4],
+            (1, 1): [0.4, 0.4, 0.1, 0.1],
+            (2, 3): [0.0, 0.0, 1.0, 0.0],
+        }
+        model = TableModel(rows, n_tokens=4)
+        best, completed = beam_search(model, 2, limits=DecodeLimits(3))
+        assert [h.tokens for h in completed] == [[0, 2], [0, 3, 2]]
+        assert completed[0].logp == completed[1].logp
+        assert completed[0].logp == pytest.approx(math.log(0.25 * 0.4), abs=1e-12)
+        assert best.tokens == [0, 2]
+        # equal-score siblings rank by token ascending for the diversity penalty
+        ranks = TableModel({(0, TableModel.bos): [0.3, 0.3, 0.1, 0.3]}, n_tokens=4,
+                           default=[0.0, 0.0, 1.0, 0.0])
+        _, done = diverse_beam_search(ranks, 2, 1.0, limits=DecodeLimits(2))
+        assert [h.tokens for h in done] == [[0, 2], [1, 2]]
 
 
 class TestSample:
@@ -283,6 +326,17 @@ class TestExact:
 
 
 class TestReplaySoundness:
+    def test_batched_rescoring_equals_single_replays(self):
+        for seed in range(20):
+            params, source = random_case(seed)
+            model = BoundModel(params, source)
+            seqs = [[3, 2], [2], [3, 3, 1, 2], [3, 2], [1, 0, 3]]
+            scores = force_scores(model, seqs)
+            assert scores == [force_score(model, s) for s in seqs]
+            assert scores == [score_sequence(params, source, s) for s in seqs]
+        with pytest.raises(ContractError):
+            force_scores(model, [[3], []])
+
     def test_silent_decoders_replay_to_their_logp(self):
         for seed in range(100):
             params, source = random_case(seed)

@@ -225,3 +225,10 @@ class TestSpecFiles:
             Cell(strategy="beam")                   # width missing
         with pytest.raises(ConfigError):
             Cell(strategy="diverse", beam_width=2)  # eta missing
+
+    def test_non_finite_cell_values_rejected(self):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError):
+                Cell(strategy="npad", sigma0=bad, chains=2)
+            with pytest.raises(ConfigError):
+                Cell(strategy="diverse", beam_width=2, eta=bad)

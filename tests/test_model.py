@@ -20,7 +20,12 @@ from npad.model import (
     init_params,
     initial_state,
     score_sequence,
+    _attend,
+    _gru_fwd,
+    step_rows,
 )
+from npad.core import log_softmax
+from conftest import make_params
 
 
 def uniform_readout(params):
@@ -289,3 +294,27 @@ def test_bound_model_matches_module_ops(tiny_params):
     s2, lp2 = decoder_step(tiny_params, initial_state(tiny_params, enc), BOS, enc)
     np.testing.assert_array_equal(s1.h, s2.h)
     np.testing.assert_array_equal(lp1, lp2)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7, 8, 50, 64, 100])
+def test_step_rows_bitwise_equal_per_vector_steps(batch):
+    # every row of the batched step equals, bit for bit, the single-vector
+    # equations training uses, whatever the batch size and the other rows
+    params = make_params(batch, d_emb=16, d_hid=24, n_src=35, n_tgt=35, scale=0.3)
+    t = params.tensors
+    enc = encode(params, [3 + (5 * i) % 32 for i in range(16)])
+    rng = RngStream(batch)
+    H = rng.uniform_vec((batch, 24), -1.0, 1.0)
+    prev = rng.integers(0, 35, size=batch)
+    noise = rng.uniform_vec((batch, 24), -0.3, 0.3)
+    noise[::3] = 0.0
+    H_next, logp = step_rows(params, enc, H, prev, noise)
+    for i in range(batch):
+        q = H[i] + noise[i]
+        context, _ = _attend(params, q, enc)
+        h, _ = _gru_fwd(t, "dec", np.concatenate([t["tgt_embed"][prev[i]], context]), q)
+        expected = log_softmax(t["out.W"] @ np.concatenate([h, context]) + t["out.b"])
+        assert np.array_equal(H_next[i], h), f"row {i}"
+        assert np.array_equal(logp[i], expected), f"row {i}"
+    alone_h, alone_lp = step_rows(params, enc, H[-1:], prev[-1:], noise[-1:])
+    assert np.array_equal(alone_h[0], H_next[-1]) and np.array_equal(alone_lp[0], logp[-1])

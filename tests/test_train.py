@@ -130,6 +130,12 @@ class TestClip:
 
 
 class TestTrain:
+    def test_non_finite_config_rejected(self):
+        for name in ("lr", "lr_decay", "clip_norm"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ContractError):
+                    TrainConfig(epochs=1, **{name: bad})
+
     def _task_splits(self, count=12, seed=5):
         data = gen_task("copy", 4, (2, 4), count, seed)
         return split_pairs(data.pairs, count - 4, 4)
