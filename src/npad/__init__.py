@@ -1,19 +1,19 @@
 """Desk-scale attentive GRU sequence-to-sequence models and a decoding suite
 built around noisy parallel approximate decoding."""
 
-from .chains import ChainResult, NpadConfig, npad_decode, npad_search, run_chain
+from .chains import ChainResult, NpadConfig, npad_search, run_chains, select_best
 from .core import ContractError, RngStream, categorical_sample, derive_seed, gaussian_vec, softmax
 from .decode import (
     DecodeLimits,
     Hypothesis,
     NoiseSchedule,
     ScheduledNoise,
-    beam_decode,
-    diverse_beam_decode,
-    exact_decode,
+    beam_search,
+    diverse_beam_search,
+    exact_search,
     force_score,
-    greedy_decode,
-    sample_decode,
+    greedy_search,
+    sample_search,
 )
 from .evaluate import Cell, EvalRecord, ExperimentSpec, corpus_bleu, mean_nll, run_experiment
 from .model import (

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractError, RngStream, categorical_sample, derive_seed
+from .core import ContractError, RngStream, categorical_rows, derive_seed
 from .decode import (
     DecodeLimits,
     Hypothesis,
@@ -30,7 +30,6 @@ from .decode import (
     lockstep_search,
     resolve_limits,
 )
-from .model import BoundModel
 
 INNER_DECODERS = ("greedy", "beam", "sample")
 
@@ -95,7 +94,7 @@ def _lockstep(model, cfg: NpadConfig, chains: list[int], limits: DecodeLimits):
         samplers = [RngStream(derive_seed(derive_seed(cfg.base_seed, m), 1)) for m in chains]
 
         def pick(logp, rows):
-            return [categorical_sample(samplers[r], p) for r, p in zip(rows, np.exp(logp))]
+            return categorical_rows(np.exp(logp), np.array([samplers[r].uniform() for r in rows]))
 
     return lockstep_search(model, len(chains), pick, noise, limits)
 
@@ -121,11 +120,6 @@ def run_chains(model, cfg: NpadConfig, chains) -> list[ChainResult]:
             for m, h in zip(chains, hyps)]
 
 
-def run_chain_on(model, cfg: NpadConfig, m: int) -> ChainResult:
-    """Run chain m of the configuration alone against a bound model."""
-    return run_chains(model, cfg, [m])[0]
-
-
 def select_best(results: list[ChainResult]) -> ChainResult:
     """Argmax of the non-noisy rescore; ties go to the lowest chain index.
 
@@ -145,11 +139,3 @@ def npad_search(model, cfg: NpadConfig):
     """Run all chains against a bound model; returns (best, all results)."""
     results = run_chains(model, cfg, range(cfg.chains))
     return select_best(results), results
-
-
-def run_chain(params, source, cfg: NpadConfig, m: int) -> ChainResult:
-    return run_chain_on(BoundModel(params, source), cfg, m)
-
-
-def npad_decode(params, source, cfg: NpadConfig):
-    return npad_search(BoundModel(params, source), cfg)

@@ -110,6 +110,20 @@ def gaussian_vec(rng: RngStream, dim: int, sigma: float) -> np.ndarray:
     return rng.normal_vec(dim) * sigma
 
 
+def categorical_rows(P: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise categorical pick: row i of P (B, V) picks with its uniform u[i].
+
+    The pick is the number of cumulative probabilities at or below u[i]
+    (the last index past the end), stepped back over zero-probability
+    entries. Unchecked: `categorical_sample` is the checked one-row call.
+    """
+    cum = np.cumsum(P, axis=1)
+    idx = np.minimum((cum <= u[:, None]).sum(axis=1), P.shape[1] - 1)
+    # the last nonzero entry at or before each index (0 when there is none)
+    last = np.maximum.accumulate(np.where(P != 0.0, np.arange(P.shape[1]), 0), axis=1)
+    return last[np.arange(idx.size), idx]
+
+
 def categorical_sample(rng: RngStream, probs: np.ndarray) -> int:
     """Sample an index from a categorical distribution given by `probs`."""
     p = np.asarray(probs, dtype=np.float64)
@@ -119,10 +133,4 @@ def categorical_sample(rng: RngStream, probs: np.ndarray) -> int:
         raise ContractError("probs must be finite and non-negative")
     if abs(p.sum() - 1.0) > 1e-6:
         raise ContractError(f"probs must sum to 1 within 1e-6, got {p.sum()!r}")
-    u = rng.uniform()
-    idx = int(np.searchsorted(np.cumsum(p), u, side="right"))
-    if idx >= p.size:
-        idx = p.size - 1
-    while idx > 0 and p[idx] == 0.0:
-        idx -= 1
-    return idx
+    return int(categorical_rows(p[None], np.array([rng.uniform()]))[0])

@@ -6,8 +6,8 @@ meta-decoder can wrap any of them. Engines operate on the batched step
 interface of `model.BoundModel` (or any object with the same surface) and
 advance all their rows through one `step_batch` call per step: independent
 decodes in lockstep, a beam's live hypotheses, an exhaustive search level or
-a set of sequences being rescored. Thin wrappers with (params, source)
-signatures are provided for each strategy.
+a set of sequences being rescored. A model bound to one source is
+`model.BoundModel(params, source)`.
 
 Scores are raw cumulative log-probabilities; no length normalization is
 applied anywhere. Top-K ties break by (score desc, parent index asc, token
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractError, RngStream, categorical_sample, gaussian_vec
-from .model import BoundModel, DecoderState, VocabError
+from .core import ContractError, RngStream, categorical_rows, gaussian_vec
+from .model import DecoderState, VocabError
 
 MAX_EXACT_SPACE = 10**6
 # Rows per kernel call in the exhaustive search: bounds its (rows, source_len,
@@ -204,7 +204,7 @@ def sample_search(model, rng: RngStream, limits: DecodeLimits | None = None,
                   noise=None) -> Hypothesis:
     """Ancestral sampling from the per-step output distributions."""
     def pick(logp, rows):
-        return [categorical_sample(rng, np.exp(logp[0]))]
+        return categorical_rows(np.exp(logp), np.array([rng.uniform()]))
 
     return lockstep_search(model, 1, pick, _noise_rows(noise), limits)[0]
 
@@ -333,25 +333,3 @@ def exact_search(model, limits: DecodeLimits | None = None) -> Hypothesis:
         prefixes = np.hstack([np.repeat(prefixes, others.size, axis=0), prev[:, None]])
         H = np.repeat(H, others.size, axis=0)
     return best
-
-
-# (params, source) wrappers with the contract-level signatures.
-
-def greedy_decode(params, source, noise=None, limits=None) -> Hypothesis:
-    return greedy_search(BoundModel(params, source), noise, limits)
-
-
-def beam_decode(params, source, width: int, noise=None, limits=None):
-    return beam_search(BoundModel(params, source), width, noise, limits)
-
-
-def sample_decode(params, source, rng: RngStream, limits=None, noise=None) -> Hypothesis:
-    return sample_search(BoundModel(params, source), rng, limits, noise)
-
-
-def diverse_beam_decode(params, source, width: int, eta: float, limits=None, noise=None):
-    return diverse_beam_search(BoundModel(params, source), width, eta, noise, limits)
-
-
-def exact_decode(params, source, limits=None) -> Hypothesis:
-    return exact_search(BoundModel(params, source), limits)

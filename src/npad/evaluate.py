@@ -22,7 +22,6 @@ from .decode import (
     default_limits,
     diverse_beam_search,
     exact_search,
-    force_score,
     greedy_search,
 )
 from .model import EOS, BoundModel
@@ -153,7 +152,11 @@ def npad_config(cell: Cell, seed: int, limits: DecodeLimits) -> NpadConfig:
 
 def _decode_cell(params, source, cell: Cell, seed: int, max_len: int | None = None):
     """`decode_with_cell` plus the chain results of a sample or npad cell
-    (None for the other strategies)."""
+    (None for the other strategies).
+
+    A noise-free decoder's own score is already the non-noisy replay of its
+    output, bit for bit, so only chain outputs are rescored.
+    """
     model = BoundModel(params, source)
     limits = DecodeLimits(max_len) if max_len else default_limits(model.source_len)
     if cell.strategy in ("sample", "npad"):
@@ -168,7 +171,7 @@ def _decode_cell(params, source, cell: Cell, seed: int, max_len: int | None = No
         hyp, _ = diverse_beam_search(model, cell.beam_width, cell.eta, None, limits)
     else:
         hyp = exact_search(model, limits)
-    return list(hyp.tokens), force_score(model, hyp.tokens), hyp.complete, None
+    return list(hyp.tokens), hyp.logp, hyp.complete, None
 
 
 def decode_with_cell(params, source, cell: Cell, seed: int,
@@ -177,7 +180,13 @@ def decode_with_cell(params, source, cell: Cell, seed: int,
     return _decode_cell(params, source, cell, seed, max_len)[:3]
 
 
-_CTX: dict | None = None
+# The decode context of a pool worker process, set by its initializer.
+_WORKER_CTX: dict | None = None
+
+
+def _init_worker(ctx: dict) -> None:
+    global _WORKER_CTX
+    _WORKER_CTX = ctx
 
 
 def _decode_item(ctx: dict, i: int):
@@ -187,7 +196,7 @@ def _decode_item(ctx: dict, i: int):
 
 
 def _corpus_chunk(indices):
-    return [_decode_item(_CTX, i) for i in indices]
+    return [_decode_item(_WORKER_CTX, i) for i in indices]
 
 
 def decode_corpus(params, sources, references, cell: Cell, base_seed: int,
@@ -198,18 +207,13 @@ def decode_corpus(params, sources, references, cell: Cell, base_seed: int,
     With keep_chains, each record of a sample or npad cell keeps its chain
     results.
     """
-    global _CTX
     n = len(sources)
     ctx = {"params": params, "sources": sources, "cell": cell,
            "base_seed": base_seed, "max_len": max_len, "keep_chains": keep_chains}
     if workers > 1 and n > 1:
-        _CTX = ctx
-        try:
-            chunks = [list(range(k, n, workers)) for k in range(workers)]
-            with mp.get_context("fork").Pool(workers) as pool:
-                parts = pool.map(_corpus_chunk, chunks)
-        finally:
-            _CTX = None
+        chunks = [list(range(k, n, workers)) for k in range(workers)]
+        with mp.get_context("fork").Pool(workers, _init_worker, (ctx,)) as pool:
+            parts = pool.map(_corpus_chunk, chunks)
         outcomes: list = [None] * n
         for chunk, part in zip(chunks, parts):
             for i, outcome in zip(chunk, part):

@@ -262,8 +262,8 @@ def _matvec_rows(W: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (W @ X[:, :, None])[:, :, 0]
 
 
-def _gru_rows(tensors: dict, pre: str, X: np.ndarray, Hprev: np.ndarray) -> np.ndarray:
-    """`_gru_fwd` on each row of X (B, d_in) and Hprev (B, d_hid)."""
+def _gru_rows(tensors: dict, pre: str, X: np.ndarray, Hprev: np.ndarray):
+    """`_gru_fwd` on each row of X (B, d_in) and Hprev (B, d_hid); returns (H, z, r, n)."""
     def gate(g: str, h: np.ndarray) -> np.ndarray:
         return (_matvec_rows(tensors[f"{pre}.W{g}"], X) + _matvec_rows(tensors[f"{pre}.U{g}"], h)
                 + tensors[f"{pre}.b{g}"])
@@ -271,7 +271,7 @@ def _gru_rows(tensors: dict, pre: str, X: np.ndarray, Hprev: np.ndarray) -> np.n
     z = sigmoid(gate("z", Hprev))
     r = sigmoid(gate("r", Hprev))
     n = np.tanh(gate("n", r * Hprev))
-    return (1.0 - z) * Hprev + z * n
+    return (1.0 - z) * Hprev + z * n, z, r, n
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -282,6 +282,27 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
 def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
     shifted = x - x.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def step_rows_with_cache(params: ModelParams, enc: EncodedSource, H: np.ndarray,
+                         prev: np.ndarray, noise: np.ndarray | None = None):
+    """`step_rows` plus the per-row intermediates backpropagation reads.
+
+    Returns (H', logp, cache) where cache maps "q" (perturbed previous
+    state), "M" (attention pre-activations, (B, L, d_hid)), "alpha",
+    "context", "u" (GRU input) and the GRU gates "z", "r", "n" to their
+    (B, ...) arrays.
+    """
+    t = params.tensors
+    Q = H if noise is None else H + noise
+    M = np.tanh(enc.att_keys + Q[:, None, :] @ t["att.Wq"].T)          # (B, L, d_hid)
+    alpha = _softmax_rows(M @ t["att.v"])
+    C = (enc.annotations.T @ alpha[:, :, None])[:, :, 0]
+    U = np.concatenate([t["tgt_embed"][prev], C], axis=1)
+    Hn, z, r, n = _gru_rows(t, "dec", U, Q)
+    logits = _matvec_rows(t["out.W"], np.concatenate([Hn, C], axis=1)) + t["out.b"]
+    cache = {"q": Q, "M": M, "alpha": alpha, "context": C, "u": U, "z": z, "r": r, "n": n}
+    return Hn, _log_softmax_rows(logits), cache
 
 
 def step_rows(params: ModelParams, enc: EncodedSource, H: np.ndarray, prev: np.ndarray,
@@ -296,14 +317,7 @@ def step_rows(params: ModelParams, enc: EncodedSource, H: np.ndarray, prev: np.n
     along each row. Rows never interact. Arguments are not checked here; the
     decoders build them and `decoder_step` checks single-vector calls.
     """
-    t = params.tensors
-    Q = H if noise is None else H + noise
-    M = np.tanh(enc.att_keys + Q[:, None, :] @ t["att.Wq"].T)          # (B, L, d_hid)
-    alpha = _softmax_rows(M @ t["att.v"])
-    C = (enc.annotations.T @ alpha[:, :, None])[:, :, 0]
-    Hn = _gru_rows(t, "dec", np.concatenate([t["tgt_embed"][prev], C], axis=1), Q)
-    logits = _matvec_rows(t["out.W"], np.concatenate([Hn, C], axis=1)) + t["out.b"]
-    return Hn, _log_softmax_rows(logits)
+    return step_rows_with_cache(params, enc, H, prev, noise)[:2]
 
 
 def decoder_step(params: ModelParams, state: DecoderState, prev_token: int,
@@ -327,34 +341,17 @@ def decoder_step(params: ModelParams, state: DecoderState, prev_token: int,
     return DecoderState(h=H[0], t=state.t + 1), logp[0]
 
 
-def _check_target(dims: Dims, target) -> list[int]:
-    tgt = [int(y) for y in target]
-    if not tgt:
-        raise ContractError("target must be non-empty")
-    for y in tgt:
-        if not 0 <= y < dims.n_tgt:
-            raise VocabError(f"target token index {y} out of range (|V_tgt|={dims.n_tgt})")
-    return tgt
-
-
 def score_sequence(params: ModelParams, source, target) -> float:
-    """Total log-probability of `target` given `source` under the non-noisy model.
+    """Total log-probability of `target` given `source` under the non-noisy
+    model: `force_score` on the bound source.
 
-    Force-decodes step by step with zero noise and sums the per-token
-    log-probabilities. The value is a complete-sequence log-probability when
-    `target` ends with EOS; prefixes are accepted so that unfinished decodes
-    can still be rescored.
+    The value is a complete-sequence log-probability when `target` ends with
+    EOS; prefixes are accepted so that unfinished decodes can still be
+    rescored.
     """
-    tgt = _check_target(params.dims, target)
-    enc = encode(params, source)
-    state = initial_state(params, enc)
-    prev = BOS
-    total = 0.0
-    for y in tgt:
-        state, logp = decoder_step(params, state, prev, enc)
-        total += float(logp[y])
-        prev = y
-    return total
+    from .decode import force_score          # decode imports this module
+
+    return force_score(BoundModel(params, source), target)
 
 
 class BoundModel:

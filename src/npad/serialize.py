@@ -6,6 +6,7 @@ readers never observe partial writes.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -107,32 +108,41 @@ def save_model(path: str, params: ModelParams) -> None:
             f.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
 
 
-def _read(f, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise FormatError(f"truncated model file while reading {what}")
-    return data
-
-
 def load_model(path: str) -> ModelParams:
+    """Read a model container, checking each length, name and shape field
+    against the header dimensions and the bytes left before reading on."""
     with open(path, "rb") as f:
-        if _read(f, 8, "magic") != MODEL_MAGIC:
+        size = os.fstat(f.fileno()).st_size
+
+        def read(n: int, what: str) -> bytes:
+            if n > size - f.tell():
+                raise FormatError(f"{path}: truncated model file while reading {what}")
+            return f.read(n)
+
+        if read(8, "magic") != MODEL_MAGIC:
             raise FormatError(f"{path}: not a model file (bad magic)")
-        version, n_src, n_tgt, d_emb, d_hid, n_tensors = struct.unpack("<6I", _read(f, 24, "header"))
+        version, n_src, n_tgt, d_emb, d_hid, n_tensors = struct.unpack("<6I", read(24, "header"))
         if version != MODEL_VERSION:
             raise FormatError(f"{path}: unsupported format version {version}")
-        dims = Dims(d_emb=d_emb, d_hid=d_hid, n_src=n_src, n_tgt=n_tgt)
+        try:
+            dims = Dims(d_emb=d_emb, d_hid=d_hid, n_src=n_src, n_tgt=n_tgt)
+        except ValueError as e:
+            raise FormatError(f"{path}: {e}") from e
         expected = tensor_shapes(dims)
+        if n_tensors != len(expected):
+            raise FormatError(f"{path}: {n_tensors} tensors, expected {len(expected)}")
         tensors = {}
         for _ in range(n_tensors):
-            name_len, = struct.unpack("<I", _read(f, 4, "tensor name length"))
-            name = _read(f, name_len, "tensor name").decode("utf-8")
-            ndim, = struct.unpack("<I", _read(f, 4, "tensor rank"))
-            shape = struct.unpack(f"<{ndim}I", _read(f, 4 * ndim, "tensor shape"))
-            count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-            data = np.frombuffer(_read(f, 8 * count, f"tensor {name}"), dtype="<f8")
-            if name not in expected:
-                raise FormatError(f"{path}: unexpected tensor {name!r}")
+            name_len, = struct.unpack("<I", read(4, "tensor name length"))
+            name = read(name_len, "tensor name").decode("utf-8", "replace")
+            if name not in expected or name in tensors:
+                raise FormatError(f"{path}: unexpected or repeated tensor {name!r}")
+            shape = expected[name]
+            ndim, = struct.unpack("<I", read(4, f"tensor {name} rank"))
+            stored = struct.unpack(f"<{ndim}I", read(4 * ndim, f"tensor {name} shape"))
+            if stored != shape:
+                raise FormatError(f"{path}: tensor {name} has shape {stored}, expected {shape}")
+            data = np.frombuffer(read(8 * math.prod(shape), f"tensor {name}"), dtype="<f8")
             tensors[name] = data.reshape(shape).astype(np.float64)
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after last tensor")

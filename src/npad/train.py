@@ -11,8 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractError, RngStream, log_softmax
-from .model import BOS, ModelParams, _attend, _gru_fwd, encode_with_cache, score_sequence
+from .core import ContractError, RngStream
+from .model import (
+    BOS,
+    ModelParams,
+    encode_with_cache,
+    initial_state,
+    score_sequence,
+    step_rows_with_cache,
+)
 from .tasks import SequencePair
 
 
@@ -49,30 +56,26 @@ def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
 
 
 def forward_pair(params: ModelParams, pair: SequencePair):
-    """Force-decode one pair with zero noise; returns (nll, cache for backprop)."""
-    t = params.tensors
-    enc, enc_cache = encode_with_cache(params, pair.source)
-    abar = enc.annotations.mean(axis=0)
-    h0 = np.tanh(t["init.W"] @ abar + t["init.b"])
+    """Force-decode one pair with zero noise; returns (nll, cache for backprop).
 
+    Each step is a one-row call of the decoder's step kernel, which also
+    hands back the intermediates the backward pass reads.
+    """
+    enc, enc_cache = encode_with_cache(params, pair.source)
+    h0 = initial_state(params, enc).h
     steps = []
-    h = h0
+    H = h0[None]
     prev = BOS
     loss = 0.0
     for y in pair.target:
-        q = h
-        context, alpha, M = _attend(params, q, enc, want_cache=True)
-        u = np.concatenate([t["tgt_embed"][prev], context])
-        h, gru_cache = _gru_fwd(t, "dec", u, q)
-        logits = t["out.W"] @ np.concatenate([h, context]) + t["out.b"]
-        logp = log_softmax(logits)
-        loss -= float(logp[y])
-        steps.append({"prev": prev, "y": int(y), "q": q, "alpha": alpha, "M": M,
-                      "context": context, "u": u, "gru": gru_cache, "h": h,
-                      "probs": np.exp(logp)})
+        H, logp, rows = step_rows_with_cache(params, enc, H, np.array([prev]))
+        loss -= float(logp[0, y])
+        step = {name: value[0] for name, value in rows.items()}
+        step.update(prev=prev, y=int(y), h=H[0], probs=np.exp(logp[0]))
+        steps.append(step)
         prev = int(y)
     cache = {"pair": pair, "enc": enc, "enc_cache": enc_cache,
-             "abar": abar, "h0": h0, "steps": steps}
+             "abar": enc.annotations.mean(axis=0), "h0": h0, "steps": steps}
     return loss, cache
 
 
@@ -129,7 +132,8 @@ def backward_pair(params: ModelParams, cache, g: dict[str, np.ndarray]) -> None:
         dh = dhc[:d_hid] + carry
         dctx = dhc[d_hid:].copy()
 
-        du, dq = _gru_back(t, g, "dec", dh, step["gru"])
+        gru = (step["u"], step["q"], step["z"], step["r"], step["n"])
+        du, dq = _gru_back(t, g, "dec", dh, gru)
         g["tgt_embed"][step["prev"]] += du[:d_emb]
         dctx += du[d_emb:]
 

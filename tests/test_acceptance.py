@@ -14,11 +14,10 @@ from npad.cli import main as cli_main
 from npad.core import RngStream
 from npad.decode import (
     DecodeLimits,
-    beam_decode,
     beam_search,
     diverse_beam_search,
-    exact_decode,
-    greedy_decode,
+    exact_search,
+    greedy_search,
 )
 from npad.evaluate import Cell, corpus_bleu, decode_corpus, mean_nll, run_cells
 from npad.model import EOS, BoundModel, Dims, init_params, score_sequence
@@ -108,13 +107,14 @@ def test_criterion_1_oracle_equivalence():
         params = make_params(seed, d_emb=2, d_hid=3, n_src=5, n_tgt=4,
                              scale=0.5 + rng.uniform())
         source = [3 + int(rng.integers(0, 2)) for _ in range(1 + int(rng.integers(0, 3)))]
+        model = BoundModel(params, source)
         limits = DecodeLimits(max_len)
-        exact = exact_decode(params, source, limits)
-        big_beam, _ = beam_decode(params, source, width, limits=limits)
+        exact = exact_search(model, limits)
+        big_beam, _ = beam_search(model, width, limits=limits)
         assert big_beam.tokens == exact.tokens, f"seed {seed}"
         assert big_beam.logp == exact.logp, f"seed {seed}"
-        greedy = greedy_decode(params, source, limits=limits)
-        k1, _ = beam_decode(params, source, 1, limits=limits)
+        greedy = greedy_search(model, limits=limits)
+        k1, _ = beam_search(model, 1, limits=limits)
         assert k1.tokens == greedy.tokens and k1.logp == greedy.logp, f"seed {seed}"
     report("C1 oracle equivalence (200 random tiny models)", True)
 

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from npad.chains import ChainResult, NpadConfig, npad_decode, npad_search, run_chain, run_chain_on, select_best
+from npad.chains import ChainResult, NpadConfig, npad_search, run_chains, select_best
 from npad.core import ContractError
-from npad.decode import DecodeLimits, NoiseSchedule, beam_decode, force_score, greedy_decode, greedy_search
+from npad.decode import DecodeLimits, NoiseSchedule, beam_search, force_score, greedy_search
 from npad.model import BoundModel, score_sequence
 from conftest import make_params
 from table_models import TableModel, garden_path
@@ -28,8 +28,9 @@ class TestRunChain:
     def test_zero_chain_is_plain_greedy(self, tiny_params):
         src = [3, 4]
         cfg = cfg_for(4, 0.3)
-        result = run_chain(tiny_params, src, cfg, 0)
-        plain = greedy_decode(tiny_params, src, limits=cfg.limits)
+        model = BoundModel(tiny_params, src)
+        [result] = run_chains(model, cfg, [0])
+        plain = greedy_search(model, limits=cfg.limits)
         assert result.sigma0_effective == 0.0
         assert result.hypothesis.tokens == plain.tokens
         assert result.noisy_logp == plain.logp
@@ -37,19 +38,20 @@ class TestRunChain:
 
     def test_deterministic_per_chain(self, tiny_params):
         cfg = cfg_for(6, 0.3)
+        model = BoundModel(tiny_params, [3, 4])
         for m in range(6):
-            a = run_chain(tiny_params, [3, 4], cfg, m)
-            b = run_chain(tiny_params, [3, 4], cfg, m)
+            [a] = run_chains(model, cfg, [m])
+            [b] = run_chains(model, cfg, [m])
             assert a.hypothesis.tokens == b.hypothesis.tokens
             assert a.noisy_logp == b.noisy_logp
             assert a.rescored_logp == b.rescored_logp
 
     def test_chain_index_validated(self, tiny_params):
         with pytest.raises(ContractError):
-            run_chain(tiny_params, [3], cfg_for(3, 0.1), 3)
+            run_chains(BoundModel(tiny_params, [3]), cfg_for(3, 0.1), [3])
 
     def test_zero_chain_noisy_equals_rescored(self, tiny_params):
-        result = run_chain(tiny_params, [3, 4], cfg_for(5, 0.5), 0)
+        [result] = run_chains(BoundModel(tiny_params, [3, 4]), cfg_for(5, 0.5), [0])
         assert result.noisy_logp == pytest.approx(result.rescored_logp, abs=1e-9)
 
     def test_some_chain_escapes_garden_path(self):
@@ -60,7 +62,7 @@ class TestRunChain:
         greedy_score = force_score(model, greedy_search(model, limits=cfg.limits).tokens)
         escaped = []
         for m in range(1, 50):
-            r = run_chain_on(model, cfg, m)
+            [r] = run_chains(model, cfg, [m])
             if r.rescored_logp > greedy_score:
                 escaped.append(r)
         assert escaped, "no chain escaped the trap"
@@ -72,8 +74,9 @@ class TestRunChain:
 class TestNpadDecode:
     def test_degenerate_single_zero_chain_is_greedy(self, tiny_params):
         cfg = cfg_for(1, 0.0)
-        best, results = npad_decode(tiny_params, [3, 4], cfg)
-        plain = greedy_decode(tiny_params, [3, 4], limits=cfg.limits)
+        model = BoundModel(tiny_params, [3, 4])
+        best, results = npad_search(model, cfg)
+        plain = greedy_search(model, limits=cfg.limits)
         assert len(results) == 1
         assert best.hypothesis.tokens == plain.tokens
         assert best.rescored_logp == plain.logp
@@ -84,21 +87,22 @@ class TestNpadDecode:
         for seed in range(25):
             params = make_params(seed, d_emb=2, d_hid=3, n_src=5, n_tgt=4, scale=1.0)
             src = [3 + (seed % 2), 4, 3][: 1 + seed % 3]
+            model = BoundModel(params, src)
             cfg = cfg_for(6, 0.3, seed=seed, max_len=5)
-            best, _ = npad_decode(params, src, cfg)
-            inner = greedy_decode(params, src, limits=cfg.limits)
-            assert best.rescored_logp >= force_score(BoundModel(params, src), inner.tokens)
+            best, _ = npad_search(model, cfg)
+            inner = greedy_search(model, limits=cfg.limits)
+            assert best.rescored_logp >= force_score(model, inner.tokens)
             cfg_b = cfg_for(4, 0.3, seed=seed, inner="beam", width=3, max_len=5)
-            best_b, _ = npad_decode(params, src, cfg_b)
-            inner_b, _ = beam_decode(params, src, 3, limits=cfg_b.limits)
-            assert best_b.rescored_logp >= force_score(BoundModel(params, src), inner_b.tokens)
+            best_b, _ = npad_search(model, cfg_b)
+            inner_b, _ = beam_search(model, 3, limits=cfg_b.limits)
+            assert best_b.rescored_logp >= force_score(model, inner_b.tokens)
 
     def test_chain_sets_nest_and_selection_monotone_in_m(self, tiny_params):
         src = [3, 4]
         per_m = {}
         for m_count in (1, 5, 10, 50):
             cfg = cfg_for(m_count, 0.3, seed=77, max_len=5)
-            best, results = npad_decode(tiny_params, src, cfg)
+            best, results = npad_search(BoundModel(tiny_params, src), cfg)
             per_m[m_count] = (best, results)
         small = per_m[5][1]
         large = per_m[50][1]
@@ -120,7 +124,7 @@ class TestNpadDecode:
             assert [r.chain_index for r in together] == list(range(12))
             assert len({tuple(r.hypothesis.tokens) for r in together}) > 1
             for r in together:
-                alone = run_chain_on(model, cfg, r.chain_index)
+                [alone] = run_chains(model, cfg, [r.chain_index])
                 assert r.hypothesis.tokens == alone.hypothesis.tokens
                 assert r.hypothesis.complete == alone.hypothesis.complete
                 assert np.array_equal(r.hypothesis.state.h, alone.hypothesis.state.h)
@@ -131,7 +135,7 @@ class TestNpadDecode:
     def test_selection_uses_only_rescored_values(self, tiny_params):
         src = [3, 4]
         cfg = cfg_for(10, 0.5, seed=3, max_len=5)
-        best, results = npad_decode(tiny_params, src, cfg)
+        best, results = npad_search(BoundModel(tiny_params, src), cfg)
         for r in results:
             independent = score_sequence(tiny_params, src, r.hypothesis.tokens)
             assert r.rescored_logp == pytest.approx(independent, abs=1e-9)
@@ -157,8 +161,8 @@ class TestNpadDecode:
 
     def test_sampling_inner_uses_chain_private_rng(self, tiny_params):
         cfg = cfg_for(6, 0.0, seed=42, inner="sample", zero_chain=False, max_len=5)
-        best, results = npad_decode(tiny_params, [3, 4], cfg)
-        rerun_best, rerun = npad_decode(tiny_params, [3, 4], cfg)
+        best, results = npad_search(BoundModel(tiny_params, [3, 4]), cfg)
+        rerun_best, rerun = npad_search(BoundModel(tiny_params, [3, 4]), cfg)
         assert [r.hypothesis.tokens for r in results] == [r.hypothesis.tokens for r in rerun]
         assert best.rescored_logp == rerun_best.rescored_logp
         assert best.rescored_logp == max(r.rescored_logp for r in results
@@ -169,11 +173,11 @@ class TestNpadDecode:
         # of the rescore is unaffected
         src = [3, 4]
         cfg = cfg_for(8, 0.4, seed=6, inner="sample", zero_chain=False, max_len=5)
-        best, results = npad_decode(tiny_params, src, cfg)
+        best, results = npad_search(BoundModel(tiny_params, src), cfg)
         assert len({tuple(r.hypothesis.tokens) for r in results}) > 1
         for r in results:
             assert r.sigma0_effective == 0.4
             assert r.rescored_logp == pytest.approx(
                 score_sequence(tiny_params, src, r.hypothesis.tokens), abs=1e-9)
-        rerun, _ = npad_decode(tiny_params, src, cfg)
+        rerun, _ = npad_search(BoundModel(tiny_params, src), cfg)
         assert rerun.hypothesis.tokens == best.hypothesis.tokens

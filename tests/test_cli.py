@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import pytest
 
@@ -132,6 +133,25 @@ def test_intractable_exact_search_exit_1(workspace, capsys):
     assert rc == 1
     assert "error: search space 7^20 exceeds" in err
     assert "Traceback" not in err
+
+
+def test_corrupt_model_exit_1(workspace, capsys):
+    # a truncated file and a shape field asking for about 320 GB both end in
+    # a format error, before any payload is read
+    d = workspace["data"]
+    blob = bytearray(open(workspace["model"], "rb").read())
+    shape_field = 32 + 4 + len(b"src_embed") + 4
+    huge = bytearray(blob)
+    huge[shape_field:shape_field + 8] = struct.pack("<2I", 200000, 200000)
+    for i, corrupt in enumerate((blob[:len(blob) // 2], huge)):
+        path = workspace["root"] / f"corrupt{i}.bin"
+        path.write_bytes(bytes(corrupt))
+        rc = main(["decode", "--strategy", "greedy", "--model", str(path),
+                   "--vocab-src", f"{d}/vocab_src.txt", "--vocab-tgt", f"{d}/vocab_tgt.txt",
+                   "--input", f"{d}/test.tsv"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error: format:" in err and "Traceback" not in err
 
 
 def test_unknown_flag_and_missing_file_are_distinct(workspace, capsys):

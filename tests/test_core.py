@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from npad.core import (
     ContractError,
     RngStream,
+    categorical_rows,
     categorical_sample,
     derive_seed,
     gaussian_vec,
@@ -129,6 +130,51 @@ class TestCategoricalSample:
         probs = np.zeros(size)
         probs[size // 2] = 1.0
         assert categorical_sample(RngStream(seed), probs) == size // 2
+
+
+class FixedUniform:
+    """A stream stand-in whose uniform draw is always u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
+
+def searchsorted_pick(p, u):
+    """Reference pick: binary search on the cumulative sum, clip, step back over zeros."""
+    idx = min(int(np.searchsorted(np.cumsum(p), u, side="right")), p.size - 1)
+    while idx > 0 and p[idx] == 0.0:
+        idx -= 1
+    return idx
+
+
+class TestCategoricalRows:
+    NEAR_ONE = (1.0 - 1e-12, float(np.nextafter(1.0, 0.0)))
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_rows_equal_per_row_samples(self, data):
+        # zero-probability entries and uniforms next to 1 included
+        size = data.draw(st.integers(1, 8))
+        weights = st.lists(st.sampled_from([0.0, 0.1, 0.25, 1.0, 3.0]),
+                           min_size=size, max_size=size).filter(any)
+        P = np.array(data.draw(st.lists(weights, min_size=1, max_size=6)))
+        P /= P.sum(axis=1, keepdims=True)
+        uniforms = st.sampled_from((0.0,) + self.NEAR_ONE) | st.floats(0.0, 1.0, exclude_max=True)
+        u = np.array(data.draw(st.lists(uniforms, min_size=len(P), max_size=len(P))))
+        picks = categorical_rows(P, u).tolist()
+        assert picks == [categorical_sample(FixedUniform(x), p) for x, p in zip(u, P)]
+        assert picks == [searchsorted_pick(p, x) for x, p in zip(u, P)]
+
+    def test_sum_below_one_steps_back_over_trailing_zeros(self):
+        # ten 0.1s sum to 1 - 2^-53: a uniform at that value passes every
+        # cumulative sum and lands on the last token with mass
+        P = np.array([[0.1] * 10 + [0.0, 0.0], [0.0, 0.5, 0.5] + [0.0] * 9])
+        u = np.array([self.NEAR_ONE[1], 0.0])
+        assert categorical_rows(P, u).tolist() == [9, 1]
+        assert [searchsorted_pick(p, x) for x, p in zip(u, P)] == [9, 1]
 
 
 class TestSeedDerivation:

@@ -10,18 +10,13 @@ from npad.decode import (
     NoiseSchedule,
     ScheduledNoise,
     SearchSpaceError,
-    beam_decode,
     beam_search,
     default_limits,
-    diverse_beam_decode,
     diverse_beam_search,
-    exact_decode,
     exact_search,
     force_score,
     force_scores,
-    greedy_decode,
     greedy_search,
-    sample_decode,
     sample_search,
 )
 from npad.model import EOS, BoundModel, score_sequence
@@ -37,6 +32,11 @@ def random_case(seed):
     src_len = 1 + int(rng.integers(0, 3))
     source = [3 + int(rng.integers(0, 2)) for _ in range(src_len)]
     return params, source
+
+
+def random_model(seed):
+    """`random_case` bound: the model the decoders run on."""
+    return BoundModel(*random_case(seed))
 
 
 class TestNoiseSchedule:
@@ -105,8 +105,9 @@ class TestGreedy:
         assert hyp.complete
 
     def test_silent_noise_deterministic(self, tiny_params):
-        a = greedy_decode(tiny_params, [3, 4])
-        b = greedy_decode(tiny_params, [3, 4])
+        model = BoundModel(tiny_params, [3, 4])
+        a = greedy_search(model)
+        b = greedy_search(model)
         assert a.tokens == b.tokens and a.logp == b.logp
 
     def test_hand_set_table_path(self):
@@ -125,9 +126,9 @@ class TestGreedy:
 class TestBeam:
     def test_k1_equals_greedy_thousand_cases(self):
         for seed in range(1000):
-            params, source = random_case(seed)
-            g = greedy_decode(params, source)
-            b, _ = beam_decode(params, source, 1)
+            model = random_model(seed)
+            g = greedy_search(model)
+            b, _ = beam_search(model, 1)
             assert g.tokens == b.tokens, f"seed {seed}"
             assert g.logp == b.logp
             assert g.complete == b.complete
@@ -136,10 +137,10 @@ class TestBeam:
         # the last case has 3^7 prefixes at its deepest level, more than one
         # kernel call of the exhaustive search takes
         for seed, max_len in [(seed, 3) for seed in range(30)] + [(30, 8)]:
-            params, source = random_case(seed)
+            model = random_model(seed)
             limits = DecodeLimits(max_len)
-            e = exact_decode(params, source, limits)
-            b, _ = beam_decode(params, source, 4 ** max_len, limits=limits)
+            e = exact_search(model, limits)
+            b, _ = beam_search(model, 4 ** max_len, limits=limits)
             assert b.tokens == e.tokens, f"seed {seed}"
             assert b.logp == e.logp
 
@@ -170,7 +171,7 @@ class TestBeam:
 
     def test_rejects_bad_width(self, tiny_params):
         with pytest.raises(ContractError):
-            beam_decode(tiny_params, [3], 0)
+            beam_search(BoundModel(tiny_params, [3]), 0)
 
     def test_exact_ties_break_by_parent_then_token(self):
         # four equal step-1 scores keep tokens 0 and 1 (token asc); at step 2
@@ -203,8 +204,9 @@ class TestSample:
             assert hyp.tokens == [TableModel.eos]
 
     def test_same_seed_same_sample(self, tiny_params):
-        a = sample_decode(tiny_params, [3, 4], RngStream(5))
-        b = sample_decode(tiny_params, [3, 4], RngStream(5))
+        model = BoundModel(tiny_params, [3, 4])
+        a = sample_search(model, RngStream(5))
+        b = sample_search(model, RngStream(5))
         assert a.tokens == b.tokens and a.logp == b.logp
 
     def test_empirical_frequencies_match_enumeration(self):
@@ -232,19 +234,19 @@ class TestSample:
 class TestDiverse:
     def test_eta_zero_identical_to_beam(self):
         for seed in range(200):
-            params, source = random_case(seed)
-            b_best, b_done = beam_decode(params, source, 3)
-            d_best, d_done = diverse_beam_decode(params, source, 3, 0.0)
+            model = random_model(seed)
+            b_best, b_done = beam_search(model, 3)
+            d_best, d_done = diverse_beam_search(model, 3, 0.0)
             assert d_best.tokens == b_best.tokens
             assert d_best.logp == b_best.logp
             assert [(h.tokens, h.logp) for h in d_done] == [(h.tokens, h.logp) for h in b_done]
 
     def test_k1_equals_greedy_for_any_eta(self):
         for seed in range(100):
-            params, source = random_case(seed)
-            g = greedy_decode(params, source)
+            model = random_model(seed)
+            g = greedy_search(model)
             for eta in (0.001, 0.1, 1.0, 10.0):
-                d, _ = diverse_beam_decode(params, source, 1, eta)
+                d, _ = diverse_beam_search(model, 1, eta)
                 assert d.tokens == g.tokens and d.logp == g.logp
 
     def test_large_eta_flips_second_slot_to_other_parent(self):
@@ -268,7 +270,7 @@ class TestDiverse:
 
     def test_rejects_negative_eta(self, tiny_params):
         with pytest.raises(ContractError):
-            diverse_beam_decode(tiny_params, [3], 2, -0.5)
+            diverse_beam_search(BoundModel(tiny_params, [3]), 2, -0.5)
 
 
 class TestExact:
@@ -280,7 +282,7 @@ class TestExact:
         p = tiny_params.copy()
         p.tensors["out.W"][:] = 0.0
         p.tensors["out.b"][:] = 0.0
-        hyp = exact_decode(p, [3], DecodeLimits(3))
+        hyp = exact_search(BoundModel(p, [3]), DecodeLimits(3))
         assert hyp.tokens == [EOS]
         assert hyp.logp == pytest.approx(-math.log(4), abs=1e-12)
 
@@ -290,10 +292,11 @@ class TestExact:
         chains_checked = 0
         for seed in range(40):
             params, source = random_case(seed)
+            model = BoundModel(params, source)
             limits = DecodeLimits(3)
-            e = exact_decode(params, source, limits)
-            b, _ = beam_decode(params, source, 10, limits=limits)
-            g = greedy_decode(params, source, limits=limits)
+            e = exact_search(model, limits)
+            b, _ = beam_search(model, 10, limits=limits)
+            g = greedy_search(model, limits=limits)
             assert e.complete
             if b.complete:
                 assert e.logp >= b.logp
@@ -316,13 +319,13 @@ class TestExact:
                 lp = score_sequence(tiny_params, source, tokens)
                 if lp > best_logp or (lp == best_logp and tokens < best_tokens):
                     best_logp, best_tokens = lp, tokens
-        hyp = exact_decode(tiny_params, source, limits)
+        hyp = exact_search(BoundModel(tiny_params, source), limits)
         assert hyp.tokens == best_tokens
         assert hyp.logp == pytest.approx(best_logp, abs=1e-12)
 
     def test_refuses_huge_spaces(self, tiny_params):
         with pytest.raises(SearchSpaceError):
-            exact_decode(tiny_params, [3], DecodeLimits(15))
+            exact_search(BoundModel(tiny_params, [3]), DecodeLimits(15))
 
 
 class TestReplaySoundness:

@@ -136,14 +136,23 @@ class TestDecodeCorpus:
             [(r.input_id, r.tokens, r.rescored_logp) for r in par]
 
     def test_every_logp_replay_verifies(self, toy_setup):
+        # a record's logp is the non-noisy replay of its tokens, bit for bit:
+        # the noise-free decoders' own scores are reported without a rescore,
+        # so this holds for complete and (at max_len 3) unfinished outputs alike
         params, data, pairs = toy_setup
-        for cell in (Cell(strategy="greedy"), Cell(strategy="beam", beam_width=3),
-                     Cell(strategy="sample", chains=2), Cell(strategy="npad", sigma0=0.2, chains=3)):
-            records = decode_corpus(params, [p.source for p in pairs],
-                                    [p.target for p in pairs], cell, base_seed=2)
-            for r, p in zip(records, pairs):
-                assert r.rescored_logp == pytest.approx(
-                    score_sequence(params, p.source, r.tokens), abs=1e-9)
+        cells = [Cell(strategy="greedy"), Cell(strategy="beam", beam_width=3),
+                 Cell(strategy="diverse", beam_width=3, eta=0.5),
+                 Cell(strategy="sample", chains=2), Cell(strategy="npad", sigma0=0.2, chains=3)]
+        incomplete = 0
+        for max_len in (None, 3):
+            for cell in cells + ([Cell(strategy="exact")] if max_len else []):
+                records = decode_corpus(params, [p.source for p in pairs],
+                                        [p.target for p in pairs], cell, base_seed=2,
+                                        max_len=max_len)
+                for r, p in zip(records, pairs):
+                    assert r.rescored_logp == score_sequence(params, p.source, r.tokens)
+                    incomplete += not r.complete
+        assert incomplete > 0
 
 
 class TestRunCells:

@@ -23,6 +23,7 @@ from npad.model import (
     _attend,
     _gru_fwd,
     step_rows,
+    step_rows_with_cache,
 )
 from npad.core import log_softmax
 from conftest import make_params
@@ -298,8 +299,9 @@ def test_bound_model_matches_module_ops(tiny_params):
 
 @pytest.mark.parametrize("batch", [1, 2, 7, 8, 50, 64, 100])
 def test_step_rows_bitwise_equal_per_vector_steps(batch):
-    # every row of the batched step equals, bit for bit, the single-vector
-    # equations training uses, whatever the batch size and the other rows
+    # every row of the batched step, and every intermediate training reads
+    # from it, equals bit for bit the single-vector reference equations,
+    # whatever the batch size and the other rows
     params = make_params(batch, d_emb=16, d_hid=24, n_src=35, n_tgt=35, scale=0.3)
     t = params.tensors
     enc = encode(params, [3 + (5 * i) % 32 for i in range(16)])
@@ -309,12 +311,18 @@ def test_step_rows_bitwise_equal_per_vector_steps(batch):
     noise = rng.uniform_vec((batch, 24), -0.3, 0.3)
     noise[::3] = 0.0
     H_next, logp = step_rows(params, enc, H, prev, noise)
+    H_cached, logp_cached, cache = step_rows_with_cache(params, enc, H, prev, noise)
+    assert np.array_equal(H_cached, H_next) and np.array_equal(logp_cached, logp)
     for i in range(batch):
         q = H[i] + noise[i]
-        context, _ = _attend(params, q, enc)
-        h, _ = _gru_fwd(t, "dec", np.concatenate([t["tgt_embed"][prev[i]], context]), q)
+        context, alpha, M = _attend(params, q, enc, want_cache=True)
+        h, (u, _, z, r, n) = _gru_fwd(t, "dec", np.concatenate([t["tgt_embed"][prev[i]], context]), q)
         expected = log_softmax(t["out.W"] @ np.concatenate([h, context]) + t["out.b"])
         assert np.array_equal(H_next[i], h), f"row {i}"
         assert np.array_equal(logp[i], expected), f"row {i}"
+        reference = {"q": q, "M": M, "alpha": alpha, "context": context, "u": u,
+                     "z": z, "r": r, "n": n}
+        for name, value in reference.items():
+            assert np.array_equal(cache[name][i], value), f"row {i} {name}"
     alone_h, alone_lp = step_rows(params, enc, H[-1:], prev[-1:], noise[-1:])
     assert np.array_equal(alone_h[0], H_next[-1]) and np.array_equal(alone_lp[0], logp[-1])

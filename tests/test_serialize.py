@@ -1,7 +1,10 @@
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npad.model import EOS, Vocab
 from npad.serialize import (
@@ -16,6 +19,7 @@ from npad.serialize import (
     save_vocab,
 )
 from npad.tasks import gen_task
+from conftest import make_params
 
 
 def test_model_round_trip(tmp_path, tiny_params):
@@ -50,6 +54,81 @@ def test_model_truncation_rejected(tmp_path, tiny_params):
         f.write(blob[:len(blob) - 10])
     with pytest.raises(FormatError):
         load_model(path)
+
+
+def write_bytes(path, blob) -> str:
+    with open(path, "wb") as f:
+        f.write(blob)
+    return str(path)
+
+
+def saved_model(path, params) -> bytearray:
+    save_model(str(path), params)
+    return bytearray(open(path, "rb").read())
+
+
+# The first tensor is src_embed (5 x 3 in the tiny model); its shape field
+# follows the 32-byte header, its name length, its name and its rank.
+SRC_EMBED_SHAPE = 32 + 4 + len(b"src_embed") + 4
+
+
+def test_model_shape_field_checked_before_payload(tmp_path, tiny_params):
+    # a 200000 x 200000 shape field would ask for about 320 GB
+    blob = saved_model(tmp_path / "m.bin", tiny_params)
+    blob[SRC_EMBED_SHAPE:SRC_EMBED_SHAPE + 8] = struct.pack("<2I", 200000, 200000)
+    with pytest.raises(FormatError, match="shape"):
+        load_model(write_bytes(tmp_path / "m.bin", blob))
+
+
+def test_model_payload_checked_against_file_size(tmp_path, tiny_params):
+    # header and shape field agree on a 4e9-token vocabulary, about 96 GB of
+    # payload that the file does not hold
+    blob = saved_model(tmp_path / "m.bin", tiny_params)
+    blob[12:16] = struct.pack("<I", 4_000_000_000)
+    blob[SRC_EMBED_SHAPE:SRC_EMBED_SHAPE + 4] = struct.pack("<I", 4_000_000_000)
+    with pytest.raises(FormatError, match="truncated"):
+        load_model(write_bytes(tmp_path / "m.bin", blob))
+
+
+def metadata_offsets(params) -> list[int]:
+    """Byte offsets of the header and of every tensor's length, name, rank
+    and shape fields."""
+    offsets, pos = list(range(32)), 32
+    for name, tensor in params.tensors.items():
+        meta = 4 + len(name.encode()) + 4 + 4 * tensor.ndim
+        offsets += range(pos, pos + meta)
+        pos += meta + 8 * tensor.size
+    return offsets
+
+
+TINY = make_params(7)
+TINY_OFFSETS = metadata_offsets(TINY)
+
+
+@pytest.fixture(scope="module")
+def tiny_blob(tmp_path_factory):
+    return saved_model(tmp_path_factory.mktemp("fuzz") / "m.bin", TINY)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_model_truncations_and_bit_flips(tmp_path_factory, tiny_blob, data):
+    # every truncation and every flipped bit in a length, name, rank, shape or
+    # header field ends in FormatError; a flip in the float payload either
+    # loads or ends in FormatError (a non-finite value), never in another error
+    path = tmp_path_factory.getbasetemp() / "fuzzed.bin"
+    cut = data.draw(st.integers(0, len(tiny_blob) - 1))
+    with pytest.raises(FormatError):
+        load_model(write_bytes(path, tiny_blob[:cut]))
+    for offset in (data.draw(st.sampled_from(TINY_OFFSETS)),
+                   data.draw(st.integers(0, len(tiny_blob) - 1))):
+        flipped = bytearray(tiny_blob)
+        flipped[offset] ^= 1 << data.draw(st.integers(0, 7))
+        try:
+            load_model(write_bytes(path, flipped))
+        except FormatError:
+            continue
+        assert offset not in TINY_OFFSETS, f"flip at byte {offset} loaded"
 
 
 def test_vocab_round_trip(tmp_path):

@@ -46,8 +46,8 @@ class TestLoss:
 
     def test_loss_matches_score_sequence(self, tiny_params):
         loss, _ = nll_loss(tiny_params, [PAIR])
-        assert loss == pytest.approx(-score_sequence(tiny_params, PAIR.source, PAIR.target),
-                                     abs=1e-12)
+        # training and scoring run the same kernel: the values agree bit for bit
+        assert loss == -score_sequence(tiny_params, PAIR.source, PAIR.target)
 
     def test_empty_batch_rejected(self, tiny_params):
         with pytest.raises(ContractError):
