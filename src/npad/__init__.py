@@ -6,14 +6,11 @@ from .core import ContractError, RngStream, categorical_sample, derive_seed, gau
 from .decode import (
     DecodeLimits,
     Hypothesis,
-    NoiseSchedule,
-    ScheduledNoise,
     beam_search,
     diverse_beam_search,
     exact_search,
     force_score,
     greedy_search,
-    sample_search,
 )
 from .evaluate import Cell, EvalRecord, ExperimentSpec, corpus_bleu, mean_nll, run_experiment
 from .model import (

@@ -8,10 +8,15 @@ growing M can only improve the selected score. Chain 0 optionally runs with
 zero noise, which guarantees the selection is never worse than a single run
 of the inner decoder.
 
-Greedy and sampling chains advance in lockstep as the rows of one batched
-step; a beam chain's live hypotheses are the rows of its own steps. Rows never
+This is the only module that draws random numbers while decoding: chain m's
+private Gaussian stream, scaled by sigma_t = sigma0 / t at step t, and a
+sampling chain's private uniforms. Greedy and sampling chains advance in
+lockstep as the rows of one batched step and draw their noise up front as a
+(max_len, d) table; a beam chain's live hypotheses are the rows of its own
+steps, and it draws one row per live hypothesis as it goes. Rows never
 interact, so each chain's result is bitwise the one it gets when run alone.
-The distinct chain outputs are then rescored together as rows.
+A zero-noise chain's own score is its non-noisy replay; the distinct outputs
+of the noisy chains are rescored together as rows.
 """
 from __future__ import annotations
 
@@ -23,10 +28,9 @@ from .core import ContractError, RngStream, categorical_rows, derive_seed
 from .decode import (
     DecodeLimits,
     Hypothesis,
-    NoiseSchedule,
-    ScheduledNoise,
     beam_search,
     force_scores,
+    greedy_pick,
     lockstep_search,
     resolve_limits,
 )
@@ -37,7 +41,7 @@ INNER_DECODERS = ("greedy", "beam", "sample")
 @dataclass(frozen=True)
 class NpadConfig:
     chains: int
-    schedule: NoiseSchedule
+    sigma0: float
     inner: str = "greedy"
     beam_width: int = 1
     include_zero_chain: bool = True
@@ -47,6 +51,8 @@ class NpadConfig:
     def __post_init__(self):
         if self.chains < 1:
             raise ContractError(f"chain count must be >= 1, got {self.chains}")
+        if not 0 <= self.sigma0 < float("inf"):
+            raise ContractError(f"sigma0 must be finite and >= 0, got {self.sigma0}")
         if self.inner not in INNER_DECODERS:
             raise ContractError(f"inner decoder must be one of {INNER_DECODERS}, got {self.inner!r}")
         if self.beam_width < 1:
@@ -63,35 +69,44 @@ class ChainResult:
 
 
 def _sigma0(cfg: NpadConfig, m: int) -> float:
-    return 0.0 if (m == 0 and cfg.include_zero_chain) else cfg.schedule.sigma0
+    return 0.0 if (m == 0 and cfg.include_zero_chain) else cfg.sigma0
 
 
-def _noise(cfg: NpadConfig, m: int, dim: int) -> ScheduledNoise | None:
-    """Chain m's private noise stream; None for a zero-noise chain."""
-    sigma0 = _sigma0(cfg, m)
-    if sigma0 == 0.0:
-        return None
-    return ScheduledNoise(RngStream(derive_seed(derive_seed(cfg.base_seed, m), 0)),
-                          NoiseSchedule(sigma0), dim)
+def _stream(cfg: NpadConfig, m: int, which: int) -> RngStream:
+    """Chain m's private stream: 0 for its noise, 1 for its sampling uniforms."""
+    return RngStream(derive_seed(derive_seed(cfg.base_seed, m), which))
+
+
+def _noise_table(cfg: NpadConfig, m: int, steps: int, dim: int) -> np.ndarray:
+    """Chain m's noise for steps 1..steps, drawn up front: row t-1 is sigma_t
+    times a standard normal row, and zeros, drawing nothing, where sigma_t is 0."""
+    sigmas = _sigma0(cfg, m) / np.arange(1, steps + 1)
+    drawn = np.count_nonzero(sigmas)          # sigma_t decreases: zeros come last
+    out = np.zeros((steps, dim))
+    out[:drawn] = _stream(cfg, m, 0).normal_vec((drawn, dim)) * sigmas[:drawn, None]
+    return out
+
+
+def _live_noise(cfg: NpadConfig, m: int, dim: int):
+    """Chain m's noise drawn as it goes: at step t, one sigma_t row per live
+    row, or None, drawing nothing, where sigma_t is 0."""
+    rng, sigma0 = _stream(cfg, m, 0), _sigma0(cfg, m)
+    return lambda t, rows: rng.normal_vec((rows.size, dim)) * (sigma0 / t) if sigma0 / t else None
 
 
 def _lockstep(model, cfg: NpadConfig, chains: list[int], limits: DecodeLimits):
     """Greedy or sampling chains as the rows of one lockstep decode."""
-    noises = [_noise(cfg, m, model.state_dim) for m in chains]
     noise = None
-    if any(noises):
-        # Each chain's whole stream up front: the values its per-step draws would take.
-        table = np.stack([n.table(limits.max_len) if n else np.zeros((limits.max_len, model.state_dim))
-                          for n in noises])
+    if any(_sigma0(cfg, m) for m in chains):
+        table = np.stack([_noise_table(cfg, m, limits.max_len, model.state_dim) for m in chains])
 
         def noise(t, rows):
             return table[rows, t - 1]
 
     if cfg.inner == "greedy":
-        def pick(logp, rows):
-            return np.argmax(logp, axis=1)
+        pick = greedy_pick
     else:
-        samplers = [RngStream(derive_seed(derive_seed(cfg.base_seed, m), 1)) for m in chains]
+        samplers = [_stream(cfg, m, 1) for m in chains]
 
         def pick(logp, rows):
             return categorical_rows(np.exp(logp), np.array([samplers[r].uniform() for r in rows]))
@@ -110,14 +125,16 @@ def run_chains(model, cfg: NpadConfig, chains) -> list[ChainResult]:
             raise ContractError(f"chain index {m} outside 0..{cfg.chains - 1}")
     limits = resolve_limits(model, cfg.limits)
     if cfg.inner == "beam":
-        hyps = [beam_search(model, cfg.beam_width, _noise(cfg, m, model.state_dim), limits)[0]
+        hyps = [beam_search(model, cfg.beam_width, _live_noise(cfg, m, model.state_dim), limits)[0]
                 for m in chains]
     else:
         hyps = _lockstep(model, cfg, chains, limits)
-    distinct = list(dict.fromkeys(tuple(h.tokens) for h in hyps))
+    sigmas = [_sigma0(cfg, m) for m in chains]
+    # a zero-noise chain's own score is its replay; only noisy outputs are rescored
+    distinct = list(dict.fromkeys(tuple(h.tokens) for h, s in zip(hyps, sigmas) if s))
     rescored = dict(zip(distinct, force_scores(model, distinct)))
-    return [ChainResult(m, h, h.logp, rescored[tuple(h.tokens)], _sigma0(cfg, m))
-            for m, h in zip(chains, hyps)]
+    return [ChainResult(m, h, h.logp, rescored[tuple(h.tokens)] if s else h.logp, s)
+            for m, h, s in zip(chains, hyps, sigmas)]
 
 
 def select_best(results: list[ChainResult]) -> ChainResult:

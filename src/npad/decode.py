@@ -1,13 +1,15 @@
-"""Inner decoding strategies: greedy, beam, ancestral sampling, diverse beam,
-and an exhaustive oracle for tiny instances.
+"""Inner decoding strategies: greedy, beam, diverse beam, and an exhaustive
+oracle for tiny instances, plus the lockstep engine and batched rescoring.
 
-Every decoder accepts a per-step noise source so the parallel-chain
-meta-decoder can wrap any of them. Engines operate on the batched step
-interface of `model.BoundModel` (or any object with the same surface) and
-advance all their rows through one `step_batch` call per step: independent
-decodes in lockstep, a beam's live hypotheses, an exhaustive search level or
-a set of sequences being rescored. A model bound to one source is
-`model.BoundModel(params, source)`.
+Nothing here draws a random number. An engine that can run noisy takes a
+`noise(t, rows)` callable giving the step-t noise rows of its batch rows,
+and a lockstep decode takes its token rule as a `pick` callable; the chains
+module builds both from each chain's private streams. Engines operate on the
+batched step interface of `model.BoundModel` (or any object with the same
+surface) and advance all their rows through one `step_batch` call per step:
+independent decodes in lockstep, a beam's live hypotheses, an exhaustive
+search level or a set of sequences being rescored. A model bound to one
+source is `model.BoundModel(params, source)`.
 
 Scores are raw cumulative log-probabilities; no length normalization is
 applied anywhere. Top-K ties break by (score desc, parent index asc, token
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractError, RngStream, categorical_rows, gaussian_vec
-from .model import DecoderState, VocabError
+from .core import ContractError
+from .model import VocabError
 
 MAX_EXACT_SPACE = 10**6
 # Rows per kernel call in the exhaustive search: bounds its (rows, source_len,
@@ -53,57 +55,10 @@ def resolve_limits(model, limits: DecodeLimits | None) -> DecodeLimits:
     return default_limits(getattr(model, "source_len", 1))
 
 
-@dataclass(frozen=True)
-class NoiseSchedule:
-    """Annealed noise level: sigma_t = sigma0 / t for step t >= 1."""
-
-    sigma0: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.sigma0) or self.sigma0 < 0:
-            raise ContractError(f"sigma0 must be finite and >= 0, got {self.sigma0}")
-
-    def sigma_at(self, t: int) -> float:
-        if t < 1:
-            raise ContractError(f"schedule step must be >= 1, got {t}")
-        return self.sigma0 / t
-
-
-class ScheduledNoise:
-    """Gaussian noise with the scheduled per-step standard deviation.
-
-    A step with sigma_t == 0 draws nothing. Successive draws from one stream
-    fill the same values whether they are taken a vector, a block of rows or
-    a whole table at a time.
-    """
-
-    def __init__(self, rng: RngStream, schedule: NoiseSchedule, dim: int):
-        self.rng = rng
-        self.schedule = schedule
-        self.dim = dim
-
-    def vector(self, t: int) -> np.ndarray:
-        return gaussian_vec(self.rng, self.dim, self.schedule.sigma_at(t))
-
-    def rows(self, t: int, n: int) -> np.ndarray | None:
-        """n successive step-t vectors as an (n, dim) block; None when sigma_t is 0."""
-        sigma = self.schedule.sigma_at(t)
-        return self.rng.normal_vec((n, self.dim)) * sigma if sigma else None
-
-    def table(self, steps: int) -> np.ndarray:
-        """Row t-1 is the step-t vector, as `vector(1)`, ..., `vector(steps)` draw them."""
-        sigmas = [self.schedule.sigma_at(t) for t in range(1, steps + 1)]
-        drawn = sum(s > 0 for s in sigmas)        # sigma_t decreases: zeros come last
-        out = np.zeros((steps, self.dim))
-        out[:drawn] = self.rng.normal_vec((drawn, self.dim)) * np.array(sigmas[:drawn])[:, None]
-        return out
-
-
 @dataclass
 class Hypothesis:
     tokens: list[int]
     logp: float
-    state: DecoderState
     complete: bool
 
 
@@ -174,7 +129,7 @@ def lockstep_search(model, n: int, pick, noise=None,
         if ended.any():
             for i in np.flatnonzero(ended):
                 out[rows[i]] = Hypothesis(tokens[i, :t].tolist(), float(scores[i]),
-                                          DecoderState(H[i], t), bool(prev[i] == model.eos))
+                                          bool(prev[i] == model.eos))
             keep = ~ended
             rows, H, prev, scores, tokens = rows[keep], H[keep], prev[keep], scores[keep], tokens[keep]
             if not rows.size:
@@ -182,31 +137,14 @@ def lockstep_search(model, n: int, pick, noise=None,
     return out
 
 
-def _argmax(logp, rows):
+def greedy_pick(logp, rows):
+    """The argmax token of each row: `lockstep_search`'s greedy `pick`."""
     return np.argmax(logp, axis=1)
 
 
-def _noise_rows(noise):
-    """A noise source as lockstep_search's noise(t, rows) callable."""
-    return (lambda t, rows: noise.rows(t, rows.size)) if noise else None
-
-
-def greedy_search(model, noise=None, limits: DecodeLimits | None = None) -> Hypothesis:
-    """Stepwise argmax decoding; stops at EOS or max_len.
-
-    The accumulated score comes from the same (possibly noisy) distributions
-    used for selection.
-    """
-    return lockstep_search(model, 1, _argmax, _noise_rows(noise), limits)[0]
-
-
-def sample_search(model, rng: RngStream, limits: DecodeLimits | None = None,
-                  noise=None) -> Hypothesis:
-    """Ancestral sampling from the per-step output distributions."""
-    def pick(logp, rows):
-        return categorical_rows(np.exp(logp), np.array([rng.uniform()]))
-
-    return lockstep_search(model, 1, pick, _noise_rows(noise), limits)[0]
+def greedy_search(model, limits: DecodeLimits | None = None) -> Hypothesis:
+    """Stepwise argmax decoding; stops at EOS or max_len."""
+    return lockstep_search(model, 1, greedy_pick, None, limits)[0]
 
 
 def _better_completed(a: Hypothesis, b: Hypothesis | None) -> bool:
@@ -246,7 +184,7 @@ def _beam_engine(model, width: int, eta: float, noise, limits: DecodeLimits):
     completed: list[Hypothesis] = []
     k_live = width
     for t in range(1, limits.max_len + 1):
-        H, logp = model.step_batch(H, prev, noise.rows(t, len(live)) if noise else None)
+        H, logp = model.step_batch(H, prev, noise(t, np.arange(len(live))) if noise else None)
         raw = scores[:, None] + logp
         sel = raw
         if eta:
@@ -263,7 +201,7 @@ def _beam_engine(model, width: int, eta: float, noise, limits: DecodeLimits):
             pi, tok = divmod(int(flat), n_tokens)
             tokens = live[pi] + [tok]
             if tok == model.eos:
-                completed.append(Hypothesis(tokens, float(raw[pi, tok]), DecoderState(H[pi], t), True))
+                completed.append(Hypothesis(tokens, float(raw[pi, tok]), True))
                 k_live -= 1
             else:
                 kept.append(flat)
@@ -275,7 +213,7 @@ def _beam_engine(model, width: int, eta: float, noise, limits: DecodeLimits):
         H, prev, scores = H[kept // n_tokens], kept % n_tokens, raw.ravel()[kept]
     if completed:
         return _best(completed), completed
-    return _best(Hypothesis(tokens, float(scores[i]), DecoderState(H[i], t), False)
+    return _best(Hypothesis(tokens, float(scores[i]), False)
                  for i, tokens in enumerate(live)), []
 
 
@@ -283,17 +221,18 @@ def beam_search(model, width: int, noise=None, limits: DecodeLimits | None = Non
     """Beam search; returns (best completed hypothesis, all completed).
 
     If nothing completes within max_len, the best live hypothesis is returned
-    flagged incomplete and the completed list is empty.
+    flagged incomplete and the completed list is empty. `noise(t, rows)`,
+    when given, supplies the step-t noise rows of the live hypotheses `rows`,
+    as `lockstep_search` takes it.
     """
     return _beam_engine(model, width, 0.0, noise, resolve_limits(model, limits))
 
 
-def diverse_beam_search(model, width: int, eta: float, noise=None,
-                        limits: DecodeLimits | None = None):
+def diverse_beam_search(model, width: int, eta: float, limits: DecodeLimits | None = None):
     """Beam search where the r-th ranked expansion of each parent has its
     selection score reduced by eta * r. Reported scores are unpenalized.
     """
-    return _beam_engine(model, width, eta, noise, resolve_limits(model, limits))
+    return _beam_engine(model, width, eta, None, resolve_limits(model, limits))
 
 
 def exact_search(model, limits: DecodeLimits | None = None) -> Hypothesis:
@@ -322,7 +261,7 @@ def exact_search(model, limits: DecodeLimits | None = None) -> Hypothesis:
         ends = scores + logp[:, eos]
         ties = np.flatnonzero(ends == ends.max())
         i = min(ties, key=lambda k: prefixes[k].tolist())
-        cand = Hypothesis(prefixes[i].tolist() + [eos], float(ends[i]), DecoderState(H[i], depth), True)
+        cand = Hypothesis(prefixes[i].tolist() + [eos], float(ends[i]), True)
         if _better_completed(cand, best):
             best = cand
         if depth == limits.max_len:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing as mp
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from math import exp, isfinite, log
@@ -17,7 +18,6 @@ from .chains import ChainResult, NpadConfig, npad_search
 from .core import ContractError, derive_seed
 from .decode import (
     DecodeLimits,
-    NoiseSchedule,
     beam_search,
     default_limits,
     diverse_beam_search,
@@ -140,10 +140,10 @@ def corpus_bleu(hypotheses, references, max_n: int = 4, smooth: bool = False) ->
 def npad_config(cell: Cell, seed: int, limits: DecodeLimits) -> NpadConfig:
     """The chain configuration of a sample or npad cell."""
     if cell.strategy == "sample":
-        return NpadConfig(chains=cell.chains or 1, schedule=NoiseSchedule(0.0),
+        return NpadConfig(chains=cell.chains or 1, sigma0=0.0,
                           inner="sample", include_zero_chain=False,
                           base_seed=seed, limits=limits)
-    return NpadConfig(chains=cell.chains, schedule=NoiseSchedule(cell.sigma0),
+    return NpadConfig(chains=cell.chains, sigma0=cell.sigma0,
                       inner="beam" if (cell.beam_width or 1) > 1 else "greedy",
                       beam_width=cell.beam_width or 1,
                       include_zero_chain=cell.include_zero_chain,
@@ -164,11 +164,11 @@ def _decode_cell(params, source, cell: Cell, seed: int, max_len: int | None = No
         hyp = best.hypothesis
         return list(hyp.tokens), best.rescored_logp, hyp.complete, results
     if cell.strategy == "greedy":
-        hyp = greedy_search(model, None, limits)
+        hyp = greedy_search(model, limits)
     elif cell.strategy == "beam":
-        hyp, _ = beam_search(model, cell.beam_width, None, limits)
+        hyp, _ = beam_search(model, cell.beam_width, limits=limits)
     elif cell.strategy == "diverse":
-        hyp, _ = diverse_beam_search(model, cell.beam_width, cell.eta, None, limits)
+        hyp, _ = diverse_beam_search(model, cell.beam_width, cell.eta, limits)
     else:
         hyp = exact_search(model, limits)
     return list(hyp.tokens), hyp.logp, hyp.complete, None
@@ -238,26 +238,54 @@ class ExperimentSpec:
     max_len: int | None = None
 
 
-_CELL_KEYS = {"strategy", "beam_width", "sigma0", "chains", "eta", "zero_chain"}
+# Field -> JSON type, for the spec and for each cell.
+_SPEC_TYPES = {"model": str, "test_set": str, "vocab_src": str, "vocab_tgt": str,
+               "base_seed": int, "cells": list, "max_len": int}
+_CELL_TYPES = {"strategy": str, "zero_chain": bool, "beam_width": int, "chains": int,
+               "sigma0": float, "eta": float}
+_TYPE_NAMES = {str: "a string", int: "an integer", list: "a list", bool: "true or false",
+               float: "a finite number"}
+
+
+def _has_type(value, kind) -> bool:
+    """A JSON value check: bools are not numbers, and a number is finite."""
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    if kind is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def _check_fields(where: str, fields: dict, types: dict, nullable: set) -> None:
+    extra = set(fields) - set(types)
+    if extra:
+        raise ConfigError(f"{where} has unknown fields {sorted(extra)}")
+    for name, value in fields.items():
+        if not (value is None and name in nullable or _has_type(value, types[name])):
+            raise ConfigError(f"{where}: {name!r} must be {_TYPE_NAMES[types[name]]}, "
+                              f"got {value!r:.40}")
 
 
 def load_spec(path: str) -> ExperimentSpec:
+    """Read an experiment spec, checking its structure and every field type."""
     try:
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
-    except json.JSONDecodeError as e:
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ConfigError(f"{path}: not valid JSON ({e})") from e
-    required = {"model", "test_set", "vocab_src", "vocab_tgt", "base_seed", "cells"}
-    missing = required - set(raw)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: the spec is not a JSON object")
+    missing = {"model", "test_set", "vocab_src", "vocab_tgt", "base_seed", "cells"} - set(raw)
     if missing:
         raise ConfigError(f"{path}: missing spec fields {sorted(missing)}")
+    _check_fields(path, raw, _SPEC_TYPES, {"max_len"})
+    if raw.get("max_len") is not None and raw["max_len"] < 1:
+        raise ConfigError(f"{path}: 'max_len' must be >= 1, got {raw['max_len']}")
     cells = []
     for i, c in enumerate(raw["cells"]):
-        extra = set(c) - _CELL_KEYS
-        if extra:
-            raise ConfigError(f"{path}: cell {i} has unknown fields {sorted(extra)}")
-        if "strategy" not in c:
-            raise ConfigError(f"{path}: cell {i} is missing 'strategy'")
+        if not isinstance(c, dict) or "strategy" not in c:
+            raise ConfigError(f"{path}: cell {i} is not an object with a 'strategy'")
+        _check_fields(f"{path}: cell {i}", c, _CELL_TYPES, {"beam_width", "chains", "sigma0", "eta"})
         cells.append(Cell(strategy=c["strategy"], beam_width=c.get("beam_width"),
                           sigma0=c.get("sigma0"), chains=c.get("chains"),
                           eta=c.get("eta"),
@@ -266,7 +294,7 @@ def load_spec(path: str) -> ExperimentSpec:
         raise ConfigError(f"{path}: spec has no cells")
     return ExperimentSpec(model=raw["model"], test_set=raw["test_set"],
                           vocab_src=raw["vocab_src"], vocab_tgt=raw["vocab_tgt"],
-                          base_seed=int(raw["base_seed"]), cells=cells,
+                          base_seed=raw["base_seed"], cells=cells,
                           max_len=raw.get("max_len"))
 
 

@@ -259,6 +259,9 @@ def _matvec_rows(W: np.ndarray, X: np.ndarray) -> np.ndarray:
     A gemm's per-row bits depend on the batch size; a stack of gemv calls
     gives each row exactly the bits of the single-vector product.
     """
+    if X.shape[0] == 1:
+        # the same gemv, without the stacked call's overhead, which costs more at B = 1
+        return (W @ X[0])[None]
     return (W @ X[:, :, None])[:, :, 0]
 
 

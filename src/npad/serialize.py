@@ -13,7 +13,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .model import EOS, Dims, ModelParams, Vocab, tensor_shapes
+from .core import ContractError
+from .model import EOS, Dims, ModelParams, Vocab, VocabError, tensor_shapes
 from .tasks import SequencePair
 
 MODEL_MAGIC = b"NPADMDL\x01"
@@ -46,12 +47,29 @@ def save_vocab(path: str, vocab: Vocab) -> None:
             f.write(symbol + "\n")
 
 
-def load_vocab(path: str) -> Vocab:
-    with open(path, encoding="utf-8") as f:
-        symbols = [line.rstrip("\n") for line in f]
+def _lines(path: str) -> list[str]:
+    """The lines of a UTF-8 text file, without their newlines."""
     try:
-        return Vocab(tuple(symbols))
-    except ValueError as e:
+        with open(path, encoding="utf-8") as f:
+            return [line.rstrip("\n") for line in f]
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text (byte {e.start})") from e
+
+
+def _encode(vocab: Vocab, text: str, where: str, source: bool = False) -> tuple[int, ...]:
+    try:
+        tokens = tuple(vocab.encode(text.split()))
+    except VocabError as e:
+        raise FormatError(f"{where}: {e}") from e
+    if source and not tokens:
+        raise FormatError(f"{where}: empty source")
+    return tokens
+
+
+def load_vocab(path: str) -> Vocab:
+    try:
+        return Vocab(tuple(_lines(path)))
+    except ContractError as e:
         raise FormatError(f"{path}: {e}") from e
 
 
@@ -66,31 +84,21 @@ def save_pairs(path: str, pairs: list[SequencePair], src_vocab: Vocab, tgt_vocab
 
 def load_pairs(path: str, src_vocab: Vocab, tgt_vocab: Vocab) -> list[SequencePair]:
     pairs = []
-    with open(path, encoding="utf-8") as f:
-        for ln, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise FormatError(f"{path}:{ln}: expected 'source<TAB>target'")
-            src_text, tgt_text = line.split("\t", 1)
-            source = tuple(src_vocab.encode(src_text.split()))
-            target = tuple(tgt_vocab.encode(tgt_text.split())) + (EOS,)
-            pairs.append(SequencePair(source, target))
+    for ln, line in enumerate(_lines(path), start=1):
+        if not line:
+            continue
+        if "\t" not in line:
+            raise FormatError(f"{path}:{ln}: expected 'source<TAB>target'")
+        src_text, tgt_text = line.split("\t", 1)
+        pairs.append(SequencePair(_encode(src_vocab, src_text, f"{path}:{ln}", source=True),
+                                  _encode(tgt_vocab, tgt_text, f"{path}:{ln}") + (EOS,)))
     return pairs
 
 
 def load_sources(path: str, src_vocab: Vocab) -> list[tuple[int, ...]]:
     """Sources only; accepts either pair files or one source per line."""
-    sources = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            text = line.split("\t", 1)[0]
-            sources.append(tuple(src_vocab.encode(text.split())))
-    return sources
+    return [_encode(src_vocab, line.split("\t", 1)[0], f"{path}:{ln}", source=True)
+            for ln, line in enumerate(_lines(path), start=1) if line]
 
 
 def save_model(path: str, params: ModelParams) -> None:

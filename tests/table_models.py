@@ -76,3 +76,22 @@ def garden_path(noise_weight=0.0):
         (2, 1): [0.05, 0.05, 0.9],
     }
     return TableModel(rows, noise_weight=noise_weight)
+
+
+class RecordingModel(TableModel):
+    """A TableModel that keeps the noise each row receives: `noise` holds
+    (step, noise row) for every row of every noisy step, `silent_steps`
+    counts the steps called without noise."""
+
+    def __init__(self, *args, state_dim=1, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.state_dim = state_dim
+        self.noise = []
+        self.silent_steps = 0
+
+    def step_batch(self, H, prev, noise=None):
+        if noise is None:
+            self.silent_steps += 1
+        else:
+            self.noise += [(int(t) + 1, row) for (_, t), row in zip(H, noise)]
+        return super().step_batch(H, prev, noise)

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from npad.chains import ChainResult, NpadConfig, npad_search, run_chains, select_best
-from npad.core import ContractError
-from npad.decode import DecodeLimits, NoiseSchedule, beam_search, force_score, greedy_search
+from npad.core import ContractError, RngStream, derive_seed
+from npad.decode import DecodeLimits, Hypothesis, beam_search, force_score, greedy_search
 from npad.model import BoundModel, score_sequence
 from conftest import make_params
-from table_models import TableModel, garden_path
+from table_models import RecordingModel, TableModel, garden_path
 
 
 def cfg_for(chains, sigma0, seed=11, inner="greedy", width=1, zero_chain=True, max_len=4):
-    return NpadConfig(chains=chains, schedule=NoiseSchedule(sigma0), inner=inner,
+    return NpadConfig(chains=chains, sigma0=sigma0, inner=inner,
                       beam_width=width, include_zero_chain=zero_chain,
                       base_seed=seed, limits=DecodeLimits(max_len))
 
@@ -21,7 +21,64 @@ def test_config_validation():
     with pytest.raises(ContractError):
         cfg_for(0, 0.3)
     with pytest.raises(ContractError):
-        NpadConfig(chains=1, schedule=NoiseSchedule(0.1), inner="mystery")
+        NpadConfig(chains=1, sigma0=0.1, inner="mystery")
+
+
+class TestChainNoise:
+    """The noise a chain adds, as the model's step receives it."""
+
+    def test_noisy_rows_have_std_sigma0_over_t(self):
+        # std of a sample std over n draws is sigma/sqrt(2n): under 1% here.
+        # Greedy chains take their rows from a table drawn up front, beam
+        # chains one row per live hypothesis per step (one live row at step 1,
+        # two from then on).
+        for inner, width, chains in (("greedy", 1, 200), ("beam", 2, 100)):
+            model = RecordingModel({}, default=[0.5, 0.5, 0.0], state_dim=50)
+            run_chains(model, cfg_for(chains, 0.4, inner=inner, width=width, zero_chain=False),
+                       range(chains))
+            for t in range(1, 5):
+                rows = np.stack([row for step, row in model.noise if step == t])
+                assert rows.shape == (chains * (1 if t == 1 else width), 50)
+                assert rows.std() == pytest.approx(0.4 / t, rel=0.05)
+
+    def test_rows_are_the_chains_stream_times_sigma0_over_t(self):
+        # bit for bit: chain m's k-th noise row is sigma0 / t times the k-th
+        # standard normal row of its own stream, whether it draws a table up
+        # front (greedy) or one row per live hypothesis as it goes (beam)
+        for inner, width, rows in (("greedy", 1, 5), ("beam", 2, 1 + 2 * 4)):
+            cfg = cfg_for(3, 0.7, inner=inner, width=width, max_len=5)
+            for m in (1, 2):
+                model = RecordingModel({}, default=[0.5, 0.5, 0.0], state_dim=4)
+                run_chains(model, cfg, [m])
+                steps = np.array([t for t, _ in model.noise])
+                assert len(steps) == rows and list(steps) == sorted(steps)
+                stream = RngStream(derive_seed(derive_seed(11, m), 0)).normal_vec((rows, 4))
+                assert np.array_equal(np.stack([row for _, row in model.noise]),
+                                      stream * (0.7 / steps)[:, None])
+
+    def test_zero_chain_gets_no_noise_and_draws_nothing(self, monkeypatch):
+        draws = []
+        normal_vec = RngStream.normal_vec
+        monkeypatch.setattr(RngStream, "normal_vec",
+                            lambda rng, shape: draws.append(shape) or normal_vec(rng, shape))
+        for inner, width in (("greedy", 1), ("beam", 2)):
+            model = RecordingModel({}, default=[0.5, 0.5, 0.0], state_dim=3)
+            [r] = run_chains(model, cfg_for(4, 0.4, inner=inner, width=width), [0])
+            assert r.sigma0_effective == 0.0
+            assert model.noise == [] and model.silent_steps == 4
+        assert draws == []
+        # run with noisy chains in lockstep, the zero chain's rows are exact zeros
+        model = RecordingModel({}, default=[0.5, 0.5, 0.0], state_dim=3)
+        run_chains(model, cfg_for(3, 0.4), [0, 1, 2])
+        assert len(model.noise) == 12 and draws
+        rows = [row for step, row in model.noise]
+        assert all(not rows[i].any() for i in range(0, 12, 3))
+        assert all(rows[i].all() for i in range(12) if i % 3)
+
+    def test_config_rejects_bad_sigma0(self):
+        for bad in (float("nan"), float("inf"), -0.1):
+            with pytest.raises(ContractError):
+                cfg_for(2, bad)
 
 
 class TestRunChain:
@@ -127,7 +184,6 @@ class TestNpadDecode:
                 [alone] = run_chains(model, cfg, [r.chain_index])
                 assert r.hypothesis.tokens == alone.hypothesis.tokens
                 assert r.hypothesis.complete == alone.hypothesis.complete
-                assert np.array_equal(r.hypothesis.state.h, alone.hypothesis.state.h)
                 assert r.noisy_logp == alone.noisy_logp
                 assert r.rescored_logp == alone.rescored_logp
                 assert r.sigma0_effective == alone.sigma0_effective
@@ -144,10 +200,7 @@ class TestNpadDecode:
 
     def test_ties_break_to_lowest_chain_index(self):
         def result(idx, logp, complete=True):
-            from npad.decode import Hypothesis
-            from npad.model import DecoderState
-            hyp = Hypothesis([2], logp, DecoderState(np.zeros(1), 1), complete)
-            return ChainResult(idx, hyp, logp, logp, 0.1)
+            return ChainResult(idx, Hypothesis([2], logp, complete), logp, logp, 0.1)
 
         picked = select_best([result(0, -1.0), result(1, -1.0), result(2, -0.5, complete=False)])
         assert picked.chain_index == 0

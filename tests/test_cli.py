@@ -154,6 +154,51 @@ def test_corrupt_model_exit_1(workspace, capsys):
         assert "error: format:" in err and "Traceback" not in err
 
 
+def test_malformed_text_files_exit_1(workspace, capsys):
+    # invalid UTF-8 in a vocab, pair or source file, an unknown word and an
+    # empty source end in a format error naming the file
+    d = workspace["data"]
+    vocab, pairs = open(f"{d}/vocab_src.txt", "rb").read(), open(f"{d}/test.tsv", "rb").read()
+    path = workspace["root"] / "bad"
+    bad = str(path)
+    cases = [("vocab", vocab + b"\xff\n")] + [
+        (which, pairs + damage) for which in ("pairs", "sources")
+        for damage in (b"\xff\n", b"w99\tw00\n", b" \tw00\n")]
+    for which, blob in cases:
+        path.write_bytes(blob)
+        vocab_src = bad if which == "vocab" else f"{d}/vocab_src.txt"
+        rest = ["--model", workspace["model"], "--vocab-src", vocab_src,
+                "--vocab-tgt", f"{d}/vocab_tgt.txt"]
+        if which == "pairs":
+            rc = main(["score", "--input", bad] + rest)
+        else:
+            rc = main(["decode", "--strategy", "greedy", "--input",
+                       bad if which == "sources" else f"{d}/test.tsv"] + rest)
+        err = capsys.readouterr().err
+        assert rc == 1, (which, blob[-10:])
+        assert f"error: format: {bad}" in err and "Traceback" not in err
+
+
+def test_malformed_spec_exit_1(workspace, capsys):
+    # a spec that is not an object, or has a field of the wrong type, ends in a
+    # config error before anything runs, not in a traceback or failed cells
+    bodies = [[], {"cells": {}}, {"cells": ["greedy"]}, {"base_seed": "x"},
+              {"max_len": "7"}, {"cells": [{"strategy": "beam", "beam_width": "3"}]},
+              {"cells": [{"strategy": "npad", "chains": 2.5, "sigma0": 0.3}]},
+              {"cells": [{"strategy": "npad", "chains": 2, "sigma0": "0.3"}]}]
+    with open(_write_spec(workspace, "good.json", [{"strategy": "greedy"}])) as f:
+        good = json.load(f)
+    for i, body in enumerate(bodies):
+        path = workspace["root"] / f"bad{i}.json"
+        path.write_text(json.dumps(dict(good, **body) if isinstance(body, dict) else body))
+        out = str(workspace["root"] / f"bad{i}.csv")
+        rc = main(["experiment", "--spec", str(path), "--output", out])
+        err = capsys.readouterr().err
+        assert rc == 1, body
+        assert "error: config:" in err and "Traceback" not in err
+        assert not os.path.exists(out)
+
+
 def test_unknown_flag_and_missing_file_are_distinct(workspace, capsys):
     d = workspace["data"]
     rc_flag = main(["decode", "--strategy", "greedy", "--model", workspace["model"],

@@ -4,11 +4,10 @@ from itertools import product
 import numpy as np
 import pytest
 
+from npad.chains import NpadConfig, run_chains
 from npad.core import ContractError, RngStream
 from npad.decode import (
     DecodeLimits,
-    NoiseSchedule,
-    ScheduledNoise,
     SearchSpaceError,
     beam_search,
     default_limits,
@@ -17,7 +16,6 @@ from npad.decode import (
     force_score,
     force_scores,
     greedy_search,
-    sample_search,
 )
 from npad.model import EOS, BoundModel, score_sequence
 from conftest import make_params
@@ -39,56 +37,11 @@ def random_model(seed):
     return BoundModel(*random_case(seed))
 
 
-class TestNoiseSchedule:
-    def test_inverse_t_values(self):
-        s = NoiseSchedule(0.3)
-        assert s.sigma_at(1) == 0.3
-        assert s.sigma_at(2) == pytest.approx(0.15)
-        assert NoiseSchedule(0.0).sigma_at(7) == 0.0
-
-    def test_strictly_decreasing(self):
-        s = NoiseSchedule(0.5)
-        sigmas = [s.sigma_at(t) for t in range(1, 20)]
-        assert all(a > b for a, b in zip(sigmas, sigmas[1:]))
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ContractError):
-            NoiseSchedule(-0.1)
-        with pytest.raises(ContractError):
-            NoiseSchedule(0.3).sigma_at(0)
-
-    def test_scheduled_noise_std_tracks_schedule(self):
-        # std of a sample std over n=20000 draws is sigma/sqrt(2n) ~ 0.5%
-        schedule = NoiseSchedule(0.4)
-        for t in (1, 2, 4):
-            draws = np.concatenate([
-                ScheduledNoise(RngStream(100 + i), schedule, 2000).vector(t)
-                for i in range(10)])
-            assert draws.std() == pytest.approx(0.4 / t, rel=0.05)
-
-    def test_silent_noise_is_zero(self):
-        # zero noise is exact zeros, or no rows at all, and consumes no draws
-        n = ScheduledNoise(RngStream(4), NoiseSchedule(0.0), 3)
-        assert n.vector(1).tolist() == [0.0, 0.0, 0.0]
-        assert n.vector(99).tolist() == [0.0, 0.0, 0.0]
-        assert n.rows(1, 5) is None
-        assert n.table(4).tolist() == [[0.0] * 3] * 4
-        assert n.rng.uniform() == RngStream(4).uniform()
-
-    def test_rows_and_table_equal_successive_vectors(self):
-        schedule = NoiseSchedule(0.7)
-        per_step = ScheduledNoise(RngStream(8), schedule, 5)
-        vectors = [per_step.vector(t) for t in range(1, 7)]
-        table = ScheduledNoise(RngStream(8), schedule, 5).table(6)
-        assert np.array_equal(table, np.stack(vectors))
-        rows = ScheduledNoise(RngStream(8), schedule, 5).rows(3, 2)
-        per_step = ScheduledNoise(RngStream(8), schedule, 5)
-        assert np.array_equal(rows, np.stack([per_step.vector(3), per_step.vector(3)]))
-
-    def test_non_finite_sigma0_rejected(self):
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ContractError):
-                NoiseSchedule(bad)
+def samples(model, n, seed, limits=None):
+    """n ancestral samples, run as the lockstep chains of a sample cell."""
+    cfg = NpadConfig(chains=n, sigma0=0.0, inner="sample", include_zero_chain=False,
+                     base_seed=seed, limits=limits)
+    return [r.hypothesis for r in run_chains(model, cfg, range(n))]
 
 
 def test_default_limits_follow_source_length():
@@ -198,16 +151,14 @@ class TestBeam:
 
 class TestSample:
     def test_point_mass_always_same(self):
-        model = point_mass_eos()
-        for i in range(20):
-            hyp = sample_search(model, RngStream(i), DecodeLimits(4))
+        for hyp in samples(point_mass_eos(), 20, seed=0, limits=DecodeLimits(4)):
             assert hyp.tokens == [TableModel.eos]
 
     def test_same_seed_same_sample(self, tiny_params):
         model = BoundModel(tiny_params, [3, 4])
-        a = sample_search(model, RngStream(5))
-        b = sample_search(model, RngStream(5))
-        assert a.tokens == b.tokens and a.logp == b.logp
+        a = samples(model, 5, seed=5)
+        b = samples(model, 5, seed=5)
+        assert [(h.tokens, h.logp) for h in a] == [(h.tokens, h.logp) for h in b]
 
     def test_empirical_frequencies_match_enumeration(self):
         model = garden_path()
@@ -220,10 +171,8 @@ class TestSample:
             (1, 0): 0.39 * 0.01, (1, 1): 0.39 * 0.01,
         }
         n = 100_000
-        rng = RngStream(99)
         counts = {}
-        for _ in range(n):
-            hyp = sample_search(model, rng, limits)
+        for hyp in samples(model, n, seed=99, limits=limits):
             key = tuple(hyp.tokens)
             counts[key] = counts.get(key, 0) + 1
         assert sum(expected.values()) == pytest.approx(1.0, abs=1e-12)
@@ -347,7 +296,7 @@ class TestReplaySoundness:
             hyps = [greedy_search(model)]
             hyps.append(beam_search(model, 3)[0])
             hyps.append(diverse_beam_search(model, 3, 0.01)[0])
-            hyps.append(sample_search(model, RngStream(seed)))
+            hyps += samples(model, 3, seed)
             for hyp in hyps:
                 assert force_score(model, hyp.tokens) == pytest.approx(hyp.logp, abs=1e-9)
 
@@ -356,5 +305,5 @@ class TestReplaySoundness:
         limits = DecodeLimits(3)
         assert len(greedy_search(never_eos, limits=limits).tokens) <= 3
         assert len(beam_search(never_eos, 2, limits=limits)[0].tokens) <= 3
-        assert len(sample_search(never_eos, RngStream(0), limits).tokens) <= 3
+        assert all(len(h.tokens) <= 3 for h in samples(never_eos, 3, 0, limits))
         assert len(diverse_beam_search(never_eos, 2, 0.5, limits=limits)[0].tokens) <= 3

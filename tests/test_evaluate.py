@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from npad import chains
 from npad.core import ContractError, RngStream
 from npad.evaluate import (
     Cell,
@@ -21,7 +22,7 @@ from npad.evaluate import (
 from npad.model import EOS, score_sequence
 from npad.serialize import save_model, save_pairs, save_vocab
 from npad.tasks import ConfigError, gen_task
-from conftest import make_params
+from conftest import damaged, make_params
 
 
 def record(logp, tokens=(3, EOS)):
@@ -136,23 +137,44 @@ class TestDecodeCorpus:
             [(r.input_id, r.tokens, r.rescored_logp) for r in par]
 
     def test_every_logp_replay_verifies(self, toy_setup):
-        # a record's logp is the non-noisy replay of its tokens, bit for bit:
-        # the noise-free decoders' own scores are reported without a rescore,
-        # so this holds for complete and (at max_len 3) unfinished outputs alike
+        # a record's logp, and every chain's rescored logp, is the non-noisy
+        # replay of its tokens, bit for bit: the noise-free decoders' and
+        # zero-noise chains' own scores are reported without a rescore, so this
+        # holds for complete and (at max_len 3) unfinished outputs alike
         params, data, pairs = toy_setup
         cells = [Cell(strategy="greedy"), Cell(strategy="beam", beam_width=3),
                  Cell(strategy="diverse", beam_width=3, eta=0.5),
-                 Cell(strategy="sample", chains=2), Cell(strategy="npad", sigma0=0.2, chains=3)]
-        incomplete = 0
+                 Cell(strategy="sample", chains=2), Cell(strategy="npad", sigma0=0.2, chains=3),
+                 Cell(strategy="npad", sigma0=0.2, chains=3, beam_width=2)]
+        incomplete = chains = 0
         for max_len in (None, 3):
             for cell in cells + ([Cell(strategy="exact")] if max_len else []):
                 records = decode_corpus(params, [p.source for p in pairs],
                                         [p.target for p in pairs], cell, base_seed=2,
-                                        max_len=max_len)
+                                        max_len=max_len, keep_chains=True)
                 for r, p in zip(records, pairs):
                     assert r.rescored_logp == score_sequence(params, p.source, r.tokens)
                     incomplete += not r.complete
-        assert incomplete > 0
+                    for c in r.chains or []:
+                        assert c.rescored_logp == score_sequence(params, p.source,
+                                                                 c.hypothesis.tokens)
+                        chains += 1
+        assert incomplete > 0 and chains == 2 * len(pairs) * (2 + 3 + 3)
+
+    def test_sample_cell_rescores_nothing(self, toy_setup, monkeypatch):
+        # sampling chains add no noise: each reports its own score, so a
+        # sample cell never calls the batched rescore
+        params, data, pairs = toy_setup
+        rescored = []
+        force_scores = chains.force_scores
+        monkeypatch.setattr(chains, "force_scores",
+                            lambda model, seqs: rescored.extend(seqs) or force_scores(model, seqs))
+        records = decode_corpus(params, [p.source for p in pairs], None,
+                                Cell(strategy="sample", chains=4), base_seed=2)
+        assert len(records) == len(pairs) and rescored == []
+        decode_corpus(params, [p.source for p in pairs], None,
+                      Cell(strategy="npad", sigma0=0.3, chains=4), base_seed=2)
+        assert rescored
 
 
 class TestRunCells:
@@ -224,6 +246,46 @@ class TestSpecFiles:
                 "base_seed": 1, "cells": [{"strategy": "greedy", "beem": 4}]}
         with pytest.raises(ConfigError):
             load_spec(self._write_spec(tmp_path, body))
+
+    def test_structure_and_field_types_checked(self, tmp_path):
+        base = {"model": "m", "test_set": "t", "vocab_src": "a", "vocab_tgt": "b",
+                "base_seed": 1, "cells": [{"strategy": "greedy"}]}
+        bad = [[base], dict(base, cells={"strategy": "greedy"}), dict(base, cells=["greedy"]),
+               dict(base, base_seed="x"), dict(base, base_seed=True), dict(base, model=3),
+               dict(base, max_len="7"), dict(base, max_len=0), dict(base, extra=1)]
+        bad += [dict(base, cells=[cell]) for cell in (
+            {"strategy": "beam", "beam_width": "3"}, {"strategy": "beam", "beam_width": 2.0},
+            {"strategy": "npad", "chains": 2.5, "sigma0": 0.3},
+            {"strategy": "npad", "chains": True, "sigma0": 0.3},
+            {"strategy": "npad", "chains": 2, "sigma0": "0.3"},
+            {"strategy": "npad", "chains": 2, "sigma0": 10**400},
+            {"strategy": "npad", "chains": 2, "sigma0": 0.3, "zero_chain": None},
+            {"strategy": "diverse", "beam_width": 2, "eta": [0.1]}, {"strategy": 1})]
+        for body in bad:
+            with pytest.raises(ConfigError):
+                load_spec(self._write_spec(tmp_path, body))
+        spec = load_spec(self._write_spec(tmp_path, dict(base, max_len=None, cells=[
+            {"strategy": "npad", "chains": 2, "sigma0": 0, "beam_width": None,
+             "zero_chain": False}])))
+        assert spec.max_len is None and spec.cells[0].sigma0 == 0
+        assert not spec.cells[0].include_zero_chain
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_spec_truncations_and_bit_flips(self, tmp_path_factory, data):
+        # a damaged spec loads or ends in ConfigError, never in another error
+        blob = json.dumps({
+            "model": "m.bin", "test_set": "t.tsv", "vocab_src": "a", "vocab_tgt": "b",
+            "base_seed": 17, "max_len": 9,
+            "cells": [{"strategy": "greedy"}, {"strategy": "beam", "beam_width": 5},
+                      {"strategy": "npad", "sigma0": 0.25, "chains": 10, "zero_chain": True},
+                      {"strategy": "diverse", "beam_width": 3, "eta": 0.1}]}).encode()
+        path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+        path.write_bytes(damaged(data, blob))
+        try:
+            load_spec(str(path))
+        except ConfigError:
+            pass
 
     def test_invalid_cells_rejected(self):
         with pytest.raises(ConfigError):

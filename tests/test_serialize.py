@@ -19,7 +19,7 @@ from npad.serialize import (
     save_vocab,
 )
 from npad.tasks import gen_task
-from conftest import make_params
+from conftest import damaged, make_params
 
 
 def test_model_round_trip(tmp_path, tiny_params):
@@ -190,3 +190,48 @@ def test_atomic_write_replaces_existing(tmp_path):
     with atomic_write(path) as f:
         f.write("two")
     assert open(path).read() == "two"
+
+
+FUZZ_TASK = gen_task("lexical-translate", 5, (1, 4), 6, seed=3)
+
+
+@pytest.fixture(scope="module")
+def text_blobs(tmp_path_factory):
+    """The bytes of a saved source vocab and of a saved pair file."""
+    root = tmp_path_factory.mktemp("text")
+    save_vocab(str(root / "v.txt"), FUZZ_TASK.src_vocab)
+    save_pairs(str(root / "p.tsv"), FUZZ_TASK.pairs, FUZZ_TASK.src_vocab, FUZZ_TASK.tgt_vocab)
+    return {"vocab": (root / "v.txt").read_bytes(), "pairs": (root / "p.tsv").read_bytes()}
+
+
+LOADERS = {
+    "vocab": load_vocab,
+    "pairs": lambda path: load_pairs(path, FUZZ_TASK.src_vocab, FUZZ_TASK.tgt_vocab),
+    "sources": lambda path: load_sources(path, FUZZ_TASK.src_vocab),
+}
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_text_truncations_and_bit_flips(tmp_path_factory, text_blobs, data):
+    # a damaged vocab, pair or source file loads or ends in FormatError,
+    # never in another error (invalid UTF-8, an unknown word, an empty source)
+    path = str(tmp_path_factory.getbasetemp() / "fuzzed.txt")
+    kind = data.draw(st.sampled_from(sorted(LOADERS)))
+    write_bytes(path, damaged(data, text_blobs["pairs" if kind == "sources" else kind]))
+    try:
+        LOADERS[kind](path)
+    except FormatError:
+        pass
+
+
+def test_text_errors_name_the_line(tmp_path):
+    v = FUZZ_TASK.src_vocab
+    for body, message in ((b"s00\t\n\xff\n", "not UTF-8"),
+                          (b"s00\tt00\ns00 s99\tt00\n", ":2: unknown"),
+                          (b"s00\tt00\n \tt00\n", ":2: empty source")):
+        path = write_bytes(tmp_path / "p.tsv", body)
+        with pytest.raises(FormatError, match=message):
+            load_pairs(path, v, FUZZ_TASK.tgt_vocab)
+    with pytest.raises(FormatError, match="not UTF-8"):
+        load_vocab(write_bytes(tmp_path / "v.txt", b"<pad>\n<s>\n</s>\n\xc3\n"))
