@@ -4,8 +4,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from npad.chains import NpadConfig, run_chains
-from npad.core import ContractError, RngStream
+from npad.chains import NpadConfig, _live_noise, _noise_table, run_chains
+from npad.core import ContractError, RngStream, derive_seed
 from npad.decode import (
     DecodeLimits,
     SearchSpaceError,
@@ -42,6 +42,55 @@ def samples(model, n, seed, limits=None):
     cfg = NpadConfig(chains=n, sigma0=0.0, inner="sample", include_zero_chain=False,
                      base_seed=seed, limits=limits)
     return [r.hypothesis for r in run_chains(model, cfg, range(n))]
+
+
+class TestNoiseSchedule:
+    """The sigma_t = sigma0 / t schedule as a chain draws it: up front as a
+    table (greedy and sampling chains) or one row per live hypothesis (beam)."""
+
+    @staticmethod
+    def stream(cfg, m, rows, dim):
+        """Chain m's standard normal noise rows, unscaled."""
+        return RngStream(derive_seed(derive_seed(cfg.base_seed, m), 0)).normal_vec((rows, dim))
+
+    def test_inverse_t_values(self):
+        cfg = NpadConfig(chains=2, sigma0=0.3, base_seed=5)
+        table, z = _noise_table(cfg, 1, 7, 4), self.stream(cfg, 1, 7, 4)
+        assert np.array_equal(table[0], z[0] * 0.3)
+        assert np.array_equal(table[1], z[1] * (0.3 / 2))
+        assert np.allclose(table[1], z[1] * 0.15, rtol=1e-15, atol=0)
+        assert not _noise_table(cfg, 0, 7, 4).any()
+        silent = NpadConfig(chains=2, sigma0=0.0, include_zero_chain=False)
+        assert not _noise_table(silent, 1, 7, 4).any()
+        assert _live_noise(silent, 1, 4)(7, np.arange(3)) is None
+
+    def test_strictly_decreasing(self):
+        cfg = NpadConfig(chains=2, sigma0=0.5, base_seed=9)
+        table, z = _noise_table(cfg, 1, 19, 6), self.stream(cfg, 1, 19, 6)
+        sigmas = np.linalg.norm(table, axis=1) / np.linalg.norm(z, axis=1)
+        assert np.allclose(sigmas, 0.5 / np.arange(1, 20), rtol=1e-12, atol=0)
+        assert all(a > b for a, b in zip(sigmas, sigmas[1:]))
+
+    def test_rejects_bad_args(self):
+        for bad in (-0.1, -1e-300):
+            with pytest.raises(ContractError):
+                NpadConfig(chains=2, sigma0=bad)
+
+    def test_rows_and_table_equal_successive_vectors(self):
+        # both draw forms walk the chain's one stream in step order: one live
+        # row per step gives the table, two live rows at step 3 the first two
+        # stream rows scaled by sigma0 / 3
+        cfg = NpadConfig(chains=2, sigma0=0.7, base_seed=8)
+        live = _live_noise(cfg, 1, 5)
+        per_step = np.concatenate([live(t, np.arange(1)) for t in range(1, 7)])
+        assert np.array_equal(_noise_table(cfg, 1, 6, 5), per_step)
+        rows = _live_noise(cfg, 1, 5)(3, np.arange(2))
+        assert np.array_equal(rows, self.stream(cfg, 1, 2, 5) * (0.7 / 3))
+
+    def test_non_finite_sigma0_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ContractError):
+                NpadConfig(chains=2, sigma0=bad)
 
 
 def test_default_limits_follow_source_length():
