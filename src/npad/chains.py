@@ -10,13 +10,13 @@ of the inner decoder.
 
 This is the only module that draws random numbers while decoding: chain m's
 private Gaussian stream, scaled by sigma_t = sigma0 / t at step t, and a
-sampling chain's private uniforms. Greedy and sampling chains advance in
-lockstep as the rows of one batched step and draw their noise up front as a
-(max_len, d) table; a beam chain's live hypotheses are the rows of its own
-steps, and it draws one row per live hypothesis as it goes. Rows never
-interact, so each chain's result is bitwise the one it gets when run alone.
-A zero-noise chain's own score is its non-noisy replay; the distinct outputs
-of the noisy chains are rescored together as rows.
+sampling chain's private uniforms, both drawn up front. All chains run as
+the searches of one `decode.search_rows` call, so every step of every chain
+is a row of one batched step; each noisy row takes the next standard normal
+row of its chain's stream. Rows never interact, so each chain's result is
+bitwise the one it gets when run alone. A zero-noise chain's own score is
+its non-noisy replay; the distinct outputs of the noisy chains are rescored
+together as rows.
 """
 from __future__ import annotations
 
@@ -25,15 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ContractError, RngStream, categorical_rows, derive_seed
-from .decode import (
-    DecodeLimits,
-    Hypothesis,
-    beam_search,
-    force_scores,
-    greedy_pick,
-    lockstep_search,
-    resolve_limits,
-)
+from .decode import DecodeLimits, Hypothesis, force_scores, greedy_pick, resolve_limits, search_rows
 
 INNER_DECODERS = ("greedy", "beam", "sample")
 
@@ -77,45 +69,43 @@ def _stream(cfg: NpadConfig, m: int, which: int) -> RngStream:
     return RngStream(derive_seed(derive_seed(cfg.base_seed, m), which))
 
 
-def _noise_table(cfg: NpadConfig, m: int, steps: int, dim: int) -> np.ndarray:
-    """Chain m's noise for steps 1..steps, drawn up front: row t-1 is sigma_t
-    times a standard normal row, and zeros, drawing nothing, where sigma_t is 0."""
-    sigmas = _sigma0(cfg, m) / np.arange(1, steps + 1)
-    drawn = np.count_nonzero(sigmas)          # sigma_t decreases: zeros come last
-    out = np.zeros((steps, dim))
-    out[:drawn] = _stream(cfg, m, 0).normal_vec((drawn, dim)) * sigmas[:drawn, None]
-    return out
+def _chain_noise(cfg: NpadConfig, chains: list[int], draws: int, dim: int):
+    """The chains' noise as `search_rows` takes it, or None when no chain is
+    noisy. Each noisy chain draws `draws` standard normal rows of its stream
+    up front; at step t its rows take the next ones in order, times
+    sigma0 / t. A zero-noise chain draws nothing and gets zero rows.
+    """
+    sigma0 = np.array([_sigma0(cfg, m) for m in chains])
+    noisy = np.flatnonzero(sigma0)
+    if not noisy.size:
+        return None
+    # the noisy chains' draws back to back, then the zero-noise chains' zero row
+    table = np.zeros((noisy.size * draws + 1, dim))
+    start = np.zeros(len(chains), dtype=np.int64)
+    for k, i in enumerate(noisy):
+        start[i] = k * draws
+        table[start[i]:start[i] + draws] = _stream(cfg, chains[i], 0).normal_vec((draws, dim))
+    used = np.zeros(len(chains), dtype=np.int64)
+
+    def noise(t, beams):
+        # a chain's rows are contiguous: each takes the next unused row of its chain
+        nth = start[beams] + used[beams] + np.arange(beams.size) - np.searchsorted(beams, beams)
+        used[:] += np.bincount(beams, minlength=len(chains))
+        return table[np.where(sigma0[beams] > 0, nth, -1)] * (sigma0[beams] / t)[:, None]
+
+    return noise
 
 
-def _live_noise(cfg: NpadConfig, m: int, dim: int):
-    """Chain m's noise drawn as it goes: at step t, one sigma_t row per live
-    row, or None, drawing nothing, where sigma_t is 0."""
-    rng, sigma0 = _stream(cfg, m, 0), _sigma0(cfg, m)
-    return lambda t, rows: rng.normal_vec((rows.size, dim)) * (sigma0 / t) if sigma0 / t else None
-
-
-def _lockstep(model, cfg: NpadConfig, chains: list[int], limits: DecodeLimits):
-    """Greedy or sampling chains as the rows of one lockstep decode."""
-    noise = None
-    if any(_sigma0(cfg, m) for m in chains):
-        table = np.stack([_noise_table(cfg, m, limits.max_len, model.state_dim) for m in chains])
-
-        def noise(t, rows):
-            return table[rows, t - 1]
-
-    if cfg.inner == "greedy":
-        pick = greedy_pick
-    else:
-        samplers = [_stream(cfg, m, 1) for m in chains]
-
-        def pick(logp, rows):
-            return categorical_rows(np.exp(logp), np.array([samplers[r].uniform() for r in rows]))
-
-    return lockstep_search(model, len(chains), pick, noise, limits)
+def _sampler(cfg: NpadConfig, chains: list[int], steps: int):
+    """The sampling `pick`: each chain draws its `steps` uniforms up front and
+    picks its step-t token with the t-th."""
+    u = np.array([_stream(cfg, m, 1).uniform_vec(steps) for m in chains])
+    return lambda t, logp, beams: categorical_rows(np.exp(logp), u[beams, t - 1])
 
 
 def run_chains(model, cfg: NpadConfig, chains) -> list[ChainResult]:
-    """Run the given chains of the configuration against a bound model.
+    """Run the given chains of the configuration against a bound model, as
+    the searches of one `search_rows` call.
 
     Chain m's result does not depend on which other chains run with it.
     """
@@ -124,11 +114,16 @@ def run_chains(model, cfg: NpadConfig, chains) -> list[ChainResult]:
         if not 0 <= m < cfg.chains:
             raise ContractError(f"chain index {m} outside 0..{cfg.chains - 1}")
     limits = resolve_limits(model, cfg.limits)
-    if cfg.inner == "beam":
-        hyps = [beam_search(model, cfg.beam_width, _live_noise(cfg, m, model.state_dim), limits)[0]
-                for m in chains]
+    width = cfg.beam_width if cfg.inner == "beam" else 1
+    if cfg.inner == "sample":
+        pick = _sampler(cfg, chains, limits.max_len)
     else:
-        hyps = _lockstep(model, cfg, chains, limits)
+        pick = greedy_pick if cfg.inner == "greedy" else None
+    # a beam chain has one row at step 1 and at most `width` rows after it
+    found = search_rows(model, len(chains), width, pick=pick, limits=limits,
+                        noise=_chain_noise(cfg, chains, 1 + (limits.max_len - 1) * width,
+                                           model.state_dim))
+    hyps = [best for best, _ in found]
     sigmas = [_sigma0(cfg, m) for m in chains]
     # a zero-noise chain's own score is its replay; only noisy outputs are rescored
     distinct = list(dict.fromkeys(tuple(h.tokens) for h, s in zip(hyps, sigmas) if s))

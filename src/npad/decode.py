@@ -1,15 +1,17 @@
 """Inner decoding strategies: greedy, beam, diverse beam, and an exhaustive
-oracle for tiny instances, plus the lockstep engine and batched rescoring.
+oracle for tiny instances, plus the shared search engine and batched
+rescoring.
 
-Nothing here draws a random number. An engine that can run noisy takes a
-`noise(t, rows)` callable giving the step-t noise rows of its batch rows,
-and a lockstep decode takes its token rule as a `pick` callable; the chains
-module builds both from each chain's private streams. Engines operate on the
-batched step interface of `model.BoundModel` (or any object with the same
-surface) and advance all their rows through one `step_batch` call per step:
-independent decodes in lockstep, a beam's live hypotheses, an exhaustive
-search level or a set of sequences being rescored. A model bound to one
-source is `model.BoundModel(params, source)`.
+Nothing here draws a random number. `search_rows` is the one search loop:
+it runs any number of independent greedy, picked or beam searches, taking a
+noisy run's noise as a `noise(t, beams)` callable and a picked run's token
+rule as a `pick` callable; the chains module builds both from each chain's
+private streams. Engines operate on the batched step interface of
+`model.BoundModel` (or any object with the same surface) and advance all
+their rows together, one `step_batch` call per KERNEL_ROWS rows per step:
+every live hypothesis of every search, an exhaustive search level or a set
+of sequences being rescored. A model bound to one source is
+`model.BoundModel(params, source)`.
 
 Scores are raw cumulative log-probabilities; no length normalization is
 applied anywhere. Top-K ties break by (score desc, parent index asc, token
@@ -27,9 +29,10 @@ from .core import ContractError
 from .model import VocabError
 
 MAX_EXACT_SPACE = 10**6
-# Rows per kernel call in the exhaustive search: bounds its (rows, source_len,
-# d_hid) attention temporaries, which a whole level of prefixes would not.
-EXACT_ROWS = 1024
+# Rows per kernel call: bounds the (rows, source_len, d_hid) attention
+# temporaries, which a whole exhaustive-search level or the live rows of many
+# wide beams would not.
+KERNEL_ROWS = 1024
 
 
 class SearchSpaceError(ValueError):
@@ -62,6 +65,15 @@ class Hypothesis:
     complete: bool
 
 
+def _step(model, H, prev, noise=None):
+    """One step of all rows, in `step_batch` calls of at most KERNEL_ROWS
+    rows. Rows never interact, so the split does not change a bit."""
+    steps = [model.step_batch(H[i:i + KERNEL_ROWS], prev[i:i + KERNEL_ROWS],
+                              None if noise is None else noise[i:i + KERNEL_ROWS])
+             for i in range(0, prev.size, KERNEL_ROWS)]
+    return np.concatenate([h for h, _ in steps]), np.concatenate([lp for _, lp in steps])
+
+
 def force_scores(model, sequences) -> list[float]:
     """Non-noisy log-probability of each token sequence, teacher-forced
     together as rows of one batch.
@@ -87,7 +99,7 @@ def force_scores(model, sequences) -> list[float]:
     prev = np.full(len(seqs), model.bos)
     totals = np.zeros(len(seqs))
     for t, b in enumerate(running):
-        H, logp = model.step_batch(H[:b], prev[:b])
+        H, logp = _step(model, H[:b], prev[:b])
         prev = forced[:b, t]
         totals[:b] += logp[index[:b], prev]
     scores = [0.0] * len(seqs)
@@ -101,50 +113,9 @@ def force_score(model, tokens) -> float:
     return force_scores(model, [tokens])[0]
 
 
-def lockstep_search(model, n: int, pick, noise=None,
-                    limits: DecodeLimits | None = None) -> list[Hypothesis]:
-    """Run n independent decodes in lockstep, one batch row each.
-
-    `pick(logp, rows)` chooses the next token of each running row from its
-    (len(rows), V) log-probabilities; `rows` holds the decode indices of the
-    batch rows. `noise(t, rows)` gives their step-t noise rows, or None. A
-    decode leaves the batch at EOS or max_len; its score accumulates the same
-    (possibly noisy) distributions its tokens were picked from.
-    """
-    limits = resolve_limits(model, limits)
-    rows = np.arange(n)
-    H = np.tile(model.initial().h, (n, 1))
-    prev = np.full(n, model.bos)
-    scores = np.zeros(n)
-    tokens = np.zeros((n, limits.max_len), dtype=np.int64)
-    out: list = [None] * n
-    for t in range(1, limits.max_len + 1):
-        H, logp = model.step_batch(H, prev, noise(t, rows) if noise else None)
-        prev = np.asarray(pick(logp, rows))
-        scores += logp[np.arange(rows.size), prev]
-        tokens[:, t - 1] = prev
-        ended = prev == model.eos
-        if t == limits.max_len:
-            ended[:] = True
-        if ended.any():
-            for i in np.flatnonzero(ended):
-                out[rows[i]] = Hypothesis(tokens[i, :t].tolist(), float(scores[i]),
-                                          bool(prev[i] == model.eos))
-            keep = ~ended
-            rows, H, prev, scores, tokens = rows[keep], H[keep], prev[keep], scores[keep], tokens[keep]
-            if not rows.size:
-                break
-    return out
-
-
-def greedy_pick(logp, rows):
-    """The argmax token of each row: `lockstep_search`'s greedy `pick`."""
+def greedy_pick(t, logp, beams):
+    """The argmax token of each row: `search_rows`'s greedy `pick`."""
     return np.argmax(logp, axis=1)
-
-
-def greedy_search(model, limits: DecodeLimits | None = None) -> Hypothesis:
-    """Stepwise argmax decoding; stops at EOS or max_len."""
-    return lockstep_search(model, 1, greedy_pick, None, limits)[0]
 
 
 def _better_completed(a: Hypothesis, b: Hypothesis | None) -> bool:
@@ -164,75 +135,104 @@ def _best(hyps):
     return best
 
 
-def _beam_engine(model, width: int, eta: float, noise, limits: DecodeLimits):
-    """Shared beam loop; eta > 0 adds the per-parent sibling rank penalty.
+def _top_k(raw, logp, beams, k_live, eta):
+    """The flat (row, token) indices of each search's k_live best expansions
+    of the rows' scores `raw`, grouped by search in rank order. eta > 0 lowers
+    the r-th ranked expansion of each parent by eta * r for selection only."""
+    n_tokens = logp.shape[1]
+    sel = raw
+    if eta:
+        # rank r of each token among its parent's expansions: score desc, token asc
+        rank = np.empty_like(logp)
+        np.put_along_axis(rank, np.argsort(-logp, axis=1, kind="stable"),
+                          np.arange(1.0, n_tokens + 1), axis=1)
+        sel = raw - eta * rank
+    # A search's rows are one contiguous block, rows edges[s]:edges[s + 1]; a
+    # stable sort of its row-major candidates keeps ties in (parent, token) order.
+    edges = np.searchsorted(beams, np.arange(k_live.size + 1)).tolist()
+    return np.concatenate([np.argsort(-sel[a:b], axis=None, kind="stable")[:k] + a * n_tokens
+                           for a, b, k in zip(edges, edges[1:], k_live.tolist()) if a < b])
 
-    The live hypotheses are the rows of one step. Live width starts at
-    `width` and shrinks by one for every hypothesis that completes; the
-    search stops when it reaches zero or max_len is hit. Penalties affect
-    selection only: stored scores stay unpenalized.
+
+def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, noise=None,
+                limits: DecodeLimits | None = None):
+    """Run n independent searches together and return (best, completed) for
+    each: every live row of every search is a row of one step (one
+    `step_batch` call per KERNEL_ROWS rows).
+
+    `beams` maps each row to its search, and a search's rows are contiguous.
+    With `pick(t, logp, beams)` each search keeps one row and the rule picks
+    its next token. Without it each search is a beam of `width` whose r-th
+    ranked expansion per parent loses eta * r at selection; a beam's live
+    width shrinks by one for every hypothesis that completes. `noise(t,
+    beams)` gives the rows' step-t noise, or None. A search ends when its last
+    row ends at EOS or when max_len is hit. Scores accumulate the same
+    (possibly noisy) distributions the tokens were chosen from.
+
+    `best` is the best completed hypothesis, or, when nothing completes
+    within max_len, the best live one flagged incomplete with `completed`
+    empty.
     """
     if width < 1:
         raise ContractError(f"beam width must be >= 1, got {width}")
     if not math.isfinite(eta) or eta < 0:
         raise ContractError(f"eta must be finite and >= 0, got {eta}")
-    n_tokens = model.n_tokens
-    H = model.initial().h[None]
-    prev = np.array([model.bos])
-    scores = np.zeros(1)
-    live: list[list[int]] = [[]]
-    completed: list[Hypothesis] = []
-    k_live = width
+    limits = resolve_limits(model, limits)
+    beams = np.arange(n)
+    H = np.tile(model.initial().h, (n, 1))
+    prev = np.full(n, model.bos)
+    scores = np.zeros(n)
+    tokens = np.zeros((n, limits.max_len), dtype=np.int64)
+    k_live = np.full(n, width)
+    completed: list[list[Hypothesis]] = [[] for _ in range(n)]
     for t in range(1, limits.max_len + 1):
-        H, logp = model.step_batch(H, prev, noise(t, np.arange(len(live))) if noise else None)
-        raw = scores[:, None] + logp
-        sel = raw
-        if eta:
-            # rank r of each token among its parent's expansions: score desc, token asc
-            rank = np.empty_like(logp)
-            np.put_along_axis(rank, np.argsort(-logp, axis=1, kind="stable"),
-                              np.arange(1.0, n_tokens + 1), axis=1)
-            sel = raw - eta * rank
-        # A stable sort of the row-major candidates keeps ties in (parent, token) order.
-        top = np.argsort(-sel, axis=None, kind="stable")[:k_live]
-        kept = []
-        next_live = []
-        for flat in top:
-            pi, tok = divmod(int(flat), n_tokens)
-            tokens = live[pi] + [tok]
-            if tok == model.eos:
-                completed.append(Hypothesis(tokens, float(raw[pi, tok]), True))
-                k_live -= 1
-            else:
-                kept.append(flat)
-                next_live.append(tokens)
-        live = next_live
-        if k_live <= 0 or not live:
+        if not beams.size:
             break
-        kept = np.array(kept)
-        H, prev, scores = H[kept // n_tokens], kept % n_tokens, raw.ravel()[kept]
-    if completed:
-        return _best(completed), completed
-    return _best(Hypothesis(tokens, float(scores[i]), False)
-                 for i, tokens in enumerate(live)), []
+        H, logp = _step(model, H, prev, noise(t, beams) if noise else None)
+        if pick is None:
+            raw = scores[:, None] + logp
+            chosen = _top_k(raw, logp, beams, k_live, eta)
+            (parent, prev), scores = np.divmod(chosen, model.n_tokens), raw.ravel()[chosen]
+            H, beams, tokens = H[parent], beams[parent], tokens[parent]
+        else:
+            prev = pick(t, logp, beams)
+            scores = scores + logp[np.arange(beams.size), prev]
+        tokens[:, t - 1] = prev
+        ended = prev == model.eos
+        if ended.any():
+            for i in np.flatnonzero(ended):
+                completed[beams[i]].append(
+                    Hypothesis(tokens[i, :t].tolist(), float(scores[i]), True))
+            k_live -= np.bincount(beams[ended], minlength=n)
+            keep = ~ended
+            H, prev, scores = H[keep], prev[keep], scores[keep]
+            beams, tokens = beams[keep], tokens[keep]
+    live = [[] for _ in range(n)]
+    for i, s in enumerate(beams):
+        live[s].append(Hypothesis(tokens[i].tolist(), float(scores[i]), False))
+    return [(_best(done), done) if done else (_best(live[s]), [])
+            for s, done in enumerate(completed)]
 
 
-def beam_search(model, width: int, noise=None, limits: DecodeLimits | None = None):
+def greedy_search(model, limits: DecodeLimits | None = None) -> Hypothesis:
+    """Stepwise argmax decoding; stops at EOS or max_len."""
+    return search_rows(model, 1, pick=greedy_pick, limits=limits)[0][0]
+
+
+def beam_search(model, width: int, limits: DecodeLimits | None = None):
     """Beam search; returns (best completed hypothesis, all completed).
 
     If nothing completes within max_len, the best live hypothesis is returned
-    flagged incomplete and the completed list is empty. `noise(t, rows)`,
-    when given, supplies the step-t noise rows of the live hypotheses `rows`,
-    as `lockstep_search` takes it.
+    flagged incomplete and the completed list is empty.
     """
-    return _beam_engine(model, width, 0.0, noise, resolve_limits(model, limits))
+    return search_rows(model, 1, width, limits=limits)[0]
 
 
 def diverse_beam_search(model, width: int, eta: float, limits: DecodeLimits | None = None):
     """Beam search where the r-th ranked expansion of each parent has its
     selection score reduced by eta * r. Reported scores are unpenalized.
     """
-    return _beam_engine(model, width, eta, None, resolve_limits(model, limits))
+    return search_rows(model, 1, width, eta, limits=limits)[0]
 
 
 def exact_search(model, limits: DecodeLimits | None = None) -> Hypothesis:
@@ -254,10 +254,7 @@ def exact_search(model, limits: DecodeLimits | None = None) -> Hypothesis:
     prefixes = np.zeros((1, 0), dtype=np.int64)
     best: Hypothesis | None = None
     for depth in range(1, limits.max_len + 1):
-        steps = [model.step_batch(H[i:i + EXACT_ROWS], prev[i:i + EXACT_ROWS])
-                 for i in range(0, prev.size, EXACT_ROWS)]
-        H = np.concatenate([h for h, _ in steps])
-        logp = np.concatenate([lp for _, lp in steps])
+        H, logp = _step(model, H, prev)
         ends = scores + logp[:, eos]
         ties = np.flatnonzero(ends == ends.max())
         i = min(ties, key=lambda k: prefixes[k].tolist())

@@ -49,19 +49,21 @@ class Cell:
             value = getattr(self, name)
             if value is not None and not isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+        for name in ("beam_width", "chains"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
-        if self.strategy in ("beam", "diverse") and (self.beam_width or 0) < 1:
+        if self.strategy in ("beam", "diverse") and self.beam_width is None:
             raise ConfigError(f"{self.strategy} requires beam_width >= 1")
         if self.strategy == "diverse" and (self.eta is None or self.eta < 0):
             raise ConfigError("diverse requires eta >= 0")
         if self.strategy == "npad":
-            if (self.chains or 0) < 1:
+            if self.chains is None:
                 raise ConfigError("npad requires chains >= 1")
             if self.sigma0 is None or self.sigma0 < 0:
                 raise ConfigError("npad requires sigma0 >= 0")
-        if self.strategy == "sample" and (self.chains or 1) < 1:
-            raise ConfigError("sample requires chains >= 1")
 
 
 @dataclass
@@ -189,14 +191,12 @@ def _init_worker(ctx: dict) -> None:
     _WORKER_CTX = ctx
 
 
-def _decode_item(ctx: dict, i: int):
+def _decode_item(i: int, ctx: dict | None = None):
+    """Decode sentence i of the context (a pool worker's own by default)."""
+    ctx = ctx or _WORKER_CTX
     outcome = _decode_cell(ctx["params"], ctx["sources"][i], ctx["cell"],
                            derive_seed(ctx["base_seed"], i), ctx["max_len"])
     return outcome if ctx["keep_chains"] else outcome[:3] + (None,)
-
-
-def _corpus_chunk(indices):
-    return [_decode_item(_WORKER_CTX, i) for i in indices]
 
 
 def decode_corpus(params, sources, references, cell: Cell, base_seed: int,
@@ -211,15 +211,10 @@ def decode_corpus(params, sources, references, cell: Cell, base_seed: int,
     ctx = {"params": params, "sources": sources, "cell": cell,
            "base_seed": base_seed, "max_len": max_len, "keep_chains": keep_chains}
     if workers > 1 and n > 1:
-        chunks = [list(range(k, n, workers)) for k in range(workers)]
         with mp.get_context("fork").Pool(workers, _init_worker, (ctx,)) as pool:
-            parts = pool.map(_corpus_chunk, chunks)
-        outcomes: list = [None] * n
-        for chunk, part in zip(chunks, parts):
-            for i, outcome in zip(chunk, part):
-                outcomes[i] = outcome
+            outcomes = pool.map(_decode_item, range(n))
     else:
-        outcomes = [_decode_item(ctx, i) for i in range(n)]
+        outcomes = [_decode_item(i, ctx) for i in range(n)]
     records = []
     for i, (tokens, logp, complete, chains) in enumerate(outcomes):
         ref = tuple(references[i]) if references is not None else ()

@@ -80,16 +80,18 @@ def garden_path(noise_weight=0.0):
 
 class RecordingModel(TableModel):
     """A TableModel that keeps the noise each row receives: `noise` holds
-    (step, noise row) for every row of every noisy step, `silent_steps`
-    counts the steps called without noise."""
+    (step, noise row) for every row of every noisy step, `calls` counts the
+    `step_batch` calls and `silent_steps` those made without noise."""
 
     def __init__(self, *args, state_dim=1, **kwargs):
         super().__init__(*args, **kwargs)
         self.state_dim = state_dim
         self.noise = []
+        self.calls = 0
         self.silent_steps = 0
 
     def step_batch(self, H, prev, noise=None):
+        self.calls += 1
         if noise is None:
             self.silent_steps += 1
         else:

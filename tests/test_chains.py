@@ -5,7 +5,15 @@ import pytest
 
 from npad.chains import ChainResult, NpadConfig, npad_search, run_chains, select_best
 from npad.core import ContractError, RngStream, derive_seed
-from npad.decode import DecodeLimits, Hypothesis, beam_search, force_score, greedy_search
+from npad import decode
+from npad.decode import (
+    DecodeLimits,
+    Hypothesis,
+    beam_search,
+    exact_search,
+    force_score,
+    greedy_search,
+)
 from npad.model import BoundModel, score_sequence
 from conftest import make_params
 from table_models import RecordingModel, TableModel, garden_path
@@ -41,15 +49,21 @@ class TestChainNoise:
                 assert rows.shape == (chains * (1 if t == 1 else width), 50)
                 assert rows.std() == pytest.approx(0.4 / t, rel=0.05)
 
-    def test_rows_are_the_chains_stream_times_sigma0_over_t(self):
+    def test_rows_are_the_chains_stream_times_sigma0_over_t(self, monkeypatch):
         # bit for bit: chain m's k-th noise row is sigma0 / t times the k-th
-        # standard normal row of its own stream, whether it draws a table up
-        # front (greedy) or one row per live hypothesis as it goes (beam)
+        # standard normal row of its own stream, whatever its row count (one
+        # per step for greedy, one per live hypothesis for beam); the chain
+        # draws exactly the rows it can use: 1 + (max_len - 1) * width
+        draws = []
+        normal_vec = RngStream.normal_vec
+        monkeypatch.setattr(RngStream, "normal_vec",
+                            lambda rng, shape: draws.append(shape) or normal_vec(rng, shape))
         for inner, width, rows in (("greedy", 1, 5), ("beam", 2, 1 + 2 * 4)):
             cfg = cfg_for(3, 0.7, inner=inner, width=width, max_len=5)
             for m in (1, 2):
                 model = RecordingModel({}, default=[0.5, 0.5, 0.0], state_dim=4)
                 run_chains(model, cfg, [m])
+                assert draws.pop() == (rows, 4)
                 steps = np.array([t for t, _ in model.noise])
                 assert len(steps) == rows and list(steps) == sorted(steps)
                 stream = RngStream(derive_seed(derive_seed(11, m), 0)).normal_vec((rows, 4))
@@ -74,6 +88,36 @@ class TestChainNoise:
         rows = [row for step, row in model.noise]
         assert all(not rows[i].any() for i in range(0, 12, 3))
         assert all(rows[i].all() for i in range(12) if i % 3)
+
+    def test_chains_share_each_step(self):
+        # every live hypothesis of every chain is a row of one step: a 6-chain
+        # beam-3 NPAD at max_len 4 decodes in 4 calls (one per step, all noisy
+        # since 5 chains are), and its rescoring adds at most 4 noise-free ones
+        model = RecordingModel({}, n_tokens=5, default=[1, 1, 0, 1, 1], state_dim=3)
+        results = run_chains(model, cfg_for(6, 0.4, inner="beam", width=3), range(6))
+        assert all(len(r.hypothesis.tokens) == 4 for r in results)
+        assert model.calls - model.silent_steps == 4
+        assert model.silent_steps <= 4
+        rows_per_step = np.bincount([step for step, _ in model.noise])[1:]
+        assert list(rows_per_step) == [6, 18, 18, 18]
+
+    def test_kernel_calls_split_at_kernel_rows(self, monkeypatch, tiny_params):
+        # rows never interact, so a step split into kernel calls of at most
+        # KERNEL_ROWS rows leaves every bit of every chain unchanged
+        model = BoundModel(tiny_params, [3, 4])
+        cfg = cfg_for(6, 0.5, inner="beam", width=3, max_len=6)
+        whole = run_chains(model, cfg, range(6))
+        exact = exact_search(model, DecodeLimits(4))
+        sizes = []
+        step_batch = BoundModel.step_batch
+        monkeypatch.setattr(BoundModel, "step_batch", lambda self, H, prev, noise=None:
+                            sizes.append(prev.size) or step_batch(self, H, prev, noise))
+        monkeypatch.setattr(decode, "KERNEL_ROWS", 4)
+        split = run_chains(model, cfg, range(6))
+        assert max(sizes) == 4 and len(sizes) > 6 * 2
+        assert [(r.hypothesis, r.noisy_logp, r.rescored_logp) for r in split] == \
+            [(r.hypothesis, r.noisy_logp, r.rescored_logp) for r in whole]
+        assert exact_search(model, DecodeLimits(4)) == exact
 
     def test_config_rejects_bad_sigma0(self):
         for bad in (float("nan"), float("inf"), -0.1):
@@ -220,6 +264,17 @@ class TestNpadDecode:
         assert best.rescored_logp == rerun_best.rescored_logp
         assert best.rescored_logp == max(r.rescored_logp for r in results
                                          if r.hypothesis.complete)
+
+    def test_sampling_picks_consume_stream_one_uniforms_in_step_order(self):
+        # with p = (0.5, 0.5, 0) a sampling chain's step-t token is 0 when its
+        # t-th stream-1 uniform is below 0.5 and 1 otherwise, whichever chains
+        # run with it
+        model = TableModel({}, default=[0.5, 0.5, 0.0])
+        cfg = cfg_for(8, 0.0, seed=31, inner="sample", zero_chain=False, max_len=6)
+        for chains in ([2, 5, 7], [5], list(range(8))):
+            for r in run_chains(model, cfg, chains):
+                u = RngStream(derive_seed(derive_seed(31, r.chain_index), 1)).uniform_vec(6)
+                assert r.hypothesis.tokens == [int(x >= 0.5) for x in u]
 
     def test_noisy_chains_around_sampling(self, tiny_params):
         # hidden noise and output sampling can be combined; replay soundness

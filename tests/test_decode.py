@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from npad.chains import NpadConfig, _live_noise, _noise_table, run_chains
+from npad.chains import NpadConfig, _chain_noise, run_chains
 from npad.core import ContractError, RngStream, derive_seed
 from npad.decode import (
     DecodeLimits,
@@ -45,29 +45,35 @@ def samples(model, n, seed, limits=None):
 
 
 class TestNoiseSchedule:
-    """The sigma_t = sigma0 / t schedule as a chain draws it: up front as a
-    table (greedy and sampling chains) or one row per live hypothesis (beam)."""
+    """The sigma_t = sigma0 / t schedule as the chains draw it: each noisy
+    chain's rows take the next standard normal rows of its stream."""
 
     @staticmethod
     def stream(cfg, m, rows, dim):
         """Chain m's standard normal noise rows, unscaled."""
         return RngStream(derive_seed(derive_seed(cfg.base_seed, m), 0)).normal_vec((rows, dim))
 
+    @staticmethod
+    def one_row_per_step(noise, chains, steps):
+        """The noise of `chains` one-row searches over `steps` steps, (steps, chains, d)."""
+        return np.stack([noise(t, np.arange(chains)) for t in range(1, steps + 1)])
+
     def test_inverse_t_values(self):
         cfg = NpadConfig(chains=2, sigma0=0.3, base_seed=5)
-        table, z = _noise_table(cfg, 1, 7, 4), self.stream(cfg, 1, 7, 4)
-        assert np.array_equal(table[0], z[0] * 0.3)
-        assert np.array_equal(table[1], z[1] * (0.3 / 2))
-        assert np.allclose(table[1], z[1] * 0.15, rtol=1e-15, atol=0)
-        assert not _noise_table(cfg, 0, 7, 4).any()
+        rows = self.one_row_per_step(_chain_noise(cfg, [0, 1], 7, 4), 2, 7)
+        z = self.stream(cfg, 1, 7, 4)
+        assert np.array_equal(rows[0, 1], z[0] * 0.3)
+        assert np.array_equal(rows[1, 1], z[1] * (0.3 / 2))
+        assert np.allclose(rows[1, 1], z[1] * 0.15, rtol=1e-15, atol=0)
+        assert not rows[:, 0].any()
         silent = NpadConfig(chains=2, sigma0=0.0, include_zero_chain=False)
-        assert not _noise_table(silent, 1, 7, 4).any()
-        assert _live_noise(silent, 1, 4)(7, np.arange(3)) is None
+        assert _chain_noise(silent, [0, 1], 7, 4) is None
 
     def test_strictly_decreasing(self):
         cfg = NpadConfig(chains=2, sigma0=0.5, base_seed=9)
-        table, z = _noise_table(cfg, 1, 19, 6), self.stream(cfg, 1, 19, 6)
-        sigmas = np.linalg.norm(table, axis=1) / np.linalg.norm(z, axis=1)
+        rows = self.one_row_per_step(_chain_noise(cfg, [1], 19, 6), 1, 19)[:, 0]
+        z = self.stream(cfg, 1, 19, 6)
+        sigmas = np.linalg.norm(rows, axis=1) / np.linalg.norm(z, axis=1)
         assert np.allclose(sigmas, 0.5 / np.arange(1, 20), rtol=1e-12, atol=0)
         assert all(a > b for a, b in zip(sigmas, sigmas[1:]))
 
@@ -77,15 +83,17 @@ class TestNoiseSchedule:
                 NpadConfig(chains=2, sigma0=bad)
 
     def test_rows_and_table_equal_successive_vectors(self):
-        # both draw forms walk the chain's one stream in step order: one live
-        # row per step gives the table, two live rows at step 3 the first two
-        # stream rows scaled by sigma0 / 3
-        cfg = NpadConfig(chains=2, sigma0=0.7, base_seed=8)
-        live = _live_noise(cfg, 1, 5)
-        per_step = np.concatenate([live(t, np.arange(1)) for t in range(1, 7)])
-        assert np.array_equal(_noise_table(cfg, 1, 6, 5), per_step)
-        rows = _live_noise(cfg, 1, 5)(3, np.arange(2))
-        assert np.array_equal(rows, self.stream(cfg, 1, 2, 5) * (0.7 / 3))
+        # each chain walks its one stream in step order, whatever its row
+        # count: chain 1 has one row at step 1 and two from step 2 on, chain 2
+        # one row throughout, so at step 3 chain 1 takes stream rows 3 and 4
+        cfg = NpadConfig(chains=3, sigma0=0.7, base_seed=8)
+        noise = _chain_noise(cfg, [1, 2], 12, 5)
+        steps = [noise(1, np.array([0, 1])), noise(2, np.array([0, 0, 1])),
+                 noise(3, np.array([0, 0, 1]))]
+        z1, z2 = self.stream(cfg, 1, 5, 5), self.stream(cfg, 2, 3, 5)
+        assert np.array_equal(steps[0], np.stack([z1[0], z2[0]]) * 0.7)
+        assert np.array_equal(steps[1], np.stack([z1[1], z1[2], z2[1]]) * (0.7 / 2))
+        assert np.array_equal(steps[2], np.stack([z1[3], z1[4], z2[2]]) * (0.7 / 3))
 
     def test_non_finite_sigma0_rejected(self):
         for bad in (float("nan"), float("inf")):

@@ -297,6 +297,21 @@ class TestSpecFiles:
         with pytest.raises(ConfigError):
             Cell(strategy="diverse", beam_width=2)  # eta missing
 
+    def test_chains_and_beam_width_below_one_rejected(self, tmp_path):
+        # a given count below 1 is an error for every strategy, not a silent
+        # one-chain or greedy-inner run
+        for fields in ({"strategy": "sample", "chains": 0},
+                       {"strategy": "npad", "chains": 3, "sigma0": 0.3, "beam_width": 0},
+                       {"strategy": "npad", "chains": -1, "sigma0": 0.3},
+                       {"strategy": "beam", "beam_width": -4},
+                       {"strategy": "greedy", "beam_width": 0}):
+            with pytest.raises(ConfigError):
+                Cell(**fields)
+            body = {"model": "m", "test_set": "t", "vocab_src": "a", "vocab_tgt": "b",
+                    "base_seed": 1, "cells": [fields]}
+            with pytest.raises(ConfigError):
+                load_spec(self._write_spec(tmp_path, body))
+
     def test_non_finite_cell_values_rejected(self):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ConfigError):
