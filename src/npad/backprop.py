@@ -1,0 +1,291 @@
+"""Force-decoding losses and exact gradients with a batch's pairs as rows.
+
+Pairs of equal source and target lengths run as the rows of one forward and
+backward pass, and the loss and gradient bits are those of running the pairs
+one at a time in batch order: every product is the per-pair gemv or gemm
+call, and every gradient tensor adds its per-(pair, step) terms in the order
+the per-pair backward visits them (docs/model.md, "Training").
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from .model import (
+    BOS,
+    ModelParams,
+    VocabError,
+    _matvec_rows,
+    encode_rows,
+    initial_rows,
+    step_rows_with_cache,
+)
+from .tasks import SequencePair
+
+
+# Pairs whose forward and backward passes run as rows together: bounds the
+# per-step rows `batch_gradients` keeps for backpropagation, and the group
+# size of a forward-only pass.
+WINDOW = 16
+# Bytes of weight-gradient terms formed at once before they are summed.
+TERM_BYTES = 1 << 17
+
+
+def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
+    return {name: np.zeros_like(t) for name, t in params.tensors.items()}
+
+
+def _length_groups(pairs: list[SequencePair]) -> list[list[int]]:
+    """Indices of the pairs with equal source and target lengths, in first-seen order."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, pair in enumerate(pairs):
+        groups.setdefault((len(pair.source), len(pair.target)), []).append(i)
+    return list(groups.values())
+
+
+def forward_rows(params: ModelParams, pairs: list[SequencePair]):
+    """Force-decode pairs of one source and one target length with zero noise,
+    as the rows of each encoder and decoder step. Returns (nll (B,), cache
+    for backprop); nll[b] is bitwise -score_sequence of pair b. The cache
+    holds each decoder step's rows in (T, B, ...) arrays.
+    """
+    dims = params.dims
+    sources = np.array([pair.source for pair in pairs], dtype=np.int64)
+    targets = np.array([pair.target for pair in pairs], dtype=np.int64)
+    if np.any(targets < 0) or np.any(targets >= dims.n_tgt):
+        raise VocabError(f"target token index out of range (|V_tgt|={dims.n_tgt})")
+    enc, enc_steps = encode_rows(params, sources)
+    (B, T), L = targets.shape, sources.shape[1]
+    widths = {"q": dims.d_hid, "hc": dims.d_hid + dims.d_ann, "u": dims.d_dec_in,
+              "z": dims.d_hid, "r": dims.d_hid, "n": dims.d_hid, "alpha": L, "probs": dims.n_tgt}
+    steps = {name: np.empty((T, B, width)) for name, width in widths.items()}
+    rows = np.arange(B)
+    H = initial_rows(params, enc.annotations)
+    prev = np.full(B, BOS)
+    nll = np.zeros(B)
+    for j, y in enumerate(targets.T):
+        steps["q"][j] = H
+        H, logp, cache = step_rows_with_cache(params, enc, H, prev)
+        nll -= logp[rows, y]
+        for name in ("u", "z", "r", "n", "alpha"):
+            steps[name][j] = cache[name]
+        steps["hc"][j, :, :dims.d_hid] = H
+        steps["hc"][j, :, dims.d_hid:] = cache["context"]
+        np.exp(logp, out=steps["probs"][j])
+        prev = y
+    return nll, {"sources": sources, "targets": targets, "enc": enc, "enc_steps": enc_steps,
+                 "steps": steps}
+
+
+def _gru_back_rows(tensors, pre: str, dh: np.ndarray, cache):
+    """Backward through one GRU step of each row. Returns (dx, dh_prev) and
+    the gates' pre-activation gradients (dz, dr, dn), the weight gradients'
+    row factors."""
+    x, hprev, z, r, n = cache
+    dz = dh * (n - hprev)
+    dn = dh * z
+    dhp = dh * (1.0 - z)
+    dn_pre = dn * (1.0 - n * n)
+    dx = _matvec_rows(tensors[f"{pre}.Wn"].T, dn_pre)
+    tmp = _matvec_rows(tensors[f"{pre}.Un"].T, dn_pre)
+    dr = tmp * hprev
+    dhp = dhp + tmp * r
+    dz_pre = dz * z * (1.0 - z)
+    dx += _matvec_rows(tensors[f"{pre}.Wz"].T, dz_pre)
+    dhp += _matvec_rows(tensors[f"{pre}.Uz"].T, dz_pre)
+    dr_pre = dr * r * (1.0 - r)
+    dx += _matvec_rows(tensors[f"{pre}.Wr"].T, dr_pre)
+    dhp += _matvec_rows(tensors[f"{pre}.Ur"].T, dr_pre)
+    return dx, dhp, (dz_pre, dr_pre, dn_pre)
+
+
+def _gru_terms(pre: str, x: np.ndarray, hprev: np.ndarray, r: np.ndarray, d) -> dict:
+    """One GRU's weight-gradient terms as row factors in visit order, last
+    step first, from its steps' inputs x, h_prev and reset gates r, (S, B,
+    ...) arrays in the order the steps ran, and d = (dz, dr, dn), the gates'
+    pre-activation gradients: W_g and U_g get outer(d_g, x) and outer(d_g,
+    h_prev) (outer(d_n, r * h_prev) for the candidate), b_g gets d_g.
+    Overwrites r with r * h_prev.
+    """
+    terms = {}
+    for gate, dg, h in zip("zrn", d, (hprev, hprev, np.multiply(r, hprev, out=r))):
+        terms.update({f"{pre}.W{gate}": (dg[::-1], x[::-1]), f"{pre}.U{gate}": (dg[::-1], h[::-1]),
+                      f"{pre}.b{gate}": (dg[::-1],)})
+    return terms
+
+
+def backward_rows(params: ModelParams, cache) -> dict:
+    """Backpropagate a `forward_rows` group. Returns the weight-gradient
+    terms of every pair, unsummed: tensor -> row factors whose axis 0 runs in
+    the order the per-pair backward visits the terms and axis 1 over the rows
+    (`_add_pair_terms` reads them). The terms reuse the cache's arrays: once a
+    step's gates are read, its z, n and alpha hold dz, dn and ds.
+
+    Every vector is bitwise the per-pair backward's: the same elementwise
+    expressions, and products as stacked gemv or gemm calls, one per row.
+    """
+    t = params.tensors
+    d_emb, d_hid = params.dims.d_emb, params.dims.d_hid
+    enc, st, targets = cache["enc"], cache["steps"], cache["targets"]
+    A = enc.annotations                                    # (B, L, 2*d_hid)
+    B, L = A.shape[:2]
+    T = targets.shape[1]
+    rows = np.arange(B)
+    Wq, Wk, v = t["att.Wq"], t["att.Wk"], t["att.v"]
+    dA = np.zeros_like(A)
+    dlogits, q, z, r, n, ds = (st[k] for k in ("probs", "q", "z", "r", "n", "alpha"))
+    dr, dv, dpre_sum, du_emb = (np.empty((T, B, w)) for w in (d_hid, d_hid, d_hid, d_emb))
+
+    carry = np.zeros((B, d_hid))
+    for j in range(T - 1, -1, -1):
+        dlogits[j, rows, targets[:, j]] -= 1.0
+        dhc = _matvec_rows(t["out.W"].T, dlogits[j])
+        dh = dhc[:, :d_hid] + carry
+        dctx = dhc[:, d_hid:].copy()
+
+        du, dq, (z[j], dr[j], n[j]) = _gru_back_rows(
+            t, "dec", dh, (st["u"][j], q[j], z[j], r[j], n[j]))
+        du_emb[j] = du[:, :d_emb]
+        dctx += du[:, d_emb:]
+
+        alpha = ds[j]                       # ds[j] holds alpha until it is overwritten below
+        M = np.tanh(enc.att_keys + q[j][:, None, :] @ Wq.T)   # as the forward step made it
+        dalpha = (A @ dctx[:, :, None])[:, :, 0]
+        dA += alpha[:, :, None] * dctx[:, None, :]
+        ds[j] = alpha * (dalpha - (alpha[:, None, :] @ dalpha[:, :, None])[:, 0])
+        dv[j] = (np.swapaxes(M, 1, 2) @ ds[j][:, :, None])[:, :, 0]
+        dpre = ds[j][:, :, None] * v * (1.0 - M * M)
+        dpre_sum[j] = dpre.sum(axis=1)
+        dq = dq + _matvec_rows(Wq.T, dpre_sum[j])
+        dA += dpre @ Wk
+        carry = dq
+
+    terms = _gru_terms("dec", st["u"], q, r, (z, dr, n))
+    terms.update({"out.W": (dlogits[::-1], st["hc"][::-1]), "out.b": (dlogits[::-1],),
+                  "att.v": (dv[::-1],), "att.Wq": (dpre_sum[::-1], q[::-1]),
+                  "att.Wk": (q[::-1], ds[::-1]), "att.b": (dpre_sum[::-1],)})
+    prev = np.vstack([np.full(B, BOS), targets.T[:-1]])
+    terms["tgt_embed"] = (prev[::-1], du_emb[::-1])
+
+    # initial state
+    dpre0 = carry * (1.0 - q[0] * q[0])
+    terms.update({"init.W": (dpre0[None], A.mean(axis=1)[None]), "init.b": (dpre0[None],)})
+    dA += _matvec_rows(t["init.W"].T, dpre0)[:, None, :] / L
+
+    # encoder: each direction from its last step back; enc_b ran from the right
+    dX = np.zeros((L, B, d_emb))
+    for pre, half in (("enc_f", slice(None, d_hid)), ("enc_b", slice(d_hid, None))):
+        x, hprev, z, r, n = cache["enc_steps"][pre]
+        dr = np.empty_like(r)
+        carry = np.zeros((B, d_hid))
+        for k in range(L - 1, -1, -1):
+            i = k if pre == "enc_f" else L - 1 - k
+            dx, carry, (z[k], dr[k], n[k]) = _gru_back_rows(
+                t, pre, dA[:, i, half] + carry, (x[k], hprev[k], z[k], r[k], n[k]))
+            dX[i] += dx
+        terms.update(_gru_terms(pre, x, hprev, r, (z, dr, n)))
+    terms["src_embed"] = (cache["sources"].T, dX)
+    return terms
+
+
+def _add_terms(g: np.ndarray, runs) -> None:
+    """Add terms onto g in order, with the bits of `g += term` one term at a
+    time. `runs` yields (count, fill) for consecutive runs of terms, where
+    fill(i, j, out) writes the run's terms i..j-1 into out. Terms are formed
+    into a buffer of about TERM_BYTES whose slot 0 holds g, and the buffer is
+    summed into g along axis 0 whenever it fills up.
+    """
+    size = max(1, TERM_BYTES // g.nbytes)
+    buf = np.empty((size + 1,) + g.shape)
+    used = 0
+    for count, fill in runs:
+        i = 0
+        while i < count:
+            j = min(count, i + size - used)
+            fill(i, j, buf[1 + used:1 + used + j - i])
+            used += j - i
+            i = j
+            if used == size:
+                _sum_in_order(buf, g)
+                used = 0
+    if used:
+        _sum_in_order(buf[:used + 1], g)
+
+
+def _sum_in_order(buf: np.ndarray, g: np.ndarray) -> None:
+    """g = g + buf[1] + buf[2] + ..., one addition after another."""
+    buf[0] = g
+    if g.size == 1:
+        # with no other axis to loop over, add.reduce would sum pairwise
+        g[...] = np.add.accumulate(buf, axis=0)[-1]
+    else:
+        # numpy reduces a non-innermost axis by sequential adds
+        np.add.reduce(buf, axis=0, out=g)
+
+
+def _pair_terms(params: ModelParams, name: str, enc, factors, row: int):
+    """(count, fill) for the terms of tensor `name` of one pair, row `row` of
+    its group's factors and encoding: fill(i, j, out) writes terms i..j-1."""
+    a, *b = (f[:, row] for f in factors)
+    if name == "att.Wk":                    # dpre.T @ A, each dpre rebuilt from q (a) and ds (b)
+        Wq, v = params.tensors["att.Wq"], params.tensors["att.v"]
+        keys, A = enc.att_keys[row], enc.annotations[row]
+
+        def fill(i, j, out):
+            M = np.tanh(keys + a[i:j, None, :] @ Wq.T)
+            dpre = b[0][i:j, :, None] * v * (1.0 - M * M)
+            np.matmul(np.swapaxes(dpre, 1, 2), A, out=out)
+    elif b:                                 # np.outer(a, b)
+        def fill(i, j, out):
+            np.multiply(a[i:j, :, None], b[0][i:j, None, :], out=out)
+    else:
+        def fill(i, j, out):
+            out[...] = a[i:j]
+    return len(a), fill
+
+
+def _add_pair_terms(params: ModelParams, g: dict[str, np.ndarray], groups, order) -> None:
+    """Add the gradient terms of `groups` ((encoding, terms) of each
+    `backward_rows` group) into g pair by pair: `order` is the (group, row)
+    of each pair in batch order. Per tensor, the terms are added in the order
+    the per-pair backward adds them, pair after pair."""
+    for name, tensor in g.items():
+        if name.endswith("_embed"):
+            for gi, row in order:
+                index, value = groups[gi][1][name]
+                np.add.at(tensor, index[:, row], value[:, row])
+        else:
+            _add_terms(tensor, (_pair_terms(params, name, groups[gi][0], groups[gi][1][name], row)
+                                for gi, row in order))
+
+
+def batch_gradients(params: ModelParams, batch: list[SequencePair]):
+    """Sum of the pairs' losses and gradients: (total nll, tensor -> gradient).
+
+    Among each WINDOW consecutive pairs, those of equal lengths run as the
+    rows of one forward and backward pass.
+    """
+    g = zero_grads(params)
+    total = 0.0
+    for start in range(0, len(batch), WINDOW):
+        window = batch[start:start + WINDOW]
+        groups, order, nll = [], [None] * len(window), [0.0] * len(window)
+        for gi, ix in enumerate(_length_groups(window)):
+            values, cache = forward_rows(params, [window[i] for i in ix])
+            groups.append((cache["enc"], backward_rows(params, cache)))
+            for row, i in enumerate(ix):
+                order[i], nll[i] = (gi, row), float(values[row])
+        for value in nll:                   # in batch order, one addition at a time
+            total += value
+        _add_pair_terms(params, g, groups, order)
+    return total, g
+
+
+def pair_nlls(params: ModelParams, pairs: list[SequencePair]) -> list[float]:
+    """Each pair's negative log-likelihood, bitwise -score_sequence: a
+    forward pass over groups of at most WINDOW pairs of equal lengths."""
+    nll = np.empty(len(pairs))
+    for ix in _length_groups(pairs):
+        for k in range(0, len(ix), WINDOW):
+            part = ix[k:k + WINDOW]
+            nll[part] = forward_rows(params, [pairs[i] for i in part])[0]
+    return nll.tolist()

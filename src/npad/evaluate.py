@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing as mp
+import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -204,13 +205,15 @@ def decode_corpus(params, sources, references, cell: Cell, base_seed: int,
                   keep_chains: bool = False) -> list[EvalRecord]:
     """Decode every source under a cell; per-sentence seeds derive from
     (base_seed, input_id), so results are independent of worker count.
+    The pool has at most one worker per sentence and per usable CPU.
     With keep_chains, each record of a sample or npad cell keeps its chain
     results.
     """
     n = len(sources)
     ctx = {"params": params, "sources": sources, "cell": cell,
            "base_seed": base_seed, "max_len": max_len, "keep_chains": keep_chains}
-    if workers > 1 and n > 1:
+    workers = min(workers, n, len(os.sched_getaffinity(0)))
+    if workers > 1:
         with mp.get_context("fork").Pool(workers, _init_worker, (ctx,)) as pool:
             outcomes = pool.map(_decode_item, range(n))
     else:

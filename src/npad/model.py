@@ -161,12 +161,12 @@ def init_params(rng: RngStream, dims: Dims, scale: float = 0.08) -> ModelParams:
 class EncodedSource:
     """Per-position annotations (rows) plus cached attention keys."""
 
-    annotations: np.ndarray        # (source_len, 2*d_hid)
-    att_keys: np.ndarray           # (source_len, d_hid): Wk a_i + b, cached
+    annotations: np.ndarray        # (source_len, 2*d_hid), or (B, source_len, 2*d_hid)
+    att_keys: np.ndarray           # (source_len, d_hid): Wk a_i + b, cached; (B, ...) likewise
 
     @property
     def source_len(self) -> int:
-        return self.annotations.shape[0]
+        return self.annotations.shape[-2]
 
 
 @dataclass
@@ -193,46 +193,60 @@ def _check_source(dims: Dims, source) -> np.ndarray:
     return src
 
 
-def encode_with_cache(params: ModelParams, source):
-    """Bidirectional encode. Returns (EncodedSource, cache) for backprop."""
+def encode(params: ModelParams, source) -> EncodedSource:
+    """Bidirectional encode of one source, one vector per GRU step."""
     src = _check_source(params.dims, source)
     t = params.tensors
     L, d_hid = src.size, params.dims.d_hid
     X = t["src_embed"][src]
-
-    f_states = [np.zeros(d_hid)]
-    f_caches = []
-    for i in range(L):
-        h, cache = _gru_fwd(t, "enc_f", X[i], f_states[-1])
-        f_states.append(h)
-        f_caches.append(cache)
-
-    b_states = [np.zeros(d_hid)]     # b_states[k] is the state after reading k tokens from the right
-    b_caches = []
-    for i in range(L - 1, -1, -1):
-        h, cache = _gru_fwd(t, "enc_b", X[i], b_states[-1])
-        b_states.append(h)
-        b_caches.append(cache)
-
     ann = np.empty((L, 2 * d_hid))
+    h = np.zeros(d_hid)
     for i in range(L):
-        ann[i, :d_hid] = f_states[i + 1]
-        ann[i, d_hid:] = b_states[L - i]
-    keys = ann @ t["att.Wk"].T + t["att.b"]
-    enc = EncodedSource(annotations=ann, att_keys=keys)
-    cache = {"src": src, "X": X, "f_states": f_states, "f_caches": f_caches,
-             "b_states": b_states, "b_caches": b_caches}
-    return enc, cache
+        h = _gru_fwd(t, "enc_f", X[i], h)[0]
+        ann[i, :d_hid] = h
+    h = np.zeros(d_hid)
+    for i in range(L - 1, -1, -1):
+        h = _gru_fwd(t, "enc_b", X[i], h)[0]
+        ann[i, d_hid:] = h
+    return EncodedSource(annotations=ann, att_keys=ann @ t["att.Wk"].T + t["att.b"])
 
 
-def encode(params: ModelParams, source) -> EncodedSource:
-    return encode_with_cache(params, source)[0]
+def encode_rows(params: ModelParams, sources: np.ndarray):
+    """`encode` of B sources of one length, (B, L) token indices, as the rows
+    of one `_gru_rows` call per position and direction. Returns the sources
+    stacked into one EncodedSource ((B, L, ...) arrays; row b is bitwise
+    `encode` of source b) and, for backpropagation, each direction's step
+    inputs and gates (x, h_prev, z, r, n), (L, B, ...) arrays whose axis 0
+    runs in the order the steps ran.
+    """
+    _check_source(params.dims, sources.ravel())
+    t = params.tensors
+    B, L = sources.shape
+    d_hid = params.dims.d_hid
+    X = t["src_embed"][sources.T]                     # (L, B, d_emb)
+    steps, states = {}, {}
+    for pre, x in (("enc_f", X), ("enc_b", X[::-1])):
+        S = np.zeros((L + 1, B, d_hid))               # S[k]: the state before step k
+        Z, R, N = (np.empty((L, B, d_hid)) for _ in range(3))
+        for k in range(L):
+            S[k + 1], Z[k], R[k], N[k] = _gru_rows(t, pre, x[k], S[k])
+        steps[pre] = (x, S[:-1], Z, R, N)
+        states[pre] = S[1:]
+    ann = np.empty((B, L, 2 * d_hid))
+    ann[:, :, :d_hid] = states["enc_f"].transpose(1, 0, 2)
+    ann[:, :, d_hid:] = states["enc_b"][::-1].transpose(1, 0, 2)
+    enc = EncodedSource(annotations=ann, att_keys=ann @ t["att.Wk"].T + t["att.b"])
+    return enc, steps
+
+
+def initial_rows(params: ModelParams, annotations: np.ndarray) -> np.ndarray:
+    """Decoder initial state of each of B sources' (B, L, 2*d_hid) annotations: (B, d_hid)."""
+    abar = annotations.mean(axis=1)
+    return np.tanh(_matvec_rows(params.tensors["init.W"], abar) + params.tensors["init.b"])
 
 
 def initial_state(params: ModelParams, enc: EncodedSource) -> DecoderState:
-    abar = enc.annotations.mean(axis=0)
-    h0 = np.tanh(params.tensors["init.W"] @ abar + params.tensors["init.b"])
-    return DecoderState(h=h0, t=0)
+    return DecoderState(h=initial_rows(params, enc.annotations[None])[0], t=0)
 
 
 def _attend(params: ModelParams, query: np.ndarray, enc: EncodedSource, want_cache: bool = False):
@@ -300,7 +314,7 @@ def step_rows_with_cache(params: ModelParams, enc: EncodedSource, H: np.ndarray,
     Q = H if noise is None else H + noise
     M = np.tanh(enc.att_keys + Q[:, None, :] @ t["att.Wq"].T)          # (B, L, d_hid)
     alpha = _softmax_rows(M @ t["att.v"])
-    C = (enc.annotations.T @ alpha[:, :, None])[:, :, 0]
+    C = (np.swapaxes(enc.annotations, -1, -2) @ alpha[:, :, None])[:, :, 0]
     U = np.concatenate([t["tgt_embed"][prev], C], axis=1)
     Hn, z, r, n = _gru_rows(t, "dec", U, Q)
     logits = _matvec_rows(t["out.W"], np.concatenate([Hn, C], axis=1)) + t["out.b"]

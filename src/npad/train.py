@@ -11,15 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .backprop import batch_gradients, pair_nlls, zero_grads
 from .core import ContractError, RngStream
-from .model import (
-    BOS,
-    ModelParams,
-    encode_with_cache,
-    initial_state,
-    score_sequence,
-    step_rows_with_cache,
-)
+from .model import ModelParams
 from .tasks import SequencePair
 
 
@@ -51,140 +45,16 @@ class TrainConfig:
             raise ContractError("batch_size must be >= 1")
 
 
-def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(t) for name, t in params.tensors.items()}
-
-
-def forward_pair(params: ModelParams, pair: SequencePair):
-    """Force-decode one pair with zero noise; returns (nll, cache for backprop).
-
-    Each step is a one-row call of the decoder's step kernel, which also
-    hands back the intermediates the backward pass reads.
-    """
-    enc, enc_cache = encode_with_cache(params, pair.source)
-    h0 = initial_state(params, enc).h
-    steps = []
-    H = h0[None]
-    prev = BOS
-    loss = 0.0
-    for y in pair.target:
-        H, logp, rows = step_rows_with_cache(params, enc, H, np.array([prev]))
-        loss -= float(logp[0, y])
-        step = {name: value[0] for name, value in rows.items()}
-        step.update(prev=prev, y=int(y), h=H[0], probs=np.exp(logp[0]))
-        steps.append(step)
-        prev = int(y)
-    cache = {"pair": pair, "enc": enc, "enc_cache": enc_cache,
-             "abar": enc.annotations.mean(axis=0), "h0": h0, "steps": steps}
-    return loss, cache
-
-
-def pair_nll(params: ModelParams, pair: SequencePair) -> float:
-    return -score_sequence(params, pair.source, pair.target)
-
-
-def _gru_back(tensors, g, pre, dh, cache):
-    """Backward through one GRU cell; accumulates into g, returns (dx, dhprev)."""
-    x, hprev, z, r, n = cache
-    dz = dh * (n - hprev)
-    dn = dh * z
-    dhp = dh * (1.0 - z)
-    dn_pre = dn * (1.0 - n * n)
-    g[f"{pre}.Wn"] += np.outer(dn_pre, x)
-    g[f"{pre}.Un"] += np.outer(dn_pre, r * hprev)
-    g[f"{pre}.bn"] += dn_pre
-    dx = tensors[f"{pre}.Wn"].T @ dn_pre
-    tmp = tensors[f"{pre}.Un"].T @ dn_pre
-    dr = tmp * hprev
-    dhp = dhp + tmp * r
-    dz_pre = dz * z * (1.0 - z)
-    g[f"{pre}.Wz"] += np.outer(dz_pre, x)
-    g[f"{pre}.Uz"] += np.outer(dz_pre, hprev)
-    g[f"{pre}.bz"] += dz_pre
-    dx += tensors[f"{pre}.Wz"].T @ dz_pre
-    dhp += tensors[f"{pre}.Uz"].T @ dz_pre
-    dr_pre = dr * r * (1.0 - r)
-    g[f"{pre}.Wr"] += np.outer(dr_pre, x)
-    g[f"{pre}.Ur"] += np.outer(dr_pre, hprev)
-    g[f"{pre}.br"] += dr_pre
-    dx += tensors[f"{pre}.Wr"].T @ dr_pre
-    dhp += tensors[f"{pre}.Ur"].T @ dr_pre
-    return dx, dhp
-
-
-def backward_pair(params: ModelParams, cache, g: dict[str, np.ndarray]) -> None:
-    """Accumulate d(nll)/d(theta) for one force-decoded pair into g."""
-    t = params.tensors
-    d_emb, d_hid = params.dims.d_emb, params.dims.d_hid
-    enc = cache["enc"]
-    A = enc.annotations
-    L = A.shape[0]
-    dA = np.zeros_like(A)
-
-    carry = np.zeros(d_hid)
-    for step in reversed(cache["steps"]):
-        dlogits = step["probs"].copy()
-        dlogits[step["y"]] -= 1.0
-        hc = np.concatenate([step["h"], step["context"]])
-        g["out.W"] += np.outer(dlogits, hc)
-        g["out.b"] += dlogits
-        dhc = t["out.W"].T @ dlogits
-        dh = dhc[:d_hid] + carry
-        dctx = dhc[d_hid:].copy()
-
-        gru = (step["u"], step["q"], step["z"], step["r"], step["n"])
-        du, dq = _gru_back(t, g, "dec", dh, gru)
-        g["tgt_embed"][step["prev"]] += du[:d_emb]
-        dctx += du[d_emb:]
-
-        alpha, M, q = step["alpha"], step["M"], step["q"]
-        dalpha = A @ dctx
-        dA += np.outer(alpha, dctx)
-        ds = alpha * (dalpha - float(alpha @ dalpha))
-        g["att.v"] += M.T @ ds
-        dpre = np.outer(ds, t["att.v"]) * (1.0 - M * M)
-        dpre_sum = dpre.sum(axis=0)
-        g["att.Wq"] += np.outer(dpre_sum, q)
-        g["att.Wk"] += dpre.T @ A
-        g["att.b"] += dpre_sum
-        dq = dq + t["att.Wq"].T @ dpre_sum
-        dA += dpre @ t["att.Wk"]
-
-        carry = dq
-
-    # initial state
-    h0, abar = cache["h0"], cache["abar"]
-    dpre0 = carry * (1.0 - h0 * h0)
-    g["init.W"] += np.outer(dpre0, abar)
-    g["init.b"] += dpre0
-    dA += (t["init.W"].T @ dpre0) / L
-
-    # encoder
-    ec = cache["enc_cache"]
-    dX = np.zeros((L, d_emb))
-    carry_f = np.zeros(d_hid)
-    for i in range(L - 1, -1, -1):
-        df = dA[i, :d_hid] + carry_f
-        dx, carry_f = _gru_back(t, g, "enc_f", df, ec["f_caches"][i])
-        dX[i] += dx
-    carry_b = np.zeros(d_hid)
-    for i in range(L):
-        db = dA[i, d_hid:] + carry_b
-        dx, carry_b = _gru_back(t, g, "enc_b", db, ec["b_caches"][L - 1 - i])
-        dX[i] += dx
-    np.add.at(g["src_embed"], ec["src"], dX)
-
-
 def nll_loss(params: ModelParams, batch: list[SequencePair]):
-    """Mean per-sentence negative log-likelihood of the batch, with gradients."""
+    """Mean per-sentence negative log-likelihood of the batch, with gradients.
+
+    The batch's pairs run as rows (`backprop.batch_gradients`); loss and
+    gradients are bitwise those of force-decoding and backpropagating the
+    pairs one at a time in batch order (tests/reference.py).
+    """
     if not batch:
         raise ContractError("batch must be non-empty")
-    g = zero_grads(params)
-    total = 0.0
-    for pair in batch:
-        loss, cache = forward_pair(params, pair)
-        total += loss
-        backward_pair(params, cache, g)
+    total, g = batch_gradients(params, batch)
     scale = 1.0 / len(batch)
     loss = total * scale
     if not np.isfinite(loss):
@@ -222,12 +92,14 @@ class TraceRow:
 
 
 def valid_nll(params: ModelParams, pairs: list[SequencePair]) -> tuple[float, float]:
+    """Mean per-sentence and per-token NLL: the per-pair values, computed
+    as rows, summed in pair order."""
     if not pairs:
         raise ContractError("validation set must be non-empty")
     total = 0.0
     tokens = 0
-    for pair in pairs:
-        total += pair_nll(params, pair)
+    for pair, value in zip(pairs, pair_nlls(params, pairs)):
+        total += value
         tokens += len(pair.target)
     return total / len(pairs), total / tokens
 
@@ -318,9 +190,9 @@ def grad_check(params: ModelParams, pair: SequencePair,
         for idx in np.ndindex(tensor.shape):
             orig = tensor[idx]
             tensor[idx] = orig + h
-            up = forward_pair(params, pair)[0]
+            up = pair_nlls(params, [pair])[0]
             tensor[idx] = orig - h
-            down = forward_pair(params, pair)[0]
+            down = pair_nlls(params, [pair])[0]
             tensor[idx] = orig
             num[idx] = (up - down) / (2.0 * h)
         numeric[name] = num

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npad import chains
+from npad import chains, evaluate
 from npad.core import ContractError, RngStream
 from npad.evaluate import (
     Cell,
@@ -135,6 +135,40 @@ class TestDecodeCorpus:
         par = decode_corpus(params, sources, refs, cell, base_seed=4, workers=3)
         assert [(r.input_id, r.tokens, r.rescored_logp) for r in seq] == \
             [(r.input_id, r.tokens, r.rescored_logp) for r in par]
+
+    @pytest.mark.parametrize("workers, n, cpus, pool", [
+        (10**9, 5, 8, 5), (10**9, 5, 2, 2), (3, 5, 8, 3), (4, 5, 1, None), (4, 1, 8, None)])
+    def test_pool_capped_by_sentences_and_cpus(self, toy_setup, monkeypatch, workers, n, cpus, pool):
+        # the pool constructor is replaced, so no process starts whatever N is asked for
+        params, data, pairs = toy_setup
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes, initializer, initargs):
+                sizes.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(i) for i in items]
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr(evaluate.mp, "get_context", lambda method: FakeContext)
+        monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(evaluate, "_WORKER_CTX", None)      # restored after the test
+        sources = [p.source for p in pairs[:n]]
+        cell = Cell(strategy="greedy")
+        records = decode_corpus(params, sources, None, cell, base_seed=4, workers=workers)
+        assert sizes == ([] if pool is None else [pool])
+        assert [r.tokens for r in records] == \
+            [r.tokens for r in decode_corpus(params, sources, None, cell, base_seed=4)]
 
     def test_every_logp_replay_verifies(self, toy_setup):
         # a record's logp, and every chain's rescored logp, is the non-noisy

@@ -17,6 +17,7 @@ from npad.model import (
     attention_context,
     decoder_step,
     encode,
+    encode_rows,
     init_params,
     initial_state,
     score_sequence,
@@ -27,6 +28,7 @@ from npad.model import (
 )
 from npad.core import log_softmax
 from conftest import make_params
+from reference import encode_with_cache
 
 
 def uniform_readout(params):
@@ -125,6 +127,22 @@ class TestEncode:
         expected = np.array([[f[1], g[3]], [f[2], g[2]], [f[3], g[1]]])
         enc = encode(p, source)
         np.testing.assert_allclose(enc.annotations, expected, atol=1e-14)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7, 16])
+def test_encode_rows_bitwise_equal_per_vector_encoder(batch):
+    # each row of the rows encoder, and `encode`, is bitwise the per-vector
+    # reference encoder, whatever the other rows
+    params = make_params(batch, d_emb=16, d_hid=24, n_src=35, n_tgt=35, scale=0.3)
+    sources = RngStream(batch).integers(3, 35, size=(batch, 13))
+    enc, _ = encode_rows(params, sources)
+    for b, source in enumerate(sources):
+        ref, _ = encode_with_cache(params, source)
+        alone = encode(params, source)
+        for got in (enc.annotations[b], alone.annotations):
+            assert np.array_equal(got, ref.annotations)
+        for got in (enc.att_keys[b], alone.att_keys):
+            assert np.array_equal(got, ref.att_keys)
 
 
 class TestAttention:

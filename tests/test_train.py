@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from npad.core import ContractError, RngStream
 from npad.model import EOS, Dims, init_params, score_sequence
 from npad.tasks import SequencePair, gen_task, split_pairs
+from npad.backprop import WINDOW
 from npad.train import (
     DivergenceError,
     TrainConfig,
@@ -17,8 +20,12 @@ from npad.train import (
     nll_loss,
     relative_errors,
     train,
+    valid_nll,
 )
 from conftest import make_params
+
+# The package re-exports the function `train` under the module's name.
+train_module = importlib.import_module("npad.train")
 
 
 def small_params(seed=3):
@@ -58,6 +65,79 @@ class TestLoss:
         p.tensors["out.W"][0, 0] = 1e308   # overflow in the readout
         with np.errstate(all="ignore"), pytest.raises((DivergenceError, ContractError)):
             nll_loss(p, [PAIR])
+
+
+def random_pairs(lengths, seed, n_src=35, n_tgt=35):
+    """One pair per (source length, target length), with random content tokens."""
+    rng = RngStream(seed)
+    return [SequencePair(tuple(int(x) for x in rng.integers(3, n_src, size=ls)),
+                         tuple(int(x) for x in rng.integers(3, n_tgt, size=lt - 1)) + (EOS,))
+            for ls, lt in lengths]
+
+
+def assert_bitwise(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+class TestRowsMatchPerPairReference:
+    """Training runs a batch's pairs as rows; every bit of loss and gradient is
+    that of the per-pair reference in tests/reference.py."""
+
+    BATCHES = {
+        "one pair": [(5, 6)],
+        "one group": [(4, 5)] * 6,
+        "two groups": [(3, 4)] * 3 + [(6, 7)] * 4,
+        "interleaved": [(3, 4), (5, 6), (3, 4), (3, 5), (5, 6), (3, 4), (1, 2), (5, 6)],
+        "more than a window": [(4, 5), (2, 3)] * WINDOW,
+    }
+
+    @pytest.mark.parametrize("dims", [(1, 1, 4, 4), (2, 3, 5, 4), (16, 24, 35, 35)])
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    def test_nll_loss_bitwise(self, batch, dims):
+        d_emb, d_hid, n_src, n_tgt = dims
+        params = make_params(11, d_emb=d_emb, d_hid=d_hid, n_src=n_src, n_tgt=n_tgt, scale=0.5)
+        pairs = random_pairs(self.BATCHES[batch], seed=len(batch), n_src=n_src, n_tgt=n_tgt)
+        loss, g = nll_loss(params, pairs)
+        ref_loss, ref_g = reference.nll_loss(params, pairs)
+        assert loss == ref_loss
+        assert list(g) == list(ref_g)
+        for name in g:
+            assert_bitwise(g[name], ref_g[name])
+
+    def test_valid_nll_is_sequential_sum_of_scores(self):
+        params = make_params(5, d_emb=16, d_hid=24, n_src=35, n_tgt=35, scale=0.5)
+        pairs = random_pairs([(3, 4), (5, 6), (3, 4), (2, 3), (5, 6)] * 5, seed=9)
+        assert valid_nll(params, pairs) == reference.valid_nll(params, pairs)
+
+    def test_two_epochs_match_reference_loop(self, monkeypatch):
+        data = gen_task("lexical-translate", 8, (2, 5), 60, seed=3)
+        ds, valid = split_pairs(data.pairs, 48, 12)
+        params = make_params(4, d_emb=4, d_hid=6, n_src=len(data.src_vocab),
+                             n_tgt=len(data.tgt_vocab), scale=0.3)
+        cfg = TrainConfig(epochs=2, lr=0.3, seed=5, batch_size=8)
+        rows_params, rows_trace = train(params, ds, valid, cfg)
+        monkeypatch.setattr(train_module, "nll_loss", reference.nll_loss)
+        monkeypatch.setattr(train_module, "valid_nll", reference.valid_nll)
+        ref_params, ref_trace = train(params, ds, valid, cfg)
+        assert rows_trace == ref_trace
+        for name in params.tensors:
+            assert_bitwise(rows_params.tensors[name], ref_params.tensors[name])
+
+
+def test_train_calls_hook_points_once_per_batch(monkeypatch):
+    # bench/ patches these module globals to time each training batch
+    calls = []
+    for name in ("nll_loss", "clip_gradients", "valid_nll"):
+        inner = getattr(train_module, name)
+        monkeypatch.setattr(train_module, name,
+                            lambda *args, inner=inner, name=name: calls.append(name) or inner(*args))
+    data = gen_task("copy", 4, (2, 4), 30, seed=5)
+    ds, valid = split_pairs(data.pairs, 22, 8)
+    params = make_params(1, d_emb=3, d_hid=4, n_src=7, n_tgt=7)
+    train(params, ds, valid, TrainConfig(epochs=2, seed=9, batch_size=5))
+    per_epoch = ["nll_loss", "clip_gradients"] * 5 + ["valid_nll"]      # 22 pairs: 5 batches
+    assert calls == per_epoch * 2
 
 
 class TestGradCheck:
