@@ -175,18 +175,9 @@ class DecoderState:
     t: int = 0
 
 
-def _gru_fwd(tensors: dict, pre: str, x: np.ndarray, hprev: np.ndarray):
-    """One GRU cell step; returns (h, cache) with cache = (x, hprev, z, r, n)."""
-    z = sigmoid(tensors[f"{pre}.Wz"] @ x + tensors[f"{pre}.Uz"] @ hprev + tensors[f"{pre}.bz"])
-    r = sigmoid(tensors[f"{pre}.Wr"] @ x + tensors[f"{pre}.Ur"] @ hprev + tensors[f"{pre}.br"])
-    n = np.tanh(tensors[f"{pre}.Wn"] @ x + tensors[f"{pre}.Un"] @ (r * hprev) + tensors[f"{pre}.bn"])
-    h = (1.0 - z) * hprev + z * n
-    return h, (x, hprev, z, r, n)
-
-
-def _check_source(dims: Dims, source) -> np.ndarray:
-    src = np.asarray(source, dtype=np.int64)
-    if src.ndim != 1 or src.size == 0:
+def _check_sources(dims: Dims, sources) -> np.ndarray:
+    src = np.asarray(sources, dtype=np.int64)
+    if src.ndim != 2 or src.size == 0:
         raise ContractError("source must be a non-empty index sequence")
     if np.any(src < 0) or np.any(src >= dims.n_src):
         raise VocabError(f"source token index out of range (|V_src|={dims.n_src})")
@@ -194,48 +185,49 @@ def _check_source(dims: Dims, source) -> np.ndarray:
 
 
 def encode(params: ModelParams, source) -> EncodedSource:
-    """Bidirectional encode of one source, one vector per GRU step."""
-    src = _check_source(params.dims, source)
-    t = params.tensors
-    L, d_hid = src.size, params.dims.d_hid
-    X = t["src_embed"][src]
-    ann = np.empty((L, 2 * d_hid))
-    h = np.zeros(d_hid)
-    for i in range(L):
-        h = _gru_fwd(t, "enc_f", X[i], h)[0]
-        ann[i, :d_hid] = h
-    h = np.zeros(d_hid)
-    for i in range(L - 1, -1, -1):
-        h = _gru_fwd(t, "enc_b", X[i], h)[0]
-        ann[i, d_hid:] = h
-    return EncodedSource(annotations=ann, att_keys=ann @ t["att.Wk"].T + t["att.b"])
+    """Bidirectional encode of one source: the one-row call of `encode_rows`."""
+    enc = encode_rows(params, np.asarray(source, dtype=np.int64)[None])[0]
+    return EncodedSource(annotations=enc.annotations[0], att_keys=enc.att_keys[0])
 
 
-def encode_rows(params: ModelParams, sources: np.ndarray):
-    """`encode` of B sources of one length, (B, L) token indices, as the rows
-    of one `_gru_rows` call per position and direction. Returns the sources
-    stacked into one EncodedSource ((B, L, ...) arrays; row b is bitwise
-    `encode` of source b) and, for backpropagation, each direction's step
-    inputs and gates (x, h_prev, z, r, n), (L, B, ...) arrays whose axis 0
-    runs in the order the steps ran.
+def encode_rows(params: ModelParams, sources):
+    """Bidirectional encode of B sources of one length, (B, L) token indices:
+    the two directions run as the rows of each step, with every input
+    product W_g x made up front (docs/model.md, "Encoder"). Row b is bitwise
+    the one-vector-per-step encoder on source b.
+
+    Returns the sources stacked into one EncodedSource ((B, L, ...) arrays)
+    and, for backpropagation, each direction's step inputs and gates
+    (x, h_prev, z, r, n), (L, B, ...) arrays whose axis 0 runs in the order
+    the steps ran.
     """
-    _check_source(params.dims, sources.ravel())
+    src = _check_sources(params.dims, sources)
     t = params.tensors
-    B, L = sources.shape
+    B, L = src.shape
     d_hid = params.dims.d_hid
-    X = t["src_embed"][sources.T]                     # (L, B, d_emb)
-    steps, states = {}, {}
-    for pre, x in (("enc_f", X), ("enc_b", X[::-1])):
-        S = np.zeros((L + 1, B, d_hid))               # S[k]: the state before step k
-        Z, R, N = (np.empty((L, B, d_hid)) for _ in range(3))
-        for k in range(L):
-            S[k + 1], Z[k], R[k], N[k] = _gru_rows(t, pre, x[k], S[k])
-        steps[pre] = (x, S[:-1], Z, R, N)
-        states[pre] = S[1:]
+    dirs = ("enc_f", "enc_b")                                 # direction 0 forward, 1 backward
+    W, U, b = (np.array([[t[f"{pre}.{m}{g}"] for g in "zrn"] for pre in dirs])
+               for m in "WUb")                                # (2, 3, ...)
+    X = t["src_embed"][src.T]                                 # (L, B, d_emb)
+    Xd = np.stack([X, X[::-1]])                               # direction d's input at its step k
+    # one gemv per gate, never one [Wz; Wr; Wn] product, which changes bits
+    WX = (W[:, :, None, None] @ Xd[:, None, ..., None])[..., 0]   # (2, 3, L, B, d_hid)
+    Uzr, Un, bzr, bn = U[:, :2, None], U[:, 2, None], b[:, :2, None], b[:, 2, None]
+    S = np.zeros((L + 1, 2, B, d_hid))                        # S[k]: the states before step k
+    G = np.empty((L, 2, 3, B, d_hid))                         # z, r, n of step k
+    for k in range(L):
+        h = S[k]
+        zr = sigmoid(WX[:, :2, k] + (Uzr @ h[:, None, :, :, None])[..., 0] + bzr)
+        n = np.tanh(WX[:, 2, k] + (Un @ (zr[:, 1] * h)[..., None])[..., 0] + bn)
+        S[k + 1] = (1.0 - zr[:, 0]) * h + zr[:, 0] * n
+        G[k, :, :2] = zr
+        G[k, :, 2] = n
     ann = np.empty((B, L, 2 * d_hid))
-    ann[:, :, :d_hid] = states["enc_f"].transpose(1, 0, 2)
-    ann[:, :, d_hid:] = states["enc_b"][::-1].transpose(1, 0, 2)
+    ann[:, :, :d_hid] = S[1:, 0].transpose(1, 0, 2)
+    ann[:, :, d_hid:] = S[:0:-1, 1].transpose(1, 0, 2)        # the backward direction ran from the right
     enc = EncodedSource(annotations=ann, att_keys=ann @ t["att.Wk"].T + t["att.b"])
+    steps = {pre: (Xd[d], S[:-1, d], G[:, d, 0], G[:, d, 1], G[:, d, 2])
+             for d, pre in enumerate(dirs)}
     return enc, steps
 
 
@@ -280,7 +272,8 @@ def _matvec_rows(W: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _gru_rows(tensors: dict, pre: str, X: np.ndarray, Hprev: np.ndarray):
-    """`_gru_fwd` on each row of X (B, d_in) and Hprev (B, d_hid); returns (H, z, r, n)."""
+    """One GRU step (docs/model.md) of each row of X (B, d_in) and Hprev
+    (B, d_hid); returns (H, z, r, n)."""
     def gate(g: str, h: np.ndarray) -> np.ndarray:
         return (_matvec_rows(tensors[f"{pre}.W{g}"], X) + _matvec_rows(tensors[f"{pre}.U{g}"], h)
                 + tensors[f"{pre}.b{g}"])

@@ -1,12 +1,22 @@
-"""Per-pair training reference: force-decode and backpropagate one pair at a
-time, with one vector per step, the way training ran before batches ran as
-rows. `npad.train` is checked against it bit for bit.
+"""Per-vector references: the GRU cell and the bidirectional encoder one
+vector per step, and training that force-decodes and backpropagates one pair
+at a time, the way training ran before batches ran as rows. `npad.model` and
+`npad.train` are checked against them bit for bit.
 """
 import numpy as np
 
-from npad.core import ContractError
-from npad.model import BOS, EncodedSource, _gru_fwd, score_sequence, step_rows_with_cache
+from npad.core import ContractError, sigmoid
+from npad.model import BOS, EncodedSource, score_sequence, step_rows_with_cache
 from npad.train import DivergenceError, zero_grads
+
+
+def _gru_fwd(tensors: dict, pre: str, x: np.ndarray, hprev: np.ndarray):
+    """One GRU cell step, one vector; returns (h, cache) with cache = (x, hprev, z, r, n)."""
+    z = sigmoid(tensors[f"{pre}.Wz"] @ x + tensors[f"{pre}.Uz"] @ hprev + tensors[f"{pre}.bz"])
+    r = sigmoid(tensors[f"{pre}.Wr"] @ x + tensors[f"{pre}.Ur"] @ hprev + tensors[f"{pre}.br"])
+    n = np.tanh(tensors[f"{pre}.Wn"] @ x + tensors[f"{pre}.Un"] @ (r * hprev) + tensors[f"{pre}.bn"])
+    h = (1.0 - z) * hprev + z * n
+    return h, (x, hprev, z, r, n)
 
 
 def encode_with_cache(params, source):

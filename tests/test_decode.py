@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from npad import decode
 from npad.chains import NpadConfig, _chain_noise, run_chains
 from npad.core import ContractError, RngStream, derive_seed
 from npad.decode import (
@@ -204,6 +205,64 @@ class TestBeam:
                            default=[0.0, 0.0, 1.0, 0.0])
         _, done = diverse_beam_search(ranks, 2, 1.0, limits=DecodeLimits(2))
         assert [h.tokens for h in done] == [[0, 2], [1, 2]]
+
+
+def per_search_top_k(raw, logp, beams, k_live, eta):
+    """`decode._top_k` by one stable argsort per search over its own rows'
+    candidates, in (parent, token) order, and a per-row token rank."""
+    n_tokens = logp.shape[1]
+    sel = raw.copy()
+    if eta:
+        for i, row in enumerate(logp):
+            sel[i, np.argsort(-row, kind="stable")] -= eta * np.arange(1.0, n_tokens + 1)
+    chosen = []
+    for s, k in enumerate(k_live):
+        rows = np.flatnonzero(beams == s)
+        if rows.size:
+            order = np.argsort(-sel[rows].ravel(), kind="stable")[:k]
+            chosen += (order + rows[0] * n_tokens).tolist()
+    return chosen
+
+
+class TestTopK:
+    @pytest.mark.parametrize("eta", [0.0, 0.7])
+    def test_one_sort_equals_per_search_sorts(self, eta):
+        # small integer scores tie exactly across parents and across tokens;
+        # search 1 has no rows left, and search 2's one row has fewer
+        # candidates than its live width, one of them NaN
+        width, n_tokens = 6, 4
+        rows = np.array([3, 0, 1, 6, 2])
+        k_live = np.array([4, 2, 6, 6, 2])
+        beams = np.repeat(np.arange(rows.size), rows)
+        ties = 0
+        for seed in range(50):
+            rng = RngStream(seed)
+            logp = rng.integers(-3, 1, size=(beams.size, n_tokens)).astype(float)
+            logp[0, 1], logp[3, 2] = -np.inf, np.nan
+            raw = rng.integers(-2, 1, size=(beams.size, 1)) + logp
+            got = decode._top_k(raw, logp, beams, k_live, width, eta)
+            want = per_search_top_k(raw, logp, beams, k_live, eta)
+            assert got.tolist() == want, f"seed {seed}"
+            ties += len(set(raw.ravel()[want].tolist())) < len(want)
+        assert ties > 40
+
+
+def test_step_split_at_kernel_rows_gives_one_calls_bits(monkeypatch, tiny_params):
+    model = BoundModel(tiny_params, [3, 4, 3])
+    rng = RngStream(4)
+    H = rng.uniform_vec((8, tiny_params.dims.d_hid), -1.0, 1.0)
+    prev = rng.integers(0, tiny_params.dims.n_tgt, size=8)
+    noise = rng.uniform_vec(H.shape, -0.5, 0.5)
+    sizes = []
+    step_batch = BoundModel.step_batch
+    monkeypatch.setattr(BoundModel, "step_batch", lambda self, H, prev, noise=None:
+                        sizes.append(prev.size) or step_batch(self, H, prev, noise))
+    whole = [decode._step(model, H, prev, rows_noise) for rows_noise in (noise, None)]
+    monkeypatch.setattr(decode, "KERNEL_ROWS", 3)
+    split = [decode._step(model, H, prev, rows_noise) for rows_noise in (noise, None)]
+    assert sizes == [8, 8] + [3, 3, 2] * 2
+    for one, parts in zip(whole, split):
+        assert all(np.array_equal(a, b) for a, b in zip(one, parts))
 
 
 class TestSample:

@@ -22,13 +22,12 @@ from npad.model import (
     initial_state,
     score_sequence,
     _attend,
-    _gru_fwd,
     step_rows,
     step_rows_with_cache,
 )
 from npad.core import log_softmax
 from conftest import make_params
-from reference import encode_with_cache
+from reference import _gru_fwd, encode_with_cache
 
 
 def uniform_readout(params):
@@ -132,17 +131,28 @@ class TestEncode:
 @pytest.mark.parametrize("batch", [1, 2, 7, 16])
 def test_encode_rows_bitwise_equal_per_vector_encoder(batch):
     # each row of the rows encoder, and `encode`, is bitwise the per-vector
-    # reference encoder, whatever the other rows
-    params = make_params(batch, d_emb=16, d_hid=24, n_src=35, n_tgt=35, scale=0.3)
-    sources = RngStream(batch).integers(3, 35, size=(batch, 13))
-    enc, _ = encode_rows(params, sources)
-    for b, source in enumerate(sources):
-        ref, _ = encode_with_cache(params, source)
-        alone = encode(params, source)
-        for got in (enc.annotations[b], alone.annotations):
-            assert np.array_equal(got, ref.annotations)
-        for got in (enc.att_keys[b], alone.att_keys):
-            assert np.array_equal(got, ref.att_keys)
+    # reference encoder, whatever the other rows, and so is every step array
+    # backpropagation reads, in both directions
+    for d_hid, length in product([1, 5, 24], [1, 13]):
+        params = make_params(batch, d_emb=16, d_hid=d_hid, n_src=35, n_tgt=35, scale=0.3)
+        rng = RngStream(batch)
+        for pre in ("enc_f", "enc_b"):            # biases start at zero; these are not
+            for gate in "zrn":
+                params.tensors[f"{pre}.b{gate}"][:] = rng.uniform_vec(d_hid, -0.3, 0.3)
+        sources = rng.integers(3, 35, size=(batch, length))
+        enc, steps = encode_rows(params, sources)
+        for b, source in enumerate(sources):
+            ref, caches = encode_with_cache(params, source)
+            alone = encode(params, source)
+            for got in (enc.annotations[b], alone.annotations):
+                assert np.array_equal(got, ref.annotations)
+            for got in (enc.att_keys[b], alone.att_keys):
+                assert np.array_equal(got, ref.att_keys)
+            for pre, ran in (("enc_f", caches["f_caches"]), ("enc_b", caches["b_caches"])):
+                assert all(array.shape[:2] == (length, batch) for array in steps[pre])
+                for k, cache in enumerate(ran):   # caches in the order the steps ran
+                    for name, got, want in zip("x h_prev z r n".split(), steps[pre], cache):
+                        assert np.array_equal(got[k, b], want), f"d_hid {d_hid} {pre} {k} {name}"
 
 
 class TestAttention:
