@@ -137,11 +137,11 @@ def _best(hyps):
     return best
 
 
-def _top_k(raw, logp, beams, k_live, width, eta):
+def _top_k(raw, logp, beams, k_live, eta):
     """The flat (row, token) indices of each search's k_live best expansions
     of the rows' scores `raw`, grouped by search in rank order. eta > 0 lowers
     the r-th ranked expansion of each parent by eta * r for selection only."""
-    n, n_tokens = k_live.size, logp.shape[1]
+    n_tokens = logp.shape[1]
     sel = raw
     if eta:
         # rank r of each token among its parent's expansions: score desc, token asc
@@ -149,18 +149,11 @@ def _top_k(raw, logp, beams, k_live, width, eta):
         np.put_along_axis(rank, np.argsort(-logp, axis=1, kind="stable"),
                           np.arange(1.0, n_tokens + 1), axis=1)
         sel = raw - eta * rank
-    # Row s of a (n, width * n_tokens) table holds search s's candidates in
-    # (parent, token) order, so one stable sort ranks every search with ties
-    # in that order. Its rows are the block that starts at first[s]; the slots
-    # of rows it no longer has hold NaN, which the stable sort puts after
-    # every real candidate, a NaN one included.
-    rows = np.bincount(beams, minlength=n)
-    first = rows.cumsum() - rows
-    table = np.full((n * width, n_tokens), np.nan)
-    table[np.arange(beams.size) + (beams * width - first[beams])] = -sel
-    order = table.reshape(n, -1).argsort(axis=1, kind="stable")[:, :width]
-    order += (first * n_tokens)[:, None]                  # now flat (row, token) indices
-    return order[np.arange(width) < np.minimum(k_live, rows * n_tokens)[:, None]]
+    # A search's rows are one contiguous block, rows edges[s]:edges[s + 1]; a
+    # stable sort of its row-major candidates keeps ties in (parent, token) order.
+    edges = np.searchsorted(beams, np.arange(k_live.size + 1)).tolist()
+    return np.concatenate([np.argsort(-sel[a:b], axis=None, kind="stable")[:k] + a * n_tokens
+                           for a, b, k in zip(edges, edges[1:], k_live.tolist()) if a < b])
 
 
 def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, noise=None,
@@ -198,28 +191,24 @@ def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, nois
         if not beams.size:
             break
         H, logp = _step(model, H, prev, noise(t, beams) if noise else None)
-        parent = None                  # the row each new row extends; None: every row itself
         if pick is None:
             raw = scores[:, None] + logp
-            chosen = _top_k(raw, logp, beams, k_live, width, eta)
+            chosen = _top_k(raw, logp, beams, k_live, eta)
             (parent, prev), scores = np.divmod(chosen, model.n_tokens), raw.ravel()[chosen]
+            H, beams, tokens = H[parent], beams[parent], tokens[parent]
         else:
             prev = pick(t, logp, beams)
             scores = scores + logp[np.arange(beams.size), prev]
+        tokens[:, t - 1] = prev
         ended = prev == model.eos
         if ended.any():
-            done = np.flatnonzero(ended)
-            ended_from = done if parent is None else parent[done]
-            for i, p in zip(done.tolist(), ended_from.tolist()):
-                completed[beams[p]].append(
-                    Hypothesis(tokens[p, :t - 1].tolist() + [model.eos], float(scores[i]), True))
-            k_live -= np.bincount(beams[ended_from], minlength=n)
+            for i in np.flatnonzero(ended):
+                completed[beams[i]].append(
+                    Hypothesis(tokens[i, :t].tolist(), float(scores[i]), True))
+            k_live -= np.bincount(beams[ended], minlength=n)
             keep = ~ended
-            prev, scores = prev[keep], scores[keep]
-            parent = np.flatnonzero(keep) if parent is None else parent[keep]
-        if parent is not None:
-            H, beams, tokens = H[parent], beams[parent], tokens[parent]
-        tokens[:, t - 1] = prev
+            H, prev, scores = H[keep], prev[keep], scores[keep]
+            beams, tokens = beams[keep], tokens[keep]
     live = [[] for _ in range(n)]
     for i, s in enumerate(beams):
         live[s].append(Hypothesis(tokens[i].tolist(), float(scores[i]), False))

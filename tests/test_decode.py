@@ -208,8 +208,9 @@ class TestBeam:
 
 
 def per_search_top_k(raw, logp, beams, k_live, eta):
-    """`decode._top_k` by one stable argsort per search over its own rows'
-    candidates, in (parent, token) order, and a per-row token rank."""
+    """`decode._top_k` by one stable argsort per search over the candidates
+    of the rows `beams` maps to it, in (parent, token) order, with each row's
+    token ranks set one row at a time."""
     n_tokens = logp.shape[1]
     sel = raw.copy()
     if eta:
@@ -226,11 +227,11 @@ def per_search_top_k(raw, logp, beams, k_live, eta):
 
 class TestTopK:
     @pytest.mark.parametrize("eta", [0.0, 0.7])
-    def test_one_sort_equals_per_search_sorts(self, eta):
+    def test_equals_per_search_reference(self, eta):
         # small integer scores tie exactly across parents and across tokens;
         # search 1 has no rows left, and search 2's one row has fewer
         # candidates than its live width, one of them NaN
-        width, n_tokens = 6, 4
+        n_tokens = 4
         rows = np.array([3, 0, 1, 6, 2])
         k_live = np.array([4, 2, 6, 6, 2])
         beams = np.repeat(np.arange(rows.size), rows)
@@ -240,7 +241,7 @@ class TestTopK:
             logp = rng.integers(-3, 1, size=(beams.size, n_tokens)).astype(float)
             logp[0, 1], logp[3, 2] = -np.inf, np.nan
             raw = rng.integers(-2, 1, size=(beams.size, 1)) + logp
-            got = decode._top_k(raw, logp, beams, k_live, width, eta)
+            got = decode._top_k(raw, logp, beams, k_live, eta)
             want = per_search_top_k(raw, logp, beams, k_live, eta)
             assert got.tolist() == want, f"seed {seed}"
             ties += len(set(raw.ravel()[want].tolist())) < len(want)
