@@ -88,26 +88,28 @@ def force_scores(model, sequences) -> list[float]:
         return []
     if not all(seqs):
         raise ContractError("cannot score an empty token sequence")
-    if any(not 0 <= tok < model.n_tokens for s in seqs for tok in s):
-        raise VocabError(f"token index out of range (|V_tgt|={model.n_tokens})")
     order = sorted(range(len(seqs)), key=lambda i: -len(seqs[i]))
     lengths = np.array([len(seqs[i]) for i in order])
     forced = np.zeros((len(seqs), lengths[0]), dtype=np.int64)
-    for row, i in enumerate(order):
-        forced[row, :lengths[row]] = seqs[i]
+    out_of_range = VocabError(f"token index out of range (|V_tgt|={model.n_tokens})")
+    try:
+        for row, i in enumerate(order):
+            forced[row, :lengths[row]] = seqs[i]
+    except OverflowError:                   # beyond int64
+        raise out_of_range from None
+    if np.any(forced.view(np.uint64) >= model.n_tokens):   # a negative index reads as huge
+        raise out_of_range
     running = (lengths > np.arange(lengths[0])[:, None]).sum(axis=1)   # rows still running at step t
-    index = np.arange(len(seqs))
     H = np.tile(model.initial().h, (len(seqs), 1))
     prev = np.full(len(seqs), model.bos)
     totals = np.zeros(len(seqs))
     for t, b in enumerate(running):
         H, logp = _step(model, H[:b], prev[:b])
         prev = forced[:b, t]
-        totals[:b] += logp[index[:b], prev]
-    scores = [0.0] * len(seqs)
-    for row, i in enumerate(order):
-        scores[i] = float(totals[row])
-    return scores
+        totals[:b] += logp[np.arange(b), prev]
+    scores = np.empty(len(seqs))
+    scores[order] = totals
+    return scores.tolist()
 
 
 def force_score(model, tokens) -> float:

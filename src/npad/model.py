@@ -159,10 +159,11 @@ def init_params(rng: RngStream, dims: Dims, scale: float = 0.08) -> ModelParams:
 
 @dataclass
 class EncodedSource:
-    """Per-position annotations (rows) plus cached attention keys."""
+    """Per-position annotations (rows) plus cached attention keys and decoder GRU stacks."""
 
     annotations: np.ndarray        # (source_len, 2*d_hid), or (B, source_len, 2*d_hid)
     att_keys: np.ndarray           # (source_len, d_hid): Wk a_i + b, cached; (B, ...) likewise
+    dec_gru: tuple                 # the decoder GRU's `_gru_stacks`, made at encode time
 
     @property
     def source_len(self) -> int:
@@ -187,7 +188,23 @@ def _check_sources(dims: Dims, sources) -> np.ndarray:
 def encode(params: ModelParams, source) -> EncodedSource:
     """Bidirectional encode of one source: the one-row call of `encode_rows`."""
     enc = encode_rows(params, np.asarray(source, dtype=np.int64)[None])[0]
-    return EncodedSource(annotations=enc.annotations[0], att_keys=enc.att_keys[0])
+    return EncodedSource(enc.annotations[0], enc.att_keys[0], enc.dec_gru)
+
+
+def _gru_stacks(tensors: dict, pre: str):
+    """Copies of GRU `pre`'s gate tensors stacked per gate for `_gru_step`:
+    (W (3, d_hid, d_in), U_zr (2, 1, d_hid, d_hid), U_n, b_zr, b_n)."""
+    W, U, b = (np.array([tensors[f"{pre}.{m}{g}"] for g in "zrn"]) for m in "WUb")
+    return W, U[:2, None], U[2:], b[:2, None], b[2:]
+
+
+def _gru_step(wx, h, Uzr, Un, bzr, bn):
+    """One GRU step (docs/model.md) of states h (..., B, d_hid) from the gates'
+    input products wx (..., 3, B, d_hid) and `_gru_stacks`'s U and b, with
+    h's leading axes: returns (h', zr, n), z and r stacked in zr."""
+    zr = sigmoid(wx[..., :2, :, :] + (Uzr @ h[..., None, :, :, None])[..., 0] + bzr)
+    n = np.tanh(wx[..., 2, :, :] + (Un @ (zr[..., 1, :, :] * h)[..., None])[..., 0] + bn)
+    return (1.0 - zr[..., 0, :, :]) * h + zr[..., 0, :, :] * n, zr, n
 
 
 def encode_rows(params: ModelParams, sources):
@@ -206,26 +223,19 @@ def encode_rows(params: ModelParams, sources):
     B, L = src.shape
     d_hid = params.dims.d_hid
     dirs = ("enc_f", "enc_b")                                 # direction 0 forward, 1 backward
-    W, U, b = (np.array([[t[f"{pre}.{m}{g}"] for g in "zrn"] for pre in dirs])
-               for m in "WUb")                                # (2, 3, ...)
+    W, *gru = (np.array(s) for s in zip(*(_gru_stacks(t, pre) for pre in dirs)))   # (2, ...)
     X = t["src_embed"][src.T]                                 # (L, B, d_emb)
     Xd = np.stack([X, X[::-1]])                               # direction d's input at its step k
     # one gemv per gate, never one [Wz; Wr; Wn] product, which changes bits
     WX = (W[:, :, None, None] @ Xd[:, None, ..., None])[..., 0]   # (2, 3, L, B, d_hid)
-    Uzr, Un, bzr, bn = U[:, :2, None], U[:, 2, None], b[:, :2, None], b[:, 2, None]
     S = np.zeros((L + 1, 2, B, d_hid))                        # S[k]: the states before step k
     G = np.empty((L, 2, 3, B, d_hid))                         # z, r, n of step k
     for k in range(L):
-        h = S[k]
-        zr = sigmoid(WX[:, :2, k] + (Uzr @ h[:, None, :, :, None])[..., 0] + bzr)
-        n = np.tanh(WX[:, 2, k] + (Un @ (zr[:, 1] * h)[..., None])[..., 0] + bn)
-        S[k + 1] = (1.0 - zr[:, 0]) * h + zr[:, 0] * n
-        G[k, :, :2] = zr
-        G[k, :, 2] = n
+        S[k + 1], G[k, :, :2], G[k, :, 2] = _gru_step(WX[:, :, k], S[k], *gru)
     ann = np.empty((B, L, 2 * d_hid))
     ann[:, :, :d_hid] = S[1:, 0].transpose(1, 0, 2)
     ann[:, :, d_hid:] = S[:0:-1, 1].transpose(1, 0, 2)        # the backward direction ran from the right
-    enc = EncodedSource(annotations=ann, att_keys=ann @ t["att.Wk"].T + t["att.b"])
+    enc = EncodedSource(ann, ann @ t["att.Wk"].T + t["att.b"], _gru_stacks(t, "dec"))
     steps = {pre: (Xd[d], S[:-1, d], G[:, d, 0], G[:, d, 1], G[:, d, 2])
              for d, pre in enumerate(dirs)}
     return enc, steps
@@ -271,19 +281,6 @@ def _matvec_rows(W: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (W @ X[:, :, None])[:, :, 0]
 
 
-def _gru_rows(tensors: dict, pre: str, X: np.ndarray, Hprev: np.ndarray):
-    """One GRU step (docs/model.md) of each row of X (B, d_in) and Hprev
-    (B, d_hid); returns (H, z, r, n)."""
-    def gate(g: str, h: np.ndarray) -> np.ndarray:
-        return (_matvec_rows(tensors[f"{pre}.W{g}"], X) + _matvec_rows(tensors[f"{pre}.U{g}"], h)
-                + tensors[f"{pre}.b{g}"])
-
-    z = sigmoid(gate("z", Hprev))
-    r = sigmoid(gate("r", Hprev))
-    n = np.tanh(gate("n", r * Hprev))
-    return (1.0 - z) * Hprev + z * n, z, r, n
-
-
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
     e = np.exp(x - x.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
@@ -309,9 +306,10 @@ def step_rows_with_cache(params: ModelParams, enc: EncodedSource, H: np.ndarray,
     alpha = _softmax_rows(M @ t["att.v"])
     C = (np.swapaxes(enc.annotations, -1, -2) @ alpha[:, :, None])[:, :, 0]
     U = np.concatenate([t["tgt_embed"][prev], C], axis=1)
-    Hn, z, r, n = _gru_rows(t, "dec", U, Q)
+    W, *gru = enc.dec_gru
+    Hn, zr, n = _gru_step((W[:, None] @ U[:, :, None])[..., 0], Q, *gru)
     logits = _matvec_rows(t["out.W"], np.concatenate([Hn, C], axis=1)) + t["out.b"]
-    cache = {"q": Q, "M": M, "alpha": alpha, "context": C, "u": U, "z": z, "r": r, "n": n}
+    cache = {"q": Q, "M": M, "alpha": alpha, "context": C, "u": U, "z": zr[0], "r": zr[1], "n": n}
     return Hn, _log_softmax_rows(logits), cache
 
 

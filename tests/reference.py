@@ -6,7 +6,7 @@ at a time, the way training ran before batches ran as rows. `npad.model` and
 import numpy as np
 
 from npad.core import ContractError, sigmoid
-from npad.model import BOS, EncodedSource, score_sequence, step_rows_with_cache
+from npad.model import BOS, EncodedSource, _gru_stacks, score_sequence, step_rows_with_cache
 from npad.train import DivergenceError, zero_grads
 
 
@@ -38,7 +38,7 @@ def encode_with_cache(params, source):
         h, cache = _gru_fwd(t, "enc_b", X[i], h)
         ann[i, d_hid:] = h
         b_caches.append(cache)
-    enc = EncodedSource(annotations=ann, att_keys=ann @ t["att.Wk"].T + t["att.b"])
+    enc = EncodedSource(ann, ann @ t["att.Wk"].T + t["att.b"], _gru_stacks(t, "dec"))
     return enc, {"src": src, "f_caches": f_caches, "b_caches": b_caches}
 
 

@@ -18,7 +18,7 @@ from npad.decode import (
     force_scores,
     greedy_search,
 )
-from npad.model import EOS, BoundModel, score_sequence
+from npad.model import EOS, BoundModel, VocabError, score_sequence
 from conftest import make_params
 from table_models import TableModel, garden_path, point_mass_eos
 
@@ -405,6 +405,17 @@ class TestReplaySoundness:
             assert scores == [score_sequence(params, source, s) for s in seqs]
         with pytest.raises(ContractError):
             force_scores(model, [[3], []])
+
+    def test_rescoring_rejects_out_of_range_tokens(self):
+        model = random_model(0)
+        for bad in (-1, model.n_tokens, 2**63, 2**70, -2**63 - 1):
+            for seqs in ([[bad]], [[3, 2], [1, 0, bad]], [[3, bad, 2], [2]]):
+                with pytest.raises(VocabError):
+                    force_scores(model, seqs)
+        with pytest.raises(ContractError):
+            force_scores(model, [[3, 2], [], [2**70]])
+        assert force_scores(model, [[0, model.n_tokens - 1]]) == [
+            force_score(model, [0, model.n_tokens - 1])]
 
     def test_silent_decoders_replay_to_their_logp(self):
         for seed in range(100):

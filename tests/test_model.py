@@ -22,10 +22,13 @@ from npad.model import (
     initial_state,
     score_sequence,
     _attend,
+    _gru_stacks,
     step_rows,
     step_rows_with_cache,
 )
 from npad.core import log_softmax
+from npad.backprop import forward_rows
+from npad.tasks import SequencePair
 from conftest import make_params
 from reference import _gru_fwd, encode_with_cache
 
@@ -41,7 +44,7 @@ def uniform_readout(params):
 def manual_encoded(params, annotations):
     ann = np.asarray(annotations, dtype=np.float64)
     keys = ann @ params.tensors["att.Wk"].T + params.tensors["att.b"]
-    return EncodedSource(annotations=ann, att_keys=keys)
+    return EncodedSource(ann, keys, _gru_stacks(params.tensors, "dec"))
 
 
 class TestVocab:
@@ -325,32 +328,75 @@ def test_bound_model_matches_module_ops(tiny_params):
     np.testing.assert_array_equal(lp1, lp2)
 
 
+def per_vector_step(params, enc, q, prev):
+    """The reference decoder step of one perturbed state q: (h, logp, the
+    intermediates `step_rows_with_cache` returns), one vector at a time."""
+    t = params.tensors
+    context, alpha, M = _attend(params, q, enc, want_cache=True)
+    h, (u, _, z, r, n) = _gru_fwd(t, "dec", np.concatenate([t["tgt_embed"][prev], context]), q)
+    logp = log_softmax(t["out.W"] @ np.concatenate([h, context]) + t["out.b"])
+    return h, logp, {"q": q, "M": M, "alpha": alpha, "context": context, "u": u,
+                     "z": z, "r": r, "n": n}
+
+
+def random_biases(params, rng):
+    """Every bias random and nonzero: init_params zeroes them, which hides
+    where each `+ b` is summed."""
+    for name, tensor in params.tensors.items():
+        if name.split(".")[-1].startswith("b"):
+            tensor[:] = rng.uniform_vec(tensor.shape, -0.3, 0.3)
+
+
 @pytest.mark.parametrize("batch", [1, 2, 7, 8, 50, 64, 100])
 def test_step_rows_bitwise_equal_per_vector_steps(batch):
     # every row of the batched step, and every intermediate training reads
     # from it, equals bit for bit the single-vector reference equations,
-    # whatever the batch size and the other rows
-    params = make_params(batch, d_emb=16, d_hid=24, n_src=35, n_tgt=35, scale=0.3)
+    # whatever the batch size, the widths and the other rows
+    for d_hid, d_emb in product([1, 5, 13, 24], [1, 16]):
+        params = make_params(batch, d_emb=d_emb, d_hid=d_hid, n_src=35, n_tgt=35, scale=0.3)
+        rng = RngStream(batch)
+        random_biases(params, rng)
+        enc = encode(params, [3 + (5 * i) % 32 for i in range(16)])
+        H = rng.uniform_vec((batch, d_hid), -1.0, 1.0)
+        prev = rng.integers(0, 35, size=batch)
+        noise = rng.uniform_vec((batch, d_hid), -0.3, 0.3)
+        noise[::3] = 0.0
+        H_next, logp = step_rows(params, enc, H, prev, noise)
+        H_cached, logp_cached, cache = step_rows_with_cache(params, enc, H, prev, noise)
+        assert np.array_equal(H_cached, H_next) and np.array_equal(logp_cached, logp)
+        assert set(cache) == {"q", "M", "alpha", "context", "u", "z", "r", "n"}
+        for i in range(batch):
+            h, expected, reference = per_vector_step(params, enc, H[i] + noise[i], prev[i])
+            where = f"d_hid {d_hid} d_emb {d_emb} row {i}"
+            assert np.array_equal(H_next[i], h), where
+            assert np.array_equal(logp[i], expected), where
+            for name, value in reference.items():
+                assert cache[name][i].shape == value.shape, f"{where} {name}"
+                assert np.array_equal(cache[name][i], value), f"{where} {name}"
+        alone_h, alone_lp = step_rows(params, enc, H[-1:], prev[-1:], noise[-1:])
+        assert np.array_equal(alone_h[0], H_next[-1]) and np.array_equal(alone_lp[0], logp[-1])
+
+
+def test_step_reads_weights_changed_in_place_after_a_new_bind():
+    # training changes tensors in place (`tensor -= ...`), so neither the
+    # params object nor a tensor changes identity; a source bound, or a
+    # training group run, after the change must step with the new values
+    params = make_params(4, d_emb=4, d_hid=5, n_src=35, n_tgt=35, scale=0.3)
     t = params.tensors
-    enc = encode(params, [3 + (5 * i) % 32 for i in range(16)])
-    rng = RngStream(batch)
-    H = rng.uniform_vec((batch, 24), -1.0, 1.0)
-    prev = rng.integers(0, 35, size=batch)
-    noise = rng.uniform_vec((batch, 24), -0.3, 0.3)
-    noise[::3] = 0.0
-    H_next, logp = step_rows(params, enc, H, prev, noise)
-    H_cached, logp_cached, cache = step_rows_with_cache(params, enc, H, prev, noise)
-    assert np.array_equal(H_cached, H_next) and np.array_equal(logp_cached, logp)
-    for i in range(batch):
-        q = H[i] + noise[i]
-        context, alpha, M = _attend(params, q, enc, want_cache=True)
-        h, (u, _, z, r, n) = _gru_fwd(t, "dec", np.concatenate([t["tgt_embed"][prev[i]], context]), q)
-        expected = log_softmax(t["out.W"] @ np.concatenate([h, context]) + t["out.b"])
-        assert np.array_equal(H_next[i], h), f"row {i}"
-        assert np.array_equal(logp[i], expected), f"row {i}"
-        reference = {"q": q, "M": M, "alpha": alpha, "context": context, "u": u,
-                     "z": z, "r": r, "n": n}
-        for name, value in reference.items():
-            assert np.array_equal(cache[name][i], value), f"row {i} {name}"
-    alone_h, alone_lp = step_rows(params, enc, H[-1:], prev[-1:], noise[-1:])
-    assert np.array_equal(alone_h[0], H_next[-1]) and np.array_equal(alone_lp[0], logp[-1])
+    rng = RngStream(4)
+    random_biases(params, rng)
+    pair = SequencePair((3, 9, 4), (5, 7, EOS))
+    for name in ("dec.Wz", "dec.Ur", "dec.Un", "dec.bn", "dec.Wn"):
+        # a bind and a group on the old values first, as training runs them
+        BoundModel(params, pair.source).step_batch(np.zeros((1, 5)), np.array([BOS]))
+        forward_rows(params, [pair])
+        t[name] -= rng.uniform_vec(t[name].shape, 0.1, 0.5)
+        model = BoundModel(params, pair.source)
+        q = rng.uniform_vec((1, 5), -1.0, 1.0)
+        h_next, logp = model.step_batch(q, np.array([6]))
+        h, expected, _ = per_vector_step(params, model.enc, q[0], 6)
+        assert np.array_equal(h_next[0], h) and np.array_equal(logp[0], expected), name
+        steps = forward_rows(params, [pair])[1]["steps"]
+        _, (_, _, z, r, n) = _gru_fwd(t, "dec", steps["u"][0, 0], steps["q"][0, 0])
+        for got, want in zip((steps["z"], steps["r"], steps["n"]), (z, r, n)):
+            assert np.array_equal(got[0, 0], want), name
