@@ -58,6 +58,7 @@ def forward_rows(params: ModelParams, pairs: list[SequencePair]):
     widths = {"q": dims.d_hid, "hc": dims.d_hid + dims.d_ann, "u": dims.d_dec_in,
               "z": dims.d_hid, "r": dims.d_hid, "n": dims.d_hid, "alpha": L, "probs": dims.n_tgt}
     steps = {name: np.empty((T, B, width)) for name, width in widths.items()}
+    steps["M"] = np.empty((T, B, L, dims.d_hid))
     rows = np.arange(B)
     H = initial_rows(params, enc.annotations)
     prev = np.full(B, BOS)
@@ -66,7 +67,7 @@ def forward_rows(params: ModelParams, pairs: list[SequencePair]):
         steps["q"][j] = H
         H, logp, cache = step_rows_with_cache(params, enc, H, prev)
         nll -= logp[rows, y]
-        for name in ("u", "z", "r", "n", "alpha"):
+        for name in ("u", "z", "r", "n", "alpha", "M"):
             steps[name][j] = cache[name]
         steps["hc"][j, :, :dims.d_hid] = H
         steps["hc"][j, :, dims.d_hid:] = cache["context"]
@@ -118,7 +119,8 @@ def backward_rows(params: ModelParams, cache) -> dict:
     terms of every pair, unsummed: tensor -> row factors whose axis 0 runs in
     the order the per-pair backward visits the terms and axis 1 over the rows
     (`_add_pair_terms` reads them). The terms reuse the cache's arrays: once a
-    step's gates are read, its z, n and alpha hold dz, dn and ds.
+    step's gates and attention are read, its z, n, alpha and M hold dz, dn,
+    ds and dpre.
 
     Every vector is bitwise the per-pair backward's: the same elementwise
     expressions, and products as stacked gemv or gemm calls, one per row.
@@ -132,7 +134,7 @@ def backward_rows(params: ModelParams, cache) -> dict:
     rows = np.arange(B)
     Wq, Wk, v = t["att.Wq"], t["att.Wk"], t["att.v"]
     dA = np.zeros_like(A)
-    dlogits, q, z, r, n, ds = (st[k] for k in ("probs", "q", "z", "r", "n", "alpha"))
+    dlogits, q, z, r, n, ds, dpre = (st[k] for k in ("probs", "q", "z", "r", "n", "alpha", "M"))
     dr, dv, dpre_sum, du_emb = (np.empty((T, B, w)) for w in (d_hid, d_hid, d_hid, d_emb))
 
     carry = np.zeros((B, d_hid))
@@ -147,22 +149,21 @@ def backward_rows(params: ModelParams, cache) -> dict:
         du_emb[j] = du[:, :d_emb]
         dctx += du[:, d_emb:]
 
-        alpha = ds[j]                       # ds[j] holds alpha until it is overwritten below
-        M = np.tanh(enc.att_keys + q[j][:, None, :] @ Wq.T)   # as the forward step made it
+        alpha, M = ds[j], dpre[j]           # the forward's values until overwritten below
         dalpha = (A @ dctx[:, :, None])[:, :, 0]
         dA += alpha[:, :, None] * dctx[:, None, :]
         ds[j] = alpha * (dalpha - (alpha[:, None, :] @ dalpha[:, :, None])[:, 0])
         dv[j] = (np.swapaxes(M, 1, 2) @ ds[j][:, :, None])[:, :, 0]
-        dpre = ds[j][:, :, None] * v * (1.0 - M * M)
-        dpre_sum[j] = dpre.sum(axis=1)
+        dpre[j] = ds[j][:, :, None] * v * (1.0 - M * M)
+        dpre_sum[j] = dpre[j].sum(axis=1)
         dq = dq + _matvec_rows(Wq.T, dpre_sum[j])
-        dA += dpre @ Wk
+        dA += dpre[j] @ Wk
         carry = dq
 
     terms = _gru_terms("dec", st["u"], q, r, (z, dr, n))
     terms.update({"out.W": (dlogits[::-1], st["hc"][::-1]), "out.b": (dlogits[::-1],),
                   "att.v": (dv[::-1],), "att.Wq": (dpre_sum[::-1], q[::-1]),
-                  "att.Wk": (q[::-1], ds[::-1]), "att.b": (dpre_sum[::-1],)})
+                  "att.Wk": (dpre[::-1],), "att.b": (dpre_sum[::-1],)})
     prev = np.vstack([np.full(B, BOS), targets.T[:-1]])
     terms["tgt_embed"] = (prev[::-1], du_emb[::-1])
 
@@ -222,40 +223,67 @@ def _sum_in_order(buf: np.ndarray, g: np.ndarray) -> None:
         np.add.reduce(buf, axis=0, out=g)
 
 
-def _pair_terms(params: ModelParams, name: str, enc, factors, row: int):
-    """(count, fill) for the terms of tensor `name` of one pair, row `row` of
-    its group's factors and encoding: fill(i, j, out) writes terms i..j-1."""
-    a, *b = (f[:, row] for f in factors)
-    if name == "att.Wk":                    # dpre.T @ A, each dpre rebuilt from q (a) and ds (b)
-        Wq, v = params.tensors["att.Wq"], params.tensors["att.v"]
-        keys, A = enc.att_keys[row], enc.annotations[row]
+def _runs(order) -> list[list[int]]:
+    """Maximal runs of consecutive pairs of one group: [group, first row, end
+    row] of each run, in batch order. A group's rows are its pairs in batch
+    order, so a run's pairs are at consecutive rows."""
+    runs: list[list[int]] = []
+    for gi, row in order:
+        if runs and runs[-1][0] == gi:
+            runs[-1][2] += 1
+        else:
+            runs.append([gi, row, row + 1])
+    return runs
+
+
+def _pair_major(f: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """Rows r0..r1-1 of an (S, B, ...) factor as one (k, ...) array, pair after pair."""
+    return np.swapaxes(f[:, r0:r1], 0, 1).reshape(-1, *f.shape[2:])
+
+
+def _run_terms(name: str, enc, factors, r0: int, r1: int):
+    """(count, fill) for the terms of tensor `name` of rows r0..r1-1 of one
+    group, pair after pair: fill(i, j, out) writes terms i..j-1."""
+    if name == "att.Wk":
+        # dpre.T @ A of each term's step and pair; dpre is gathered per fill,
+        # not copied pair-major for the whole run, as it is (S, B, L, d_hid)
+        dpre, A = factors[0], enc.annotations
+        steps = len(dpre)
 
         def fill(i, j, out):
-            M = np.tanh(keys + a[i:j, None, :] @ Wq.T)
-            dpre = b[0][i:j, :, None] * v * (1.0 - M * M)
-            np.matmul(np.swapaxes(dpre, 1, 2), A, out=out)
-    elif b:                                 # np.outer(a, b)
+            k = np.arange(i, j)
+            rows = r0 + k // steps
+            np.matmul(np.swapaxes(dpre[k % steps, rows], 1, 2), A[rows], out=out)
+        return steps * (r1 - r0), fill
+    a, *b = (_pair_major(f, r0, r1) for f in factors)
+    if b:
+        # np.outer(a, b), except that einsum adds each product onto +0.0 and
+        # so forms a -0.0 product as +0.0. The sums they go into start at +0.0,
+        # and a sum is -0.0 only when both addends are, so no sum ever holds
+        # -0.0 and adding either zero gives the same bits.
         def fill(i, j, out):
-            np.multiply(a[i:j, :, None], b[0][i:j, None, :], out=out)
+            np.einsum("ki,kj->kij", a[i:j], b[0][i:j], out=out)
     else:
         def fill(i, j, out):
             out[...] = a[i:j]
     return len(a), fill
 
 
-def _add_pair_terms(params: ModelParams, g: dict[str, np.ndarray], groups, order) -> None:
+def _add_pair_terms(g: dict[str, np.ndarray], groups, order) -> None:
     """Add the gradient terms of `groups` ((encoding, terms) of each
     `backward_rows` group) into g pair by pair: `order` is the (group, row)
     of each pair in batch order. Per tensor, the terms are added in the order
-    the per-pair backward adds them, pair after pair."""
+    the per-pair backward adds them, pair after pair, one run of consecutive
+    rows of a group at a time."""
+    runs = _runs(order)
     for name, tensor in g.items():
         if name.endswith("_embed"):
-            for gi, row in order:
+            for gi, r0, r1 in runs:
                 index, value = groups[gi][1][name]
-                np.add.at(tensor, index[:, row], value[:, row])
+                np.add.at(tensor, _pair_major(index, r0, r1), _pair_major(value, r0, r1))
         else:
-            _add_terms(tensor, (_pair_terms(params, name, groups[gi][0], groups[gi][1][name], row)
-                                for gi, row in order))
+            _add_terms(tensor, (_run_terms(name, groups[gi][0], groups[gi][1][name], r0, r1)
+                                for gi, r0, r1 in runs))
 
 
 def batch_gradients(params: ModelParams, batch: list[SequencePair]):
@@ -276,7 +304,7 @@ def batch_gradients(params: ModelParams, batch: list[SequencePair]):
                 order[i], nll[i] = (gi, row), float(values[row])
         for value in nll:                   # in batch order, one addition at a time
             total += value
-        _add_pair_terms(params, g, groups, order)
+        _add_pair_terms(g, groups, order)
     return total, g
 
 

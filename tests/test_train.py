@@ -10,7 +10,7 @@ import reference
 from npad.core import ContractError, RngStream
 from npad.model import EOS, Dims, init_params, score_sequence
 from npad.tasks import SequencePair, gen_task, split_pairs
-from npad.backprop import WINDOW
+from npad import backprop
 from npad.train import (
     DivergenceError,
     TrainConfig,
@@ -89,8 +89,21 @@ class TestRowsMatchPerPairReference:
         "one group": [(4, 5)] * 6,
         "two groups": [(3, 4)] * 3 + [(6, 7)] * 4,
         "interleaved": [(3, 4), (5, 6), (3, 4), (3, 5), (5, 6), (3, 4), (1, 2), (5, 6)],
-        "more than a window": [(4, 5), (2, 3)] * WINDOW,
+        "more than a window": [(4, 5), (2, 3)] * backprop.WINDOW,
+        # the (4, 5) pairs form runs of consecutive rows cut by the other
+        # groups, and their last run (batch positions 13-19) by the window
+        "runs cut by groups and the window": [(4, 5)] * 3 + [(2, 3)] + [(4, 5)] * 2
+        + [(3, 4), (2, 3), (4, 5)] + [(3, 4)] * 4 + [(4, 5)] * 7,
     }
+
+    @staticmethod
+    def assert_matches_reference(params, pairs):
+        loss, g = nll_loss(params, pairs)
+        ref_loss, ref_g = reference.nll_loss(params, pairs)
+        assert loss == ref_loss
+        assert list(g) == list(ref_g)
+        for name in g:
+            assert_bitwise(g[name], ref_g[name])
 
     @pytest.mark.parametrize("dims", [(1, 1, 4, 4), (2, 3, 5, 4), (16, 24, 35, 35)])
     @pytest.mark.parametrize("batch", sorted(BATCHES))
@@ -98,12 +111,21 @@ class TestRowsMatchPerPairReference:
         d_emb, d_hid, n_src, n_tgt = dims
         params = make_params(11, d_emb=d_emb, d_hid=d_hid, n_src=n_src, n_tgt=n_tgt, scale=0.5)
         pairs = random_pairs(self.BATCHES[batch], seed=len(batch), n_src=n_src, n_tgt=n_tgt)
-        loss, g = nll_loss(params, pairs)
-        ref_loss, ref_g = reference.nll_loss(params, pairs)
-        assert loss == ref_loss
-        assert list(g) == list(ref_g)
-        for name in g:
-            assert_bitwise(g[name], ref_g[name])
+        self.assert_matches_reference(params, pairs)
+
+    @pytest.mark.parametrize("batch", ["one group", "interleaved", "runs cut by groups and the window"])
+    def test_terms_summed_one_at_a_time(self, batch, monkeypatch):
+        # a buffer of one term: every run of more than one term is summed in parts
+        monkeypatch.setattr(backprop, "TERM_BYTES", 1)
+        params = make_params(11, d_emb=4, d_hid=5, n_src=35, n_tgt=35, scale=0.5)
+        self.assert_matches_reference(params, random_pairs(self.BATCHES[batch], seed=len(batch)))
+
+    def test_repeated_tokens_in_one_run(self):
+        # tokens 3 and 4 only: each embedding row gets several terms from
+        # every pair of a run, so np.add.at must take them pair after pair
+        params = make_params(11, d_emb=4, d_hid=5, n_src=35, n_tgt=35, scale=0.5)
+        pairs = random_pairs([(6, 7)] * 5 + [(2, 3)] + [(6, 7)] * 3, seed=2, n_src=5, n_tgt=5)
+        self.assert_matches_reference(params, pairs)
 
     def test_valid_nll_is_sequential_sum_of_scores(self):
         params = make_params(5, d_emb=16, d_hid=24, n_src=35, n_tgt=35, scale=0.5)
@@ -123,6 +145,31 @@ class TestRowsMatchPerPairReference:
         assert rows_trace == ref_trace
         for name in params.tensors:
             assert_bitwise(rows_params.tensors[name], ref_params.tensors[name])
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (1, 1)])
+def test_einsum_terms_sum_as_outer_products_with_signed_zeros(shape, monkeypatch):
+    # einsum forms a -0.0 product as +0.0; summed onto gradients that start
+    # at +0.0, its terms still give the bits of `g += np.outer(a, b)`, sign
+    # bits included. The (3, 4) terms are summed five at a time; a
+    # one-element g takes all 24 terms in one np.add.accumulate, where a
+    # pairwise sum would round differently.
+    monkeypatch.setattr(backprop, "TERM_BYTES", 5 * 8 * 12)
+    rng = RngStream(7)
+    values = np.array([0.0, -0.0, 1e-200, -1e-200, 0.1, -1 / 3, 1e5])
+    S, B = 6, 4
+    a, b = (values[rng.integers(0, len(values), size=(S, B, n))] for n in shape)
+    g = np.zeros(shape)
+    backprop._add_terms(g, [backprop._run_terms("out.W", None, (a, b), 0, 3),
+                            backprop._run_terms("out.W", None, (a, b), 3, 4)])
+    expected, negative_zero_terms = np.zeros(shape), 0
+    for row in range(B):
+        for step in range(S):
+            term = np.outer(a[step, row], b[step, row])
+            negative_zero_terms += np.count_nonzero((term == 0) & np.signbit(term))
+            expected += term
+    assert negative_zero_terms > 0
+    assert_bitwise(g, expected)
 
 
 def test_train_calls_hook_points_once_per_batch(monkeypatch):
