@@ -1,7 +1,7 @@
 """Desk-scale attentive GRU sequence-to-sequence models and a decoding suite
 built around noisy parallel approximate decoding."""
 
-from .chains import ChainResult, NpadConfig, npad_search, run_chains, select_best
+from .chains import ChainResult, npad_search, run_chains, select_best
 from .core import ContractError, RngStream, categorical_sample, derive_seed, gaussian_vec, softmax
 from .decode import (
     DecodeLimits,

@@ -2,7 +2,8 @@
 annealed Gaussian noise injected into the hidden transition, rescored under
 the non-noisy model.
 
-Chain m derives its seed as a fixed function of (base_seed, m), so the chain
+The chains are configured by the experiment cell itself (`evaluate.Cell`).
+Chain m derives its seed as a fixed function of (seed, m), so the chain
 set for M parallel processes is a strict superset of the set for any M' < M:
 growing M can only improve the selected score. Chain 0 optionally runs with
 zero noise, which guarantees the selection is never worse than a single run
@@ -27,29 +28,6 @@ import numpy as np
 from .core import ContractError, RngStream, categorical_rows, derive_seed
 from .decode import DecodeLimits, Hypothesis, force_scores, greedy_pick, resolve_limits, search_rows
 
-INNER_DECODERS = ("greedy", "beam", "sample")
-
-
-@dataclass(frozen=True)
-class NpadConfig:
-    chains: int
-    sigma0: float
-    inner: str = "greedy"
-    beam_width: int = 1
-    include_zero_chain: bool = True
-    base_seed: int = 0
-    limits: DecodeLimits | None = None
-
-    def __post_init__(self):
-        if self.chains < 1:
-            raise ContractError(f"chain count must be >= 1, got {self.chains}")
-        if not 0 <= self.sigma0 < float("inf"):
-            raise ContractError(f"sigma0 must be finite and >= 0, got {self.sigma0}")
-        if self.inner not in INNER_DECODERS:
-            raise ContractError(f"inner decoder must be one of {INNER_DECODERS}, got {self.inner!r}")
-        if self.beam_width < 1:
-            raise ContractError(f"beam width must be >= 1, got {self.beam_width}")
-
 
 @dataclass
 class ChainResult:
@@ -60,22 +38,22 @@ class ChainResult:
     sigma0_effective: float
 
 
-def _sigma0(cfg: NpadConfig, m: int) -> float:
-    return 0.0 if (m == 0 and cfg.include_zero_chain) else cfg.sigma0
+def _sigma0(cell, m: int) -> float:
+    return 0.0 if (m == 0 and cell.include_zero_chain) else cell.sigma0 or 0.0
 
 
-def _stream(cfg: NpadConfig, m: int, which: int) -> RngStream:
+def _stream(seed: int, m: int, which: int) -> RngStream:
     """Chain m's private stream: 0 for its noise, 1 for its sampling uniforms."""
-    return RngStream(derive_seed(derive_seed(cfg.base_seed, m), which))
+    return RngStream(derive_seed(derive_seed(seed, m), which))
 
 
-def _chain_noise(cfg: NpadConfig, chains: list[int], draws: int, dim: int):
+def _chain_noise(cell, seed: int, chains: list[int], draws: int, dim: int):
     """The chains' noise as `search_rows` takes it, or None when no chain is
     noisy. Each noisy chain draws `draws` standard normal rows of its stream
     up front; at step t its rows take the next ones in order, times
     sigma0 / t. A zero-noise chain draws nothing and gets zero rows.
     """
-    sigma0 = np.array([_sigma0(cfg, m) for m in chains])
+    sigma0 = np.array([_sigma0(cell, m) for m in chains])
     noisy = np.flatnonzero(sigma0)
     if not noisy.size:
         return None
@@ -84,7 +62,7 @@ def _chain_noise(cfg: NpadConfig, chains: list[int], draws: int, dim: int):
     start = np.zeros(len(chains), dtype=np.int64)
     for k, i in enumerate(noisy):
         start[i] = k * draws
-        table[start[i]:start[i] + draws] = _stream(cfg, chains[i], 0).normal_vec((draws, dim))
+        table[start[i]:start[i] + draws] = _stream(seed, chains[i], 0).normal_vec((draws, dim))
     used = np.zeros(len(chains), dtype=np.int64)
 
     def noise(t, beams):
@@ -96,35 +74,42 @@ def _chain_noise(cfg: NpadConfig, chains: list[int], draws: int, dim: int):
     return noise
 
 
-def _sampler(cfg: NpadConfig, chains: list[int], steps: int):
+def _sampler(seed: int, chains: list[int], steps: int):
     """The sampling `pick`: each chain draws its `steps` uniforms up front and
     picks its step-t token with the t-th."""
-    u = np.array([_stream(cfg, m, 1).uniform_vec(steps) for m in chains])
+    u = np.array([_stream(seed, m, 1).uniform_vec(steps) for m in chains])
     return lambda t, logp, beams: categorical_rows(np.exp(logp), u[beams, t - 1])
 
 
-def run_chains(model, cfg: NpadConfig, chains) -> list[ChainResult]:
-    """Run the given chains of the configuration against a bound model, as
-    the searches of one `search_rows` call.
+def run_chains(model, cell, seed: int, chains,
+               limits: DecodeLimits | None = None) -> list[ChainResult]:
+    """Run the given chains of a sample or npad `evaluate.Cell` against a
+    bound model, as the searches of one `search_rows` call.
 
-    Chain m's result does not depend on which other chains run with it.
+    The cell has `cell.chains or 1` chains. Chain m adds noise of scale
+    `cell.sigma0 or 0.0`, or none when it is the zero chain (m = 0 under
+    `cell.include_zero_chain`). A sample cell's chains sample their tokens;
+    the others search greedily, or as a beam when `cell.beam_width` is above
+    1. Every stream derives from `seed`, and chain m's result does not depend
+    on which other chains run with it.
     """
     chains = list(chains)
+    count = cell.chains or 1
     for m in chains:
-        if not 0 <= m < cfg.chains:
-            raise ContractError(f"chain index {m} outside 0..{cfg.chains - 1}")
-    limits = resolve_limits(model, cfg.limits)
-    width = cfg.beam_width if cfg.inner == "beam" else 1
-    if cfg.inner == "sample":
-        pick = _sampler(cfg, chains, limits.max_len)
+        if not 0 <= m < count:
+            raise ContractError(f"chain index {m} outside 0..{count - 1}")
+    limits = resolve_limits(model, limits)
+    if cell.strategy == "sample":
+        width, pick = 1, _sampler(seed, chains, limits.max_len)
     else:
-        pick = greedy_pick if cfg.inner == "greedy" else None
+        width = cell.beam_width or 1
+        pick = greedy_pick if width == 1 else None
     # a beam chain has one row at step 1 and at most `width` rows after it
     found = search_rows(model, len(chains), width, pick=pick, limits=limits,
-                        noise=_chain_noise(cfg, chains, 1 + (limits.max_len - 1) * width,
-                                           model.state_dim))
+                        noise=_chain_noise(cell, seed, chains,
+                                           1 + (limits.max_len - 1) * width, model.state_dim))
     hyps = [best for best, _ in found]
-    sigmas = [_sigma0(cfg, m) for m in chains]
+    sigmas = [_sigma0(cell, m) for m in chains]
     # a zero-noise chain's own score is its replay; only noisy outputs are rescored
     distinct = list(dict.fromkeys(tuple(h.tokens) for h, s in zip(hyps, sigmas) if s))
     rescored = dict(zip(distinct, force_scores(model, distinct)))
@@ -147,7 +132,8 @@ def select_best(results: list[ChainResult]) -> ChainResult:
     return best
 
 
-def npad_search(model, cfg: NpadConfig):
-    """Run all chains against a bound model; returns (best, all results)."""
-    results = run_chains(model, cfg, range(cfg.chains))
+def npad_search(model, cell, seed: int, limits: DecodeLimits | None = None):
+    """Run every chain of a sample or npad cell against a bound model (see
+    `run_chains`); returns (best, all results)."""
+    results = run_chains(model, cell, seed, range(cell.chains or 1), limits)
     return select_best(results), results

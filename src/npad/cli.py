@@ -163,26 +163,16 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _cell_from_args(parser_error, args) -> Cell:
-    needs_seed = args.strategy in ("sample", "npad")
-    if needs_seed and args.seed is None:
-        parser_error(f"--seed is required for --strategy {args.strategy}")
-    if args.strategy == "npad" and args.chains is None:
-        parser_error("--chains is required for --strategy npad")
-    if args.strategy == "npad" and args.sigma0 is None:
-        parser_error("--sigma0 is required for --strategy npad")
-    if args.strategy == "beam" and args.beam_width is None:
-        parser_error("--beam-width is required for --strategy beam")
-    if args.strategy == "diverse" and (args.beam_width is None or args.eta is None):
-        parser_error("--beam-width and --eta are required for --strategy diverse")
+def _cell_from_args(args) -> Cell:
+    if args.strategy in ("sample", "npad") and args.seed is None:
+        raise ConfigError(f"--seed is required for --strategy {args.strategy}")
     return Cell(strategy=args.strategy, beam_width=args.beam_width, sigma0=args.sigma0,
                 chains=args.chains, eta=args.eta,
                 include_zero_chain=not args.no_zero_chain)
 
 
 def cmd_decode(args) -> int:
-    parser = build_parser()
-    cell = _cell_from_args(parser.error, args)
+    cell = _cell_from_args(args)
     params = load_model(args.model)
     src_vocab = load_vocab(args.vocab_src)
     tgt_vocab = load_vocab(args.vocab_tgt)

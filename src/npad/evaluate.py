@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import exp, isfinite, log
 
-from .chains import ChainResult, NpadConfig, npad_search
+from .chains import ChainResult, npad_search
 from .core import ContractError, derive_seed
 from .decode import (
     DecodeLimits,
@@ -60,11 +60,12 @@ class Cell:
             raise ConfigError(f"{self.strategy} requires beam_width >= 1")
         if self.strategy == "diverse" and (self.eta is None or self.eta < 0):
             raise ConfigError("diverse requires eta >= 0")
-        if self.strategy == "npad":
-            if self.chains is None:
-                raise ConfigError("npad requires chains >= 1")
-            if self.sigma0 is None or self.sigma0 < 0:
-                raise ConfigError("npad requires sigma0 >= 0")
+        if self.strategy == "npad" and self.chains is None:
+            raise ConfigError("npad requires chains >= 1")
+        if self.strategy == "npad" and self.sigma0 is None:
+            raise ConfigError("npad requires sigma0 >= 0")
+        if self.strategy in ("sample", "npad") and (self.sigma0 or 0) < 0:
+            raise ConfigError(f"{self.strategy} requires sigma0 >= 0")
 
 
 @dataclass
@@ -140,19 +141,6 @@ def corpus_bleu(hypotheses, references, max_n: int = 4, smooth: bool = False) ->
     return bp * exp(sum(log_precisions) / len(log_precisions))
 
 
-def npad_config(cell: Cell, seed: int, limits: DecodeLimits) -> NpadConfig:
-    """The chain configuration of a sample or npad cell."""
-    if cell.strategy == "sample":
-        return NpadConfig(chains=cell.chains or 1, sigma0=0.0,
-                          inner="sample", include_zero_chain=False,
-                          base_seed=seed, limits=limits)
-    return NpadConfig(chains=cell.chains, sigma0=cell.sigma0,
-                      inner="beam" if (cell.beam_width or 1) > 1 else "greedy",
-                      beam_width=cell.beam_width or 1,
-                      include_zero_chain=cell.include_zero_chain,
-                      base_seed=seed, limits=limits)
-
-
 def _decode_cell(params, source, cell: Cell, seed: int, max_len: int | None = None):
     """`decode_with_cell` plus the chain results of a sample or npad cell
     (None for the other strategies).
@@ -163,7 +151,7 @@ def _decode_cell(params, source, cell: Cell, seed: int, max_len: int | None = No
     model = BoundModel(params, source)
     limits = DecodeLimits(max_len) if max_len else default_limits(model.source_len)
     if cell.strategy in ("sample", "npad"):
-        best, results = npad_search(model, npad_config(cell, seed, limits))
+        best, results = npad_search(model, cell, seed, limits)
         hyp = best.hypothesis
         return list(hyp.tokens), best.rescored_logp, hyp.complete, results
     if cell.strategy == "greedy":

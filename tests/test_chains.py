@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from npad.chains import ChainResult, NpadConfig, npad_search, run_chains, select_best
+from npad.chains import ChainResult, npad_search, run_chains, select_best
 from npad.core import ContractError, RngStream, derive_seed
 from npad import decode
 from npad.decode import (
@@ -14,22 +14,28 @@ from npad.decode import (
     force_score,
     greedy_search,
 )
+from npad.evaluate import Cell
 from npad.model import BoundModel, score_sequence
+from npad.tasks import ConfigError
 from conftest import make_params
 from table_models import RecordingModel, TableModel, garden_path
 
 
-def cfg_for(chains, sigma0, seed=11, inner="greedy", width=1, zero_chain=True, max_len=4):
-    return NpadConfig(chains=chains, sigma0=sigma0, inner=inner,
-                      beam_width=width, include_zero_chain=zero_chain,
-                      base_seed=seed, limits=DecodeLimits(max_len))
+SEED = 11
+LIMITS = DecodeLimits(4)
+
+
+def cfg_for(chains, sigma0, inner="greedy", width=1, zero_chain=True):
+    """The cell of `chains` chains of an inner decoder: greedy, beam or sample."""
+    return Cell(strategy="sample" if inner == "sample" else "npad", chains=chains,
+                sigma0=sigma0, beam_width=width, include_zero_chain=zero_chain)
 
 
 def test_config_validation():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         cfg_for(0, 0.3)
-    with pytest.raises(ContractError):
-        NpadConfig(chains=1, sigma0=0.1, inner="mystery")
+    with pytest.raises(ConfigError):
+        Cell(strategy="mystery", chains=1, sigma0=0.1)
 
 
 class TestChainNoise:
@@ -43,7 +49,7 @@ class TestChainNoise:
         for inner, width, chains in (("greedy", 1, 200), ("beam", 2, 100)):
             model = RecordingModel({}, default=[0.5, 0.5, 0.0], state_dim=50)
             run_chains(model, cfg_for(chains, 0.4, inner=inner, width=width, zero_chain=False),
-                       range(chains))
+                       SEED, range(chains), LIMITS)
             for t in range(1, 5):
                 rows = np.stack([row for step, row in model.noise if step == t])
                 assert rows.shape == (chains * (1 if t == 1 else width), 50)
@@ -59,10 +65,10 @@ class TestChainNoise:
         monkeypatch.setattr(RngStream, "normal_vec",
                             lambda rng, shape: draws.append(shape) or normal_vec(rng, shape))
         for inner, width, rows in (("greedy", 1, 5), ("beam", 2, 1 + 2 * 4)):
-            cfg = cfg_for(3, 0.7, inner=inner, width=width, max_len=5)
+            cfg = cfg_for(3, 0.7, inner=inner, width=width)
             for m in (1, 2):
                 model = RecordingModel({}, default=[0.5, 0.5, 0.0], state_dim=4)
-                run_chains(model, cfg, [m])
+                run_chains(model, cfg, SEED, [m], DecodeLimits(5))
                 assert draws.pop() == (rows, 4)
                 steps = np.array([t for t, _ in model.noise])
                 assert len(steps) == rows and list(steps) == sorted(steps)
@@ -77,24 +83,48 @@ class TestChainNoise:
                             lambda rng, shape: draws.append(shape) or normal_vec(rng, shape))
         for inner, width in (("greedy", 1), ("beam", 2)):
             model = RecordingModel({}, default=[0.5, 0.5, 0.0], state_dim=3)
-            [r] = run_chains(model, cfg_for(4, 0.4, inner=inner, width=width), [0])
+            [r] = run_chains(model, cfg_for(4, 0.4, inner=inner, width=width), SEED, [0], LIMITS)
             assert r.sigma0_effective == 0.0
             assert model.noise == [] and model.silent_steps == 4
         assert draws == []
         # run with noisy chains in lockstep, the zero chain's rows are exact zeros
         model = RecordingModel({}, default=[0.5, 0.5, 0.0], state_dim=3)
-        run_chains(model, cfg_for(3, 0.4), [0, 1, 2])
+        run_chains(model, cfg_for(3, 0.4), SEED, [0, 1, 2], LIMITS)
         assert len(model.noise) == 12 and draws
         rows = [row for step, row in model.noise]
         assert all(not rows[i].any() for i in range(0, 12, 3))
         assert all(rows[i].all() for i in range(12) if i % 3)
+
+    def test_sampling_chains_take_sigma0_and_the_zero_chain(self, monkeypatch):
+        # a sample cell's sigma0 noises its chains as an npad cell's does:
+        # chain m's step-t row is the t-th row of its stream times sigma0 / t,
+        # and under zero_chain chain 0 samples without noise and draws nothing
+        draws = []
+        normal_vec = RngStream.normal_vec
+        monkeypatch.setattr(RngStream, "normal_vec",
+                            lambda rng, shape: draws.append(shape) or normal_vec(rng, shape))
+        model = RecordingModel({}, default=[0.5, 0.5, 0.0], state_dim=4)
+        results = run_chains(model, cfg_for(3, 0.7, inner="sample"), SEED, range(3),
+                             DecodeLimits(5))
+        assert [r.sigma0_effective for r in results] == [0.0, 0.7, 0.7]
+        assert draws == [(5, 4), (5, 4)]
+        rows = np.stack([row for _, row in model.noise]).reshape(5, 3, 4)
+        assert not rows[:, 0].any()
+        for m in (1, 2):
+            stream = RngStream(derive_seed(derive_seed(SEED, m), 0)).normal_vec((5, 4))
+            assert np.array_equal(rows[:, m], stream * (0.7 / np.arange(1, 6))[:, None])
+        # the tokens are still picked by each chain's own uniforms
+        for r in results:
+            u = RngStream(derive_seed(derive_seed(SEED, r.chain_index), 1)).uniform_vec(5)
+            assert r.hypothesis.tokens == [int(x >= 0.5) for x in u]
 
     def test_chains_share_each_step(self):
         # every live hypothesis of every chain is a row of one step: a 6-chain
         # beam-3 NPAD at max_len 4 decodes in 4 calls (one per step, all noisy
         # since 5 chains are), and its rescoring adds at most 4 noise-free ones
         model = RecordingModel({}, n_tokens=5, default=[1, 1, 0, 1, 1], state_dim=3)
-        results = run_chains(model, cfg_for(6, 0.4, inner="beam", width=3), range(6))
+        results = run_chains(model, cfg_for(6, 0.4, inner="beam", width=3), SEED, range(6),
+                             LIMITS)
         assert all(len(r.hypothesis.tokens) == 4 for r in results)
         assert model.calls - model.silent_steps == 4
         assert model.silent_steps <= 4
@@ -105,15 +135,15 @@ class TestChainNoise:
         # rows never interact, so a step split into kernel calls of at most
         # KERNEL_ROWS rows leaves every bit of every chain unchanged
         model = BoundModel(tiny_params, [3, 4])
-        cfg = cfg_for(6, 0.5, inner="beam", width=3, max_len=6)
-        whole = run_chains(model, cfg, range(6))
+        cfg = cfg_for(6, 0.5, inner="beam", width=3)
+        whole = run_chains(model, cfg, SEED, range(6), DecodeLimits(6))
         exact = exact_search(model, DecodeLimits(4))
         sizes = []
         step_batch = BoundModel.step_batch
         monkeypatch.setattr(BoundModel, "step_batch", lambda self, H, prev, noise=None:
                             sizes.append(prev.size) or step_batch(self, H, prev, noise))
         monkeypatch.setattr(decode, "KERNEL_ROWS", 4)
-        split = run_chains(model, cfg, range(6))
+        split = run_chains(model, cfg, SEED, range(6), DecodeLimits(6))
         assert max(sizes) == 4 and len(sizes) > 6 * 2
         assert [(r.hypothesis, r.noisy_logp, r.rescored_logp) for r in split] == \
             [(r.hypothesis, r.noisy_logp, r.rescored_logp) for r in whole]
@@ -121,8 +151,10 @@ class TestChainNoise:
 
     def test_config_rejects_bad_sigma0(self):
         for bad in (float("nan"), float("inf"), -0.1):
-            with pytest.raises(ContractError):
+            with pytest.raises(ConfigError):
                 cfg_for(2, bad)
+            with pytest.raises(ConfigError):
+                cfg_for(2, bad, inner="sample")
 
 
 class TestRunChain:
@@ -130,8 +162,8 @@ class TestRunChain:
         src = [3, 4]
         cfg = cfg_for(4, 0.3)
         model = BoundModel(tiny_params, src)
-        [result] = run_chains(model, cfg, [0])
-        plain = greedy_search(model, limits=cfg.limits)
+        [result] = run_chains(model, cfg, SEED, [0], LIMITS)
+        plain = greedy_search(model, limits=LIMITS)
         assert result.sigma0_effective == 0.0
         assert result.hypothesis.tokens == plain.tokens
         assert result.noisy_logp == plain.logp
@@ -141,29 +173,30 @@ class TestRunChain:
         cfg = cfg_for(6, 0.3)
         model = BoundModel(tiny_params, [3, 4])
         for m in range(6):
-            [a] = run_chains(model, cfg, [m])
-            [b] = run_chains(model, cfg, [m])
+            [a] = run_chains(model, cfg, SEED, [m], LIMITS)
+            [b] = run_chains(model, cfg, SEED, [m], LIMITS)
             assert a.hypothesis.tokens == b.hypothesis.tokens
             assert a.noisy_logp == b.noisy_logp
             assert a.rescored_logp == b.rescored_logp
 
     def test_chain_index_validated(self, tiny_params):
         with pytest.raises(ContractError):
-            run_chains(BoundModel(tiny_params, [3]), cfg_for(3, 0.1), [3])
+            run_chains(BoundModel(tiny_params, [3]), cfg_for(3, 0.1), SEED, [3], LIMITS)
 
     def test_zero_chain_noisy_equals_rescored(self, tiny_params):
-        [result] = run_chains(BoundModel(tiny_params, [3, 4]), cfg_for(5, 0.5), [0])
+        [result] = run_chains(BoundModel(tiny_params, [3, 4]), cfg_for(5, 0.5), SEED, [0],
+                              LIMITS)
         assert result.noisy_logp == pytest.approx(result.rescored_logp, abs=1e-9)
 
     def test_some_chain_escapes_garden_path(self):
         # noise shifts the step-1 logit of the trap token; sigma0=0.3 flips
         # the opening choice with probability ~0.39 per chain
         model = garden_path(noise_weight=5.0)
-        cfg = cfg_for(50, 0.3, seed=1234, max_len=3)
-        greedy_score = force_score(model, greedy_search(model, limits=cfg.limits).tokens)
+        cfg, limits = cfg_for(50, 0.3), DecodeLimits(3)
+        greedy_score = force_score(model, greedy_search(model, limits=limits).tokens)
         escaped = []
         for m in range(1, 50):
-            [r] = run_chains(model, cfg, [m])
+            [r] = run_chains(model, cfg, 1234, [m], limits)
             if r.rescored_logp > greedy_score:
                 escaped.append(r)
         assert escaped, "no chain escaped the trap"
@@ -176,8 +209,8 @@ class TestNpadDecode:
     def test_degenerate_single_zero_chain_is_greedy(self, tiny_params):
         cfg = cfg_for(1, 0.0)
         model = BoundModel(tiny_params, [3, 4])
-        best, results = npad_search(model, cfg)
-        plain = greedy_search(model, limits=cfg.limits)
+        best, results = npad_search(model, cfg, SEED, LIMITS)
+        plain = greedy_search(model, limits=LIMITS)
         assert len(results) == 1
         assert best.hypothesis.tokens == plain.tokens
         assert best.rescored_logp == plain.logp
@@ -189,21 +222,20 @@ class TestNpadDecode:
             params = make_params(seed, d_emb=2, d_hid=3, n_src=5, n_tgt=4, scale=1.0)
             src = [3 + (seed % 2), 4, 3][: 1 + seed % 3]
             model = BoundModel(params, src)
-            cfg = cfg_for(6, 0.3, seed=seed, max_len=5)
-            best, _ = npad_search(model, cfg)
-            inner = greedy_search(model, limits=cfg.limits)
+            limits = DecodeLimits(5)
+            best, _ = npad_search(model, cfg_for(6, 0.3), seed, limits)
+            inner = greedy_search(model, limits=limits)
             assert best.rescored_logp >= force_score(model, inner.tokens)
-            cfg_b = cfg_for(4, 0.3, seed=seed, inner="beam", width=3, max_len=5)
-            best_b, _ = npad_search(model, cfg_b)
-            inner_b, _ = beam_search(model, 3, limits=cfg_b.limits)
+            best_b, _ = npad_search(model, cfg_for(4, 0.3, inner="beam", width=3), seed, limits)
+            inner_b, _ = beam_search(model, 3, limits=limits)
             assert best_b.rescored_logp >= force_score(model, inner_b.tokens)
 
     def test_chain_sets_nest_and_selection_monotone_in_m(self, tiny_params):
         src = [3, 4]
         per_m = {}
         for m_count in (1, 5, 10, 50):
-            cfg = cfg_for(m_count, 0.3, seed=77, max_len=5)
-            best, results = npad_search(BoundModel(tiny_params, src), cfg)
+            cfg = cfg_for(m_count, 0.3)
+            best, results = npad_search(BoundModel(tiny_params, src), cfg, 77, DecodeLimits(5))
             per_m[m_count] = (best, results)
         small = per_m[5][1]
         large = per_m[50][1]
@@ -219,13 +251,12 @@ class TestNpadDecode:
         model = BoundModel(params, [3, 5, 4])
         for inner, width, zero_chain in [("greedy", 1, True), ("greedy", 1, False),
                                          ("sample", 1, False), ("beam", 3, True)]:
-            cfg = cfg_for(12, 0.4, seed=5, inner=inner, width=width, zero_chain=zero_chain,
-                          max_len=6)
-            _, together = npad_search(model, cfg)
+            cfg = cfg_for(12, 0.4, inner=inner, width=width, zero_chain=zero_chain)
+            _, together = npad_search(model, cfg, 5, DecodeLimits(6))
             assert [r.chain_index for r in together] == list(range(12))
             assert len({tuple(r.hypothesis.tokens) for r in together}) > 1
             for r in together:
-                [alone] = run_chains(model, cfg, [r.chain_index])
+                [alone] = run_chains(model, cfg, 5, [r.chain_index], DecodeLimits(6))
                 assert r.hypothesis.tokens == alone.hypothesis.tokens
                 assert r.hypothesis.complete == alone.hypothesis.complete
                 assert r.noisy_logp == alone.noisy_logp
@@ -234,8 +265,8 @@ class TestNpadDecode:
 
     def test_selection_uses_only_rescored_values(self, tiny_params):
         src = [3, 4]
-        cfg = cfg_for(10, 0.5, seed=3, max_len=5)
-        best, results = npad_search(BoundModel(tiny_params, src), cfg)
+        cfg = cfg_for(10, 0.5)
+        best, results = npad_search(BoundModel(tiny_params, src), cfg, 3, DecodeLimits(5))
         for r in results:
             independent = score_sequence(tiny_params, src, r.hypothesis.tokens)
             assert r.rescored_logp == pytest.approx(independent, abs=1e-9)
@@ -251,15 +282,16 @@ class TestNpadDecode:
 
     def test_incomplete_only_when_all_incomplete(self):
         never_eos = TableModel({}, default=[0.5, 0.5, 0.0])
-        cfg = cfg_for(3, 0.2, max_len=3)
-        best, results = npad_search(never_eos, cfg)
+        cfg = cfg_for(3, 0.2)
+        best, results = npad_search(never_eos, cfg, SEED, DecodeLimits(3))
         assert all(not r.hypothesis.complete for r in results)
         assert not best.hypothesis.complete
 
     def test_sampling_inner_uses_chain_private_rng(self, tiny_params):
-        cfg = cfg_for(6, 0.0, seed=42, inner="sample", zero_chain=False, max_len=5)
-        best, results = npad_search(BoundModel(tiny_params, [3, 4]), cfg)
-        rerun_best, rerun = npad_search(BoundModel(tiny_params, [3, 4]), cfg)
+        cfg = cfg_for(6, 0.0, inner="sample", zero_chain=False)
+        best, results = npad_search(BoundModel(tiny_params, [3, 4]), cfg, 42, DecodeLimits(5))
+        rerun_best, rerun = npad_search(BoundModel(tiny_params, [3, 4]), cfg, 42,
+                                        DecodeLimits(5))
         assert [r.hypothesis.tokens for r in results] == [r.hypothesis.tokens for r in rerun]
         assert best.rescored_logp == rerun_best.rescored_logp
         assert best.rescored_logp == max(r.rescored_logp for r in results
@@ -270,9 +302,9 @@ class TestNpadDecode:
         # t-th stream-1 uniform is below 0.5 and 1 otherwise, whichever chains
         # run with it
         model = TableModel({}, default=[0.5, 0.5, 0.0])
-        cfg = cfg_for(8, 0.0, seed=31, inner="sample", zero_chain=False, max_len=6)
+        cfg = cfg_for(8, 0.0, inner="sample", zero_chain=False)
         for chains in ([2, 5, 7], [5], list(range(8))):
-            for r in run_chains(model, cfg, chains):
+            for r in run_chains(model, cfg, 31, chains, DecodeLimits(6)):
                 u = RngStream(derive_seed(derive_seed(31, r.chain_index), 1)).uniform_vec(6)
                 assert r.hypothesis.tokens == [int(x >= 0.5) for x in u]
 
@@ -280,12 +312,12 @@ class TestNpadDecode:
         # hidden noise and output sampling can be combined; replay soundness
         # of the rescore is unaffected
         src = [3, 4]
-        cfg = cfg_for(8, 0.4, seed=6, inner="sample", zero_chain=False, max_len=5)
-        best, results = npad_search(BoundModel(tiny_params, src), cfg)
+        cfg = cfg_for(8, 0.4, inner="sample", zero_chain=False)
+        best, results = npad_search(BoundModel(tiny_params, src), cfg, 6, DecodeLimits(5))
         assert len({tuple(r.hypothesis.tokens) for r in results}) > 1
         for r in results:
             assert r.sigma0_effective == 0.4
             assert r.rescored_logp == pytest.approx(
                 score_sequence(tiny_params, src, r.hypothesis.tokens), abs=1e-9)
-        rerun, _ = npad_search(BoundModel(tiny_params, src), cfg)
+        rerun, _ = npad_search(BoundModel(tiny_params, src), cfg, 6, DecodeLimits(5))
         assert rerun.hypothesis.tokens == best.hypothesis.tokens

@@ -92,18 +92,28 @@ def test_decode_npad_writes_output_and_chain_trace(workspace):
         assert rec["logp"] == max(rescored)
 
 
-def test_decode_flag_validation(workspace):
+def test_decode_flag_validation(workspace, capsys):
     d = workspace["data"]
     base = ["decode", "--model", workspace["model"],
             "--vocab-src", f"{d}/vocab_src.txt", "--vocab-tgt", f"{d}/vocab_tgt.txt",
             "--input", f"{d}/test.tsv"]
+    # a flag the parser cannot read is a usage error
     assert main(base + ["--strategy", "npad", "--chains", "0",
-                        "--sigma0", "0.3", "--seed", "1"]) != 0
-    assert main(base + ["--strategy", "npad", "--sigma0", "0.3", "--seed", "1"]) != 0
-    assert main(base + ["--strategy", "npad", "--chains", "2", "--sigma0", "0.3"]) != 0
-    assert main(base + ["--strategy", "sample"]) != 0
-    assert main(base + ["--strategy", "beam"]) != 0
-    assert main(base + ["--strategy", "mystery"]) != 0
+                        "--sigma0", "0.3", "--seed", "1"]) == 2
+    assert main(base + ["--strategy", "mystery"]) == 2
+    capsys.readouterr()
+    # a cell that lacks a flag its strategy needs is a config error
+    for flags, message in [
+            (["npad", "--sigma0", "0.3", "--seed", "1"], "npad requires chains"),
+            (["npad", "--chains", "2", "--seed", "1"], "npad requires sigma0"),
+            (["npad", "--chains", "2", "--sigma0", "0.3"], "--seed is required"),
+            (["sample"], "--seed is required"),
+            (["sample", "--sigma0", "-0.1", "--seed", "1"], "sample requires sigma0 >= 0"),
+            (["beam"], "beam requires beam_width"),
+            (["diverse", "--beam-width", "2"], "diverse requires eta"),
+            (["diverse", "--eta", "0.5"], "diverse requires beam_width")]:
+        assert main(base + ["--strategy"] + flags) == 1
+        assert f"error: config: {message}" in capsys.readouterr().err
 
 
 def test_non_finite_hyperparameters_exit_1(workspace, capsys):

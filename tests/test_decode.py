@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from npad import decode
-from npad.chains import NpadConfig, _chain_noise, run_chains
+from npad.chains import _chain_noise, run_chains
 from npad.core import ContractError, RngStream, derive_seed
 from npad.decode import (
     DecodeLimits,
@@ -18,7 +18,9 @@ from npad.decode import (
     force_scores,
     greedy_search,
 )
+from npad.evaluate import Cell
 from npad.model import EOS, BoundModel, VocabError, score_sequence
+from npad.tasks import ConfigError
 from conftest import make_params
 from table_models import TableModel, garden_path, point_mass_eos
 
@@ -40,9 +42,8 @@ def random_model(seed):
 
 def samples(model, n, seed, limits=None):
     """n ancestral samples, run as the lockstep chains of a sample cell."""
-    cfg = NpadConfig(chains=n, sigma0=0.0, inner="sample", include_zero_chain=False,
-                     base_seed=seed, limits=limits)
-    return [r.hypothesis for r in run_chains(model, cfg, range(n))]
+    cell = Cell(strategy="sample", chains=n)
+    return [r.hypothesis for r in run_chains(model, cell, seed, range(n), limits)]
 
 
 class TestNoiseSchedule:
@@ -50,9 +51,9 @@ class TestNoiseSchedule:
     chain's rows take the next standard normal rows of its stream."""
 
     @staticmethod
-    def stream(cfg, m, rows, dim):
+    def stream(seed, m, rows, dim):
         """Chain m's standard normal noise rows, unscaled."""
-        return RngStream(derive_seed(derive_seed(cfg.base_seed, m), 0)).normal_vec((rows, dim))
+        return RngStream(derive_seed(derive_seed(seed, m), 0)).normal_vec((rows, dim))
 
     @staticmethod
     def one_row_per_step(noise, chains, steps):
@@ -60,46 +61,46 @@ class TestNoiseSchedule:
         return np.stack([noise(t, np.arange(chains)) for t in range(1, steps + 1)])
 
     def test_inverse_t_values(self):
-        cfg = NpadConfig(chains=2, sigma0=0.3, base_seed=5)
-        rows = self.one_row_per_step(_chain_noise(cfg, [0, 1], 7, 4), 2, 7)
-        z = self.stream(cfg, 1, 7, 4)
+        cell = Cell(strategy="npad", chains=2, sigma0=0.3)
+        rows = self.one_row_per_step(_chain_noise(cell, 5, [0, 1], 7, 4), 2, 7)
+        z = self.stream(5, 1, 7, 4)
         assert np.array_equal(rows[0, 1], z[0] * 0.3)
         assert np.array_equal(rows[1, 1], z[1] * (0.3 / 2))
         assert np.allclose(rows[1, 1], z[1] * 0.15, rtol=1e-15, atol=0)
         assert not rows[:, 0].any()
-        silent = NpadConfig(chains=2, sigma0=0.0, include_zero_chain=False)
-        assert _chain_noise(silent, [0, 1], 7, 4) is None
+        silent = Cell(strategy="npad", chains=2, sigma0=0.0, include_zero_chain=False)
+        assert _chain_noise(silent, 0, [0, 1], 7, 4) is None
 
     def test_strictly_decreasing(self):
-        cfg = NpadConfig(chains=2, sigma0=0.5, base_seed=9)
-        rows = self.one_row_per_step(_chain_noise(cfg, [1], 19, 6), 1, 19)[:, 0]
-        z = self.stream(cfg, 1, 19, 6)
+        cell = Cell(strategy="npad", chains=2, sigma0=0.5)
+        rows = self.one_row_per_step(_chain_noise(cell, 9, [1], 19, 6), 1, 19)[:, 0]
+        z = self.stream(9, 1, 19, 6)
         sigmas = np.linalg.norm(rows, axis=1) / np.linalg.norm(z, axis=1)
         assert np.allclose(sigmas, 0.5 / np.arange(1, 20), rtol=1e-12, atol=0)
         assert all(a > b for a, b in zip(sigmas, sigmas[1:]))
 
     def test_rejects_bad_args(self):
         for bad in (-0.1, -1e-300):
-            with pytest.raises(ContractError):
-                NpadConfig(chains=2, sigma0=bad)
+            with pytest.raises(ConfigError):
+                Cell(strategy="npad", chains=2, sigma0=bad)
 
     def test_rows_and_table_equal_successive_vectors(self):
         # each chain walks its one stream in step order, whatever its row
         # count: chain 1 has one row at step 1 and two from step 2 on, chain 2
         # one row throughout, so at step 3 chain 1 takes stream rows 3 and 4
-        cfg = NpadConfig(chains=3, sigma0=0.7, base_seed=8)
-        noise = _chain_noise(cfg, [1, 2], 12, 5)
+        cell = Cell(strategy="npad", chains=3, sigma0=0.7)
+        noise = _chain_noise(cell, 8, [1, 2], 12, 5)
         steps = [noise(1, np.array([0, 1])), noise(2, np.array([0, 0, 1])),
                  noise(3, np.array([0, 0, 1]))]
-        z1, z2 = self.stream(cfg, 1, 5, 5), self.stream(cfg, 2, 3, 5)
+        z1, z2 = self.stream(8, 1, 5, 5), self.stream(8, 2, 3, 5)
         assert np.array_equal(steps[0], np.stack([z1[0], z2[0]]) * 0.7)
         assert np.array_equal(steps[1], np.stack([z1[1], z1[2], z2[1]]) * (0.7 / 2))
         assert np.array_equal(steps[2], np.stack([z1[3], z1[4], z2[2]]) * (0.7 / 3))
 
     def test_non_finite_sigma0_rejected(self):
         for bad in (float("nan"), float("inf")):
-            with pytest.raises(ContractError):
-                NpadConfig(chains=2, sigma0=bad)
+            with pytest.raises(ConfigError):
+                Cell(strategy="npad", chains=2, sigma0=bad)
 
 
 def test_default_limits_follow_source_length():
