@@ -11,13 +11,19 @@ of the inner decoder.
 
 This is the only module that draws random numbers while decoding: chain m's
 private Gaussian stream, scaled by sigma_t = sigma0 / t at step t, and a
-sampling chain's private uniforms, both drawn up front. All chains run as
-the searches of one `decode.search_rows` call, so every step of every chain
-is a row of one batched step; each noisy row takes the next standard normal
-row of its chain's stream. Rows never interact, so each chain's result is
-bitwise the one it gets when run alone. A zero-noise chain's own score is
-its non-noisy replay; the distinct outputs of the noisy chains are rescored
-together as rows.
+sampling chain's private uniforms, both drawn in blocks as the steps need
+them. All chains run as the searches of one `decode.search_rows` call, so
+every step of every chain is a row of one batched step; each noisy row
+takes the next standard normal row of its chain's stream. Rows never
+interact, so each chain's result is bitwise the one it gets when run alone.
+
+A zero-noise chain's own score is its non-noisy replay. Noisy greedy and
+sampling chains are rescored inside the same search: each step also runs
+one non-noisy replay row per distinct noisy prefix (`search_rows`'s
+`replay`), with no rescoring pass after it. A noisy beam chain's output is
+known only when its search ends, and replaying every live beam row would
+cost about `width` times the rows, so the distinct outputs of noisy beam
+chains are rescored together as rows after the search (`force_scores`).
 """
 from __future__ import annotations
 
@@ -47,38 +53,61 @@ def _stream(seed: int, m: int, which: int) -> RngStream:
     return RngStream(derive_seed(derive_seed(seed, m), which))
 
 
+def _grown(table, need: int, cap: int, live, draw):
+    """`table` (chains, rows, ...) widened to hold `need` rows per chain: its
+    rows double, from 16 and up to `cap`, and each chain in `live` draws all
+    its new rows in one `draw(i, count)` call; the others' new rows stay zero.
+    Successive draws from one stream equal one draw of their total, so a
+    chain's rows do not depend on when they were drawn."""
+    have = table.shape[1]
+    block = np.zeros((table.shape[0], min(cap, max(need, 2 * have, 16)) - have) + table.shape[2:])
+    for i in live:
+        block[i] = draw(i, block.shape[1])
+    return np.concatenate([table, block], axis=1)
+
+
 def _chain_noise(cell, seed: int, chains: list[int], draws: int, dim: int):
     """The chains' noise as `search_rows` takes it, or None when no chain is
-    noisy. Each noisy chain draws `draws` standard normal rows of its stream
-    up front; at step t its rows take the next ones in order, times
-    sigma0 / t. A zero-noise chain draws nothing and gets zero rows.
+    noisy. Each noisy chain draws at most `draws` standard normal rows of its
+    stream, in blocks as its steps need them; at step t its rows take the
+    next ones in order, times sigma0 / t. A zero-noise chain draws nothing
+    and gets zero rows.
     """
     sigma0 = np.array([_sigma0(cell, m) for m in chains])
-    noisy = np.flatnonzero(sigma0)
-    if not noisy.size:
+    if not sigma0.any():
         return None
-    # the noisy chains' draws back to back, then the zero-noise chains' zero row
-    table = np.zeros((noisy.size * draws + 1, dim))
-    start = np.zeros(len(chains), dtype=np.int64)
-    for k, i in enumerate(noisy):
-        start[i] = k * draws
-        table[start[i]:start[i] + draws] = _stream(seed, chains[i], 0).normal_vec((draws, dim))
+    streams = {i: _stream(seed, chains[i], 0) for i in np.flatnonzero(sigma0)}
+    table = np.zeros((len(chains), 0, dim))
     used = np.zeros(len(chains), dtype=np.int64)
 
     def noise(t, beams):
+        nonlocal table
         # a chain's rows are contiguous: each takes the next unused row of its chain
-        nth = start[beams] + used[beams] + np.arange(beams.size) - np.searchsorted(beams, beams)
+        nth = used[beams] + np.arange(beams.size) - np.searchsorted(beams, beams)
         used[:] += np.bincount(beams, minlength=len(chains))
-        return table[np.where(sigma0[beams] > 0, nth, -1)] * (sigma0[beams] / t)[:, None]
+        need = int(nth.max()) + 1
+        if need > table.shape[1]:
+            table = _grown(table, need, draws,
+                           [i for i in np.unique(beams) if i in streams],
+                           lambda i, count: streams[i].normal_vec((count, dim)))
+        return table[beams, nth] * (sigma0[beams] / t)[:, None]
 
     return noise
 
 
 def _sampler(seed: int, chains: list[int], steps: int):
-    """The sampling `pick`: each chain draws its `steps` uniforms up front and
-    picks its step-t token with the t-th."""
-    u = np.array([_stream(seed, m, 1).uniform_vec(steps) for m in chains])
-    return lambda t, logp, beams: categorical_rows(np.exp(logp), u[beams, t - 1])
+    """The sampling `pick`: each chain draws at most `steps` uniforms, in
+    blocks as its steps need them, and picks its step-t token with the t-th."""
+    streams = [_stream(seed, m, 1) for m in chains]
+    u = np.zeros((len(chains), 0))
+
+    def pick(t, logp, beams):
+        nonlocal u
+        if t > u.shape[1]:
+            u = _grown(u, t, steps, beams, lambda i, count: streams[i].uniform_vec(count))
+        return categorical_rows(np.exp(logp), u[beams, t - 1])
+
+    return pick
 
 
 def run_chains(model, cell, seed: int, chains,
@@ -92,6 +121,9 @@ def run_chains(model, cell, seed: int, chains,
     the others search greedily, or as a beam when `cell.beam_width` is above
     1. Every stream derives from `seed`, and chain m's result does not depend
     on which other chains run with it.
+
+    Noisy greedy and sampling chains are rescored by their replay rows in
+    the search, noisy beam chains by `force_scores` after it (see above).
     """
     chains = list(chains)
     count = cell.chains or 1
@@ -99,22 +131,24 @@ def run_chains(model, cell, seed: int, chains,
         if not 0 <= m < count:
             raise ContractError(f"chain index {m} outside 0..{count - 1}")
     limits = resolve_limits(model, limits)
-    if cell.strategy == "sample":
-        width, pick = 1, _sampler(seed, chains, limits.max_len)
-    else:
-        width = cell.beam_width or 1
-        pick = greedy_pick if width == 1 else None
-    # a beam chain has one row at step 1 and at most `width` rows after it
-    found = search_rows(model, len(chains), width, pick=pick, limits=limits,
-                        noise=_chain_noise(cell, seed, chains,
-                                           1 + (limits.max_len - 1) * width, model.state_dim))
-    hyps = [best for best, _ in found]
     sigmas = [_sigma0(cell, m) for m in chains]
-    # a zero-noise chain's own score is its replay; only noisy outputs are rescored
-    distinct = list(dict.fromkeys(tuple(h.tokens) for h, s in zip(hyps, sigmas) if s))
-    rescored = dict(zip(distinct, force_scores(model, distinct)))
-    return [ChainResult(m, h, h.logp, rescored[tuple(h.tokens)] if s else h.logp, s)
-            for m, h, s in zip(chains, hyps, sigmas)]
+    width = cell.beam_width or 1
+    # a beam chain has one row at step 1 and at most `width` rows after it
+    noise = _chain_noise(cell, seed, chains, 1 + (limits.max_len - 1) * width, model.state_dim)
+    if width > 1:
+        hyps = [best for best, _ in search_rows(model, len(chains), width, noise=noise,
+                                                limits=limits)]
+        # a zero-noise chain's own score is its replay; only noisy outputs are rescored
+        distinct = list(dict.fromkeys(tuple(h.tokens) for h, s in zip(hyps, sigmas) if s))
+        replays = dict(zip(distinct, force_scores(model, distinct)))
+        rescored = [replays[tuple(h.tokens)] if s else h.logp for h, s in zip(hyps, sigmas)]
+    else:
+        pick = _sampler(seed, chains, limits.max_len) if cell.strategy == "sample" else greedy_pick
+        found, replayed = search_rows(model, len(chains), pick=pick, noise=noise, limits=limits,
+                                      replay=np.array(sigmas) > 0)
+        hyps = [best for best, _ in found]
+        rescored = [r if s else h.logp for h, s, r in zip(hyps, sigmas, replayed.tolist())]
+    return [ChainResult(m, h, h.logp, r, s) for m, h, r, s in zip(chains, hyps, rescored, sigmas)]
 
 
 def select_best(results: list[ChainResult]) -> ChainResult:

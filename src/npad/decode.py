@@ -6,11 +6,13 @@ Nothing here draws a random number. `search_rows` is the one search loop:
 it runs any number of independent greedy, picked or beam searches, taking a
 noisy run's noise as a `noise(t, beams)` callable and a picked run's token
 rule as a `pick` callable; the chains module builds both from each chain's
-private streams. Engines operate on the batched step interface of
-`model.BoundModel` (or any object with the same surface) and advance all
-their rows together, one `step_batch` call per KERNEL_ROWS rows per step:
-every live hypothesis of every search, an exhaustive search level or a set
-of sequences being rescored. A model bound to one source is
+private streams. A picked run can also replay its noisy searches under the
+non-noisy model in its own steps (`replay`), one row per distinct prefix.
+Engines operate on the batched step interface of `model.BoundModel` (or any
+object with the same surface) and advance all their rows together, one
+`step_batch` call per KERNEL_ROWS rows per step: every live hypothesis of
+every search with its replay rows, an exhaustive search level or a set of
+sequences being rescored. A model bound to one source is
 `model.BoundModel(params, source)`.
 
 Scores are raw cumulative log-probabilities; no length normalization is
@@ -159,7 +161,7 @@ def _top_k(raw, logp, beams, k_live, eta):
 
 
 def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, noise=None,
-                limits: DecodeLimits | None = None):
+                limits: DecodeLimits | None = None, replay=None):
     """Run n independent searches together and return (best, completed) for
     each: every live row of every search is a row of one step (one
     `step_batch` call per KERNEL_ROWS rows).
@@ -176,23 +178,55 @@ def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, nois
     `best` is the best completed hypothesis, or, when nothing completes
     within max_len, the best live one flagged incomplete with `completed`
     empty.
+
+    `replay`, a boolean mask over the searches of a pick run, also scores
+    each marked search's output under the non-noisy model in the same step
+    calls. Step t runs one zero-noise replay row per distinct prefix of
+    length t - 1 among the marked live searches, fed the prefix's last token;
+    once `pick` has chosen token t, each marked search adds its replay row's
+    log-probability of that token to its total, which starts at 0.0. The
+    totals add in `force_scores`'s order and rows never interact, so each is
+    bitwise `force_score` of the search's tokens. The call then returns
+    (results, replayed), replayed[s] being search s's total (0.0 unmarked).
     """
     if width < 1:
         raise ContractError(f"beam width must be >= 1, got {width}")
     if not math.isfinite(eta) or eta < 0:
         raise ContractError(f"eta must be finite and >= 0, got {eta}")
+    if replay is not None and pick is None:
+        raise ContractError("only pick searches can replay their outputs")
     limits = resolve_limits(model, limits)
     beams = np.arange(n)
-    H = np.tile(model.initial().h, (n, 1))
+    h0 = model.initial().h
+    H = np.tile(h0, (n, 1))
     prev = np.full(n, model.bos)
     scores = np.zeros(n)
-    tokens = np.zeros((n, limits.max_len), dtype=np.int64)
+    # columns grow by doubling as steps advance, so memory follows the steps taken
+    tokens = np.zeros((n, min(limits.max_len, 64)), dtype=np.int64)
     k_live = np.full(n, width)
     completed: list[list[Hypothesis]] = [[] for _ in range(n)]
+    # each search's replay row (-1 unmarked), the replay rows' states and
+    # previous tokens, and each search's replay total
+    node = np.full(n, -1) if replay is None else np.where(replay, 0, -1)
+    RH = h0[None][:int(replay is not None and np.any(replay))]    # the empty prefix, if marked
+    Rprev = np.full(RH.shape[0], model.bos)
+    replayed = np.zeros(n)
     for t in range(1, limits.max_len + 1):
         if not beams.size:
             break
-        H, logp = _step(model, H, prev, noise(t, beams) if noise else None)
+        if t > tokens.shape[1]:
+            grow = min(tokens.shape[1], limits.max_len - tokens.shape[1])
+            tokens = np.hstack([tokens, np.zeros((tokens.shape[0], grow), dtype=np.int64)])
+        rows = beams.size
+        step_noise = noise(t, beams) if noise else None
+        if Rprev.size:
+            H, prev = np.concatenate([H, RH]), np.concatenate([prev, Rprev])
+            if step_noise is not None:
+                step_noise = np.concatenate([step_noise,
+                                             np.zeros((Rprev.size, step_noise.shape[1]))])
+        H, logp = _step(model, H, prev, step_noise)
+        if Rprev.size:
+            H, RH, logp, Rlogp = H[:rows], H[rows:], logp[:rows], logp[rows:]
         if pick is None:
             raw = scores[:, None] + logp
             chosen = _top_k(raw, logp, beams, k_live, eta)
@@ -200,7 +234,11 @@ def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, nois
             H, beams, tokens = H[parent], beams[parent], tokens[parent]
         else:
             prev = pick(t, logp, beams)
-            scores = scores + logp[np.arange(beams.size), prev]
+            scores = scores + logp[np.arange(rows), prev]
+            if Rprev.size:
+                mine = node[beams]
+                on = mine >= 0
+                replayed[beams[on]] += Rlogp[mine[on], prev[on]]
         tokens[:, t - 1] = prev
         ended = prev == model.eos
         if ended.any():
@@ -211,11 +249,19 @@ def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, nois
             keep = ~ended
             H, prev, scores = H[keep], prev[keep], scores[keep]
             beams, tokens = beams[keep], tokens[keep]
+        if Rprev.size:
+            # the marked live searches' prefixes of length t, each distinct one a replay row
+            on = node[beams] >= 0
+            marked = beams[on]
+            keys, node[marked] = np.unique(node[marked] * model.n_tokens + prev[on],
+                                           return_inverse=True)
+            RH, Rprev = RH[keys // model.n_tokens], keys % model.n_tokens
     live = [[] for _ in range(n)]
     for i, s in enumerate(beams):
         live[s].append(Hypothesis(tokens[i].tolist(), float(scores[i]), False))
-    return [(_best(done), done) if done else (_best(live[s]), [])
-            for s, done in enumerate(completed)]
+    found = [(_best(done), done) if done else (_best(live[s]), [])
+             for s, done in enumerate(completed)]
+    return found if replay is None else (found, replayed)
 
 
 def greedy_search(model, limits: DecodeLimits | None = None) -> Hypothesis:

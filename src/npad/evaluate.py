@@ -66,6 +66,16 @@ class Cell:
             raise ConfigError("npad requires sigma0 >= 0")
         if self.strategy in ("sample", "npad") and (self.sigma0 or 0) < 0:
             raise ConfigError(f"{self.strategy} requires sigma0 >= 0")
+        # a field the strategy never reads would print in the results as if it applied
+        unread = {"beam_width": ("greedy", "sample", "exact"),
+                  "eta": ("greedy", "beam", "sample", "npad", "exact"),
+                  "sigma0": ("greedy", "beam", "diverse", "exact"),
+                  "chains": ("greedy", "beam", "diverse", "exact")}
+        for name, strategies in unread.items():
+            if self.strategy in strategies and getattr(self, name) is not None:
+                raise ConfigError(f"{self.strategy} does not take {name}")
+        if self.strategy not in ("sample", "npad") and not self.include_zero_chain:
+            raise ConfigError(f"{self.strategy} has no chains, so no zero chain to leave out")
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ LIMITS = DecodeLimits(4)
 def cfg_for(chains, sigma0, inner="greedy", width=1, zero_chain=True):
     """The cell of `chains` chains of an inner decoder: greedy, beam or sample."""
     return Cell(strategy="sample" if inner == "sample" else "npad", chains=chains,
-                sigma0=sigma0, beam_width=width, include_zero_chain=zero_chain)
+                sigma0=sigma0, beam_width=None if inner == "sample" else width,
+                include_zero_chain=zero_chain)
 
 
 def test_config_validation():
@@ -43,15 +45,15 @@ class TestChainNoise:
 
     def test_noisy_rows_have_std_sigma0_over_t(self):
         # std of a sample std over n draws is sigma/sqrt(2n): under 1% here.
-        # Greedy chains take their rows from a table drawn up front, beam
-        # chains one row per live hypothesis per step (one live row at step 1,
-        # two from then on).
+        # Greedy chains take one row per step, beam chains one row per live
+        # hypothesis per step (one live row at step 1, two from then on). The
+        # greedy chains' replay rows run in the same steps with exact zeros.
         for inner, width, chains in (("greedy", 1, 200), ("beam", 2, 100)):
             model = RecordingModel({}, default=[0.5, 0.5, 0.0], state_dim=50)
             run_chains(model, cfg_for(chains, 0.4, inner=inner, width=width, zero_chain=False),
                        SEED, range(chains), LIMITS)
             for t in range(1, 5):
-                rows = np.stack([row for step, row in model.noise if step == t])
+                rows = np.stack([row for step, row in model.noise if step == t and row.any()])
                 assert rows.shape == (chains * (1 if t == 1 else width), 50)
                 assert rows.std() == pytest.approx(0.4 / t, rel=0.05)
 
@@ -59,7 +61,8 @@ class TestChainNoise:
         # bit for bit: chain m's k-th noise row is sigma0 / t times the k-th
         # standard normal row of its own stream, whatever its row count (one
         # per step for greedy, one per live hypothesis for beam); the chain
-        # draws exactly the rows it can use: 1 + (max_len - 1) * width
+        # draws exactly the rows it can use: 1 + (max_len - 1) * width. A
+        # greedy chain's one replay row per step gets a zero row.
         draws = []
         normal_vec = RngStream.normal_vec
         monkeypatch.setattr(RngStream, "normal_vec",
@@ -70,10 +73,12 @@ class TestChainNoise:
                 model = RecordingModel({}, default=[0.5, 0.5, 0.0], state_dim=4)
                 run_chains(model, cfg, SEED, [m], DecodeLimits(5))
                 assert draws.pop() == (rows, 4)
-                steps = np.array([t for t, _ in model.noise])
+                noisy = [(t, row) for t, row in model.noise if row.any()]
+                assert len(model.noise) - len(noisy) == (5 if width == 1 else 0)
+                steps = np.array([t for t, _ in noisy])
                 assert len(steps) == rows and list(steps) == sorted(steps)
                 stream = RngStream(derive_seed(derive_seed(11, m), 0)).normal_vec((rows, 4))
-                assert np.array_equal(np.stack([row for _, row in model.noise]),
+                assert np.array_equal(np.stack([row for _, row in noisy]),
                                       stream * (0.7 / steps)[:, None])
 
     def test_zero_chain_gets_no_noise_and_draws_nothing(self, monkeypatch):
@@ -87,13 +92,15 @@ class TestChainNoise:
             assert r.sigma0_effective == 0.0
             assert model.noise == [] and model.silent_steps == 4
         assert draws == []
-        # run with noisy chains in lockstep, the zero chain's rows are exact zeros
+        # run with noisy chains in lockstep, the zero chain's rows are exact
+        # zeros, and so is the fourth row of each step: the replay row of the
+        # one prefix the two noisy chains share
         model = RecordingModel({}, default=[0.5, 0.5, 0.0], state_dim=3)
         run_chains(model, cfg_for(3, 0.4), SEED, [0, 1, 2], LIMITS)
-        assert len(model.noise) == 12 and draws
+        assert len(model.noise) == 16 and draws
         rows = [row for step, row in model.noise]
-        assert all(not rows[i].any() for i in range(0, 12, 3))
-        assert all(rows[i].all() for i in range(12) if i % 3)
+        assert all(not rows[i].any() for i in range(16) if i % 4 in (0, 3))
+        assert all(rows[i].all() for i in range(16) if i % 4 in (1, 2))
 
     def test_sampling_chains_take_sigma0_and_the_zero_chain(self, monkeypatch):
         # a sample cell's sigma0 noises its chains as an npad cell's does:
@@ -108,7 +115,10 @@ class TestChainNoise:
                              DecodeLimits(5))
         assert [r.sigma0_effective for r in results] == [0.0, 0.7, 0.7]
         assert draws == [(5, 4), (5, 4)]
-        rows = np.stack([row for _, row in model.noise]).reshape(5, 3, 4)
+        # each step runs the three chains' rows, then the noisy chains' replay rows
+        steps = [np.stack([row for step, row in model.noise if step == t]) for t in range(1, 6)]
+        assert not any(rows[3:].any() for rows in steps)
+        rows = np.stack([rows[:3] for rows in steps])
         assert not rows[:, 0].any()
         for m in (1, 2):
             stream = RngStream(derive_seed(derive_seed(SEED, m), 0)).normal_vec((5, 4))
@@ -301,11 +311,13 @@ class TestNpadDecode:
         # with p = (0.5, 0.5, 0) a sampling chain's step-t token is 0 when its
         # t-th stream-1 uniform is below 0.5 and 1 otherwise, whichever chains
         # run with it
+        # (40 and 150 steps take the uniforms in more than one block, and 150
+        # the tokens in more than one)
         model = TableModel({}, default=[0.5, 0.5, 0.0])
         cfg = cfg_for(8, 0.0, inner="sample", zero_chain=False)
-        for chains in ([2, 5, 7], [5], list(range(8))):
-            for r in run_chains(model, cfg, 31, chains, DecodeLimits(6)):
-                u = RngStream(derive_seed(derive_seed(31, r.chain_index), 1)).uniform_vec(6)
+        for chains, steps in product(([2, 5, 7], [5], list(range(8))), (6, 40, 150)):
+            for r in run_chains(model, cfg, 31, chains, DecodeLimits(steps)):
+                u = RngStream(derive_seed(derive_seed(31, r.chain_index), 1)).uniform_vec(steps)
                 assert r.hypothesis.tokens == [int(x >= 0.5) for x in u]
 
     def test_noisy_chains_around_sampling(self, tiny_params):
@@ -321,3 +333,53 @@ class TestNpadDecode:
                 score_sequence(tiny_params, src, r.hypothesis.tokens), abs=1e-9)
         rerun, _ = npad_search(BoundModel(tiny_params, src), cfg, 6, DecodeLimits(5))
         assert rerun.hypothesis.tokens == best.hypothesis.tokens
+
+
+class TestReplayInSearch:
+    """Noisy greedy and sampling chains are rescored inside their search: one
+    zero-noise replay row per distinct noisy prefix runs in each step."""
+
+    def test_rescored_is_force_score_bit_for_bit(self, monkeypatch):
+        # strong noise on a 5-token model: chains end at different steps, stop
+        # at max_len unfinished, repeat each other's outputs and share long
+        # prefixes; each chain's rescore is its own teacher-forced replay
+        seen = {"lengths": set(), "incomplete": 0, "repeated": 0, "long_shared": 0}
+        for kernel_rows in (decode.KERNEL_ROWS, 3):
+            monkeypatch.setattr(decode, "KERNEL_ROWS", kernel_rows)
+            for seed in range(3):
+                model = BoundModel(make_params(seed, n_tgt=5, scale=1.2), [3, 4, 3])
+                for inner, zero_chain, max_len in product(("greedy", "sample"), (True, False),
+                                                          (4, 10)):
+                    cell = cfg_for(16, 0.9, inner=inner, zero_chain=zero_chain)
+                    results = run_chains(model, cell, seed, range(16), DecodeLimits(max_len))
+                    for r in results:
+                        assert r.rescored_logp == force_score(model, r.hypothesis.tokens)
+                    outputs = [tuple(r.hypothesis.tokens) for r in results]
+                    seen["lengths"] |= {len(o) for o in outputs}
+                    seen["incomplete"] += sum(not r.hypothesis.complete for r in results)
+                    seen["repeated"] += len(outputs) - len(set(outputs))
+                    seen["long_shared"] += sum(a != b and a[:3] == b[:3]
+                                               for a, b in combinations(set(outputs), 2))
+        assert len(seen["lengths"]) >= 4
+        assert min(seen["incomplete"], seen["repeated"], seen["long_shared"]) > 0
+
+    def test_one_replay_row_per_distinct_noisy_prefix(self, monkeypatch):
+        # step t runs every live chain's row and one replay row per distinct
+        # prefix of length t - 1 among the live noisy chains, whichever
+        # kernel calls the step is split into
+        model_rows = {(0, TableModel.bos): [0.3, 0.3, 0.1, 0.3]}
+        for kernel_rows, inner, zero_chain in product((decode.KERNEL_ROWS, 3),
+                                                      ("greedy", "sample"), (True, False)):
+            monkeypatch.setattr(decode, "KERNEL_ROWS", kernel_rows)
+            model = RecordingModel(model_rows, n_tokens=4, default=[0.3, 0.3, 0.15, 0.25],
+                                   noise_weight=3.0)
+            cell = cfg_for(12, 0.5, inner=inner, zero_chain=zero_chain)
+            results = run_chains(model, cell, SEED, range(12), DecodeLimits(6))
+            outputs = [r.hypothesis.tokens for r in results]
+            assert len({tuple(o) for o in outputs}) > 2
+            rows = np.bincount([step for step, _ in model.noise])[1:]
+            for t, count in enumerate(rows, start=1):
+                live = [(o, r.sigma0_effective) for o, r in zip(outputs, results) if len(o) >= t]
+                prefixes = {tuple(o[:t - 1]) for o, sigma0 in live if sigma0}
+                assert count == len(live) + len(prefixes)
+            assert len(rows) == max(len(o) for o in outputs)

@@ -111,7 +111,12 @@ def test_decode_flag_validation(workspace, capsys):
             (["sample", "--sigma0", "-0.1", "--seed", "1"], "sample requires sigma0 >= 0"),
             (["beam"], "beam requires beam_width"),
             (["diverse", "--beam-width", "2"], "diverse requires eta"),
-            (["diverse", "--eta", "0.5"], "diverse requires beam_width")]:
+            (["diverse", "--eta", "0.5"], "diverse requires beam_width"),
+            (["greedy", "--beam-width", "3"], "greedy does not take beam_width"),
+            (["beam", "--beam-width", "3", "--sigma0", "0.3"], "beam does not take sigma0"),
+            (["sample", "--chains", "2", "--seed", "1", "--eta", "0.5"],
+             "sample does not take eta"),
+            (["greedy", "--no-zero-chain"], "greedy has no chains")]:
         assert main(base + ["--strategy"] + flags) == 1
         assert f"error: config: {message}" in capsys.readouterr().err
 

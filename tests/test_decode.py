@@ -103,6 +103,18 @@ class TestNoiseSchedule:
                 Cell(strategy="npad", chains=2, sigma0=bad)
 
 
+def test_long_searches_keep_every_token():
+    # a search's tokens grow in blocks as it steps: 150 steps of a model
+    # whose step-t favourite is t % 2 keep every token, in greedy and in beam
+    rows = {(t, prev): [0.6, 0.3, 0.1] if t % 2 == 0 else [0.3, 0.6, 0.1]
+            for t in range(150) for prev in (0, 1, TableModel.bos)}
+    model = TableModel(rows)
+    alternating = [t % 2 for t in range(150)]
+    assert greedy_search(model, DecodeLimits(150)).tokens == alternating
+    best, completed = beam_search(model, 2, limits=DecodeLimits(150))
+    assert best.tokens == alternating and not best.complete and completed == []
+
+
 def test_default_limits_follow_source_length():
     assert default_limits(4).max_len == 13
     with pytest.raises(ContractError):

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import npad
 from npad import chains, evaluate
 from npad.core import ContractError, RngStream
 from npad.evaluate import (
@@ -19,7 +23,7 @@ from npad.evaluate import (
     run_experiment,
     write_results_csv,
 )
-from npad.model import EOS, score_sequence
+from npad.model import EOS, Vocab, score_sequence
 from npad.serialize import save_model, save_pairs, save_vocab
 from npad.tasks import ConfigError, gen_task
 from conftest import damaged, make_params
@@ -196,8 +200,9 @@ class TestDecodeCorpus:
         assert incomplete > 0 and chains == 2 * len(pairs) * (2 + 3 + 3)
 
     def test_sample_cell_rescores_nothing(self, toy_setup, monkeypatch):
-        # sampling chains add no noise: each reports its own score, so a
-        # sample cell never calls the batched rescore
+        # sampling chains without noise each report their own score, and noisy
+        # greedy chains are rescored by their replay rows inside the search:
+        # only NPAD around beam calls the batched rescore
         params, data, pairs = toy_setup
         rescored = []
         force_scores = chains.force_scores
@@ -208,6 +213,9 @@ class TestDecodeCorpus:
         assert len(records) == len(pairs) and rescored == []
         decode_corpus(params, [p.source for p in pairs], None,
                       Cell(strategy="npad", sigma0=0.3, chains=4), base_seed=2)
+        assert rescored == []
+        decode_corpus(params, [p.source for p in pairs], None,
+                      Cell(strategy="npad", sigma0=0.3, chains=4, beam_width=2), base_seed=2)
         assert rescored
 
 
@@ -346,9 +354,76 @@ class TestSpecFiles:
             with pytest.raises(ConfigError):
                 load_spec(self._write_spec(tmp_path, body))
 
+    def test_fields_the_strategy_never_reads_rejected(self, tmp_path):
+        # a stray field would print in the results CSV as if it applied
+        needed = {"greedy": {}, "beam": {"beam_width": 2}, "diverse": {"beam_width": 2, "eta": 0.5},
+                  "sample": {"chains": 2}, "npad": {"chains": 2, "sigma0": 0.3}, "exact": {}}
+        stray = {"beam_width": ("greedy", "sample", "exact"),
+                 "eta": ("greedy", "beam", "sample", "npad", "exact"),
+                 "sigma0": ("greedy", "beam", "diverse", "exact"),
+                 "chains": ("greedy", "beam", "diverse", "exact"),
+                 "include_zero_chain": ("greedy", "beam", "diverse", "exact")}
+        values = {"beam_width": 3, "eta": 0.5, "sigma0": 0.3, "chains": 4,
+                  "include_zero_chain": False}
+        for strategy, fields in needed.items():
+            for name, value in values.items():
+                cell = dict(fields, strategy=strategy, **{name: value})
+                if strategy in stray[name]:
+                    with pytest.raises(ConfigError, match=f"{strategy} (does not take|has no)"):
+                        Cell(**cell)
+                else:
+                    Cell(**cell)
+        body = {"model": "m", "test_set": "t", "vocab_src": "a", "vocab_tgt": "b",
+                "base_seed": 1, "cells": [{"strategy": "beam", "beam_width": 5, "zero_chain": False}]}
+        with pytest.raises(ConfigError, match="beam has no chains"):
+            load_spec(self._write_spec(tmp_path, body))
+
     def test_non_finite_cell_values_rejected(self):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ConfigError):
                 Cell(strategy="npad", sigma0=bad, chains=2)
             with pytest.raises(ConfigError):
                 Cell(strategy="diverse", beam_width=2, eta=bad)
+
+
+# Runs in a fresh interpreter whose address space is capped at 1 GiB.
+BOUNDED_DECODE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from npad.cli import main
+from npad.evaluate import Cell, decode_with_cell
+from npad.model import EOS
+from npad.serialize import load_model
+
+params = load_model(sys.argv[1])
+for cell in (Cell(strategy="greedy"), Cell(strategy="beam", beam_width=3),
+             Cell(strategy="sample", chains=4), Cell(strategy="npad", sigma0=0.3, chains=4)):
+    tokens, logp, complete = decode_with_cell(params, [3, 4], cell, 5, max_len=10**9)
+    assert complete and tokens[-1] == EOS, (cell, tokens)
+sys.exit(main(["decode", "--strategy", "npad", "--chains", "4", "--sigma0", "0.3",
+               "--seed", "5", "--max-len", str(10**9)] + sys.argv[2:]))
+"""
+
+
+def test_huge_max_len_allocates_only_the_steps_taken(tmp_path):
+    # a max_len far beyond memory costs nothing until steps are taken: the
+    # tokens, noise rows and uniforms grow with the steps, so a model that
+    # ends at once decodes in 1 GiB where the tables sized by max_len alone
+    # would need 7.45 GiB (greedy) and 179 GiB (npad)
+    params = make_params(3, n_tgt=5)
+    params.tensors["out.b"][EOS] = 40.0
+    vocab = Vocab.from_content(["a", "b"])
+    paths = {name: str(tmp_path / name) for name in ("model.bin", "vocab.txt", "in.txt", "out")}
+    save_model(paths["model.bin"], params)
+    save_vocab(paths["vocab.txt"], vocab)
+    with open(paths["in.txt"], "w") as f:
+        f.write("a b\nb\n")
+    src_dir = os.path.dirname(os.path.dirname(npad.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", BOUNDED_DECODE, paths["model.bin"],
+         "--model", paths["model.bin"], "--vocab-src", paths["vocab.txt"],
+         "--vocab-tgt", paths["vocab.txt"], "--input", paths["in.txt"], "--output", paths["out"]],
+        env={**os.environ, "PYTHONPATH": src_dir}, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = [json.loads(line) for line in open(paths["out"])]
+    assert [line["tokens"] for line in lines] == [["</s>"], ["</s>"]]
