@@ -2,7 +2,7 @@
 built around noisy parallel approximate decoding."""
 
 from .chains import ChainResult, npad_search, run_chains, select_best
-from .core import ContractError, RngStream, categorical_sample, derive_seed, gaussian_vec, softmax
+from .core import ContractError, RngStream, derive_seed, gaussian_vec, softmax
 from .decode import (
     DecodeLimits,
     Hypothesis,
@@ -18,7 +18,6 @@ from .model import (
     EOS,
     PAD,
     BoundModel,
-    DecoderState,
     Dims,
     EncodedSource,
     ModelParams,

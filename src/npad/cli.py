@@ -22,16 +22,16 @@ from .evaluate import (
     write_results_csv,
 )
 from .model import Dims, VocabError, init_params, score_sequence
-from .serialize import FormatError, atomic_write, load_model, load_pairs, load_sources, load_vocab, save_model, save_pairs, save_vocab
+from .serialize import FormatError, _lines, atomic_write, load_model, load_pairs, load_sources, load_vocab, save_model, save_pairs, save_vocab
 from .tasks import ConfigError, TASK_KINDS, gen_task, split_pairs
 from .train import DivergenceError, TrainConfig, train
 
 
-def _positive(kind, name):
+def _at_least(kind, name, low=1):
     def convert(text):
         value = kind(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{name} must be >= 1, got {value}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {low}, got {value}")
         return value
     return convert
 
@@ -42,12 +42,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic task corpus")
     p.add_argument("--task", required=True, choices=TASK_KINDS)
-    p.add_argument("--vocab-size", type=_positive(int, "--vocab-size"), required=True)
+    p.add_argument("--vocab-size", type=_at_least(int, "--vocab-size"), required=True)
     p.add_argument("--min-len", type=int, default=1)
     p.add_argument("--max-len", type=int, default=8)
-    p.add_argument("--train-count", type=_positive(int, "--train-count"), required=True)
-    p.add_argument("--valid-count", type=int, default=0)
-    p.add_argument("--test-count", type=int, default=0)
+    p.add_argument("--train-count", type=_at_least(int, "--train-count"), required=True)
+    p.add_argument("--valid-count", type=_at_least(int, "--valid-count", 0), default=0)
+    p.add_argument("--test-count", type=_at_least(int, "--test-count", 0), default=0)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_gen_data)
@@ -59,10 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab-tgt", required=True)
     p.add_argument("--model", required=True, help="output model path")
     p.add_argument("--trace", help="output CSV: epoch,train_nll,valid_nll")
-    p.add_argument("--d-emb", type=_positive(int, "--d-emb"), default=16)
-    p.add_argument("--d-hid", type=_positive(int, "--d-hid"), default=32)
-    p.add_argument("--epochs", type=_positive(int, "--epochs"), default=30)
-    p.add_argument("--batch-size", type=_positive(int, "--batch-size"), default=16)
+    p.add_argument("--d-emb", type=_at_least(int, "--d-emb"), default=16)
+    p.add_argument("--d-hid", type=_at_least(int, "--d-hid"), default=32)
+    p.add_argument("--epochs", type=_at_least(int, "--epochs"), default=30)
+    p.add_argument("--batch-size", type=_at_least(int, "--batch-size"), default=16)
     p.add_argument("--lr", type=float, default=0.2)
     p.add_argument("--lr-decay", type=float, default=1.0)
     p.add_argument("--clip-norm", type=float, default=1.0)
@@ -79,15 +79,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab-tgt", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", help="default: stdout")
-    p.add_argument("--beam-width", type=_positive(int, "--beam-width"))
+    p.add_argument("--beam-width", type=_at_least(int, "--beam-width"))
     p.add_argument("--sigma0", type=float)
-    p.add_argument("--chains", type=_positive(int, "--chains"))
+    p.add_argument("--chains", type=_at_least(int, "--chains"))
     p.add_argument("--eta", type=float)
     p.add_argument("--no-zero-chain", action="store_true",
                    help="disable the zero-noise guarantee chain")
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=_positive(int, "--workers"), default=1)
-    p.add_argument("--max-len", type=_positive(int, "--max-len"))
+    p.add_argument("--workers", type=_at_least(int, "--workers"), default=1)
+    p.add_argument("--max-len", type=_at_least(int, "--max-len"))
     p.add_argument("--trace-chains", help="JSON-lines per chain (npad/sample only)")
     p.set_defaults(func=cmd_decode)
 
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--output", help="results CSV; default: stdout")
     p.add_argument("--seed", type=int, help="override the spec's base_seed")
-    p.add_argument("--workers", type=_positive(int, "--workers"), default=1)
+    p.add_argument("--workers", type=_at_least(int, "--workers"), default=1)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("report", help="render a results CSV as an aligned table")
@@ -261,17 +261,26 @@ def render_report(rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
+def _report_row(where: str, line: str) -> list[str]:
+    """The cells of one results CSV row: a known strategy, then numbers or blanks."""
+    cols = line.split(",")
+    if len(cols) != len(RESULT_COLUMNS):
+        raise FormatError(f"{where}: expected {len(RESULT_COLUMNS)} columns")
+    if cols[0] not in STRATEGIES:
+        raise FormatError(f"{where}: unknown strategy {cols[0]!r}")
+    for name, value in zip(RESULT_COLUMNS[1:], cols[1:]):
+        try:
+            float(value or "0")                  # a blank cell is a field the cell leaves unset
+        except ValueError:
+            raise FormatError(f"{where}: {name} {value!r} is not a number") from None
+    return cols
+
+
 def cmd_report(args) -> int:
-    with open(args.input, encoding="utf-8") as f:
-        lines = [line.rstrip("\n") for line in f if line.strip()]
-    if not lines or lines[0].split(",") != list(RESULT_COLUMNS):
+    lines = [(ln, line) for ln, line in enumerate(_lines(args.input), start=1) if line.strip()]
+    if not lines or lines[0][1].split(",") != list(RESULT_COLUMNS):
         raise FormatError(f"{args.input}: expected header {','.join(RESULT_COLUMNS)}")
-    rows = []
-    for ln, line in enumerate(lines[1:], start=2):
-        cols = line.split(",")
-        if len(cols) != len(RESULT_COLUMNS):
-            raise FormatError(f"{args.input}:{ln}: expected {len(RESULT_COLUMNS)} columns")
-        rows.append(cols)
+    rows = [_report_row(f"{args.input}:{ln}", line) for ln, line in lines[1:]]
     text = render_report(rows)
     if args.output:
         with atomic_write(args.output) as f:

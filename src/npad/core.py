@@ -65,26 +65,17 @@ class RngStream:
         return f"RngStream(seed={self.seed})"
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Stable softmax (max-subtraction); output is positive and sums to 1."""
-    x = np.asarray(logits, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ContractError(f"softmax expects a non-empty vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ContractError("softmax input must be finite")
-    e = np.exp(x - np.max(x))
-    return e / e.sum()
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Stable softmax along the last axis (max-subtraction): each row is
+    positive and sums to 1. Unchecked; the callers pass finite floats."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Stable log-softmax; exp of the result matches softmax()."""
-    x = np.asarray(logits, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ContractError(f"log_softmax expects a non-empty vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ContractError("log_softmax input must be finite")
-    shifted = x - np.max(x)
-    return shifted - np.log(np.exp(shifted).sum())
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Stable log-softmax along the last axis; exp of the result matches softmax()."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -115,22 +106,10 @@ def categorical_rows(P: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     The pick is the number of cumulative probabilities at or below u[i]
     (the last index past the end), stepped back over zero-probability
-    entries. Unchecked: `categorical_sample` is the checked one-row call.
+    entries. Unchecked: each row of P must be a distribution.
     """
     cum = np.cumsum(P, axis=1)
     idx = np.minimum((cum <= u[:, None]).sum(axis=1), P.shape[1] - 1)
     # the last nonzero entry at or before each index (0 when there is none)
     last = np.maximum.accumulate(np.where(P != 0.0, np.arange(P.shape[1]), 0), axis=1)
     return last[np.arange(idx.size), idx]
-
-
-def categorical_sample(rng: RngStream, probs: np.ndarray) -> int:
-    """Sample an index from a categorical distribution given by `probs`."""
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ContractError(f"probs must be a non-empty vector, got shape {p.shape}")
-    if not np.all(np.isfinite(p)) or np.any(p < 0):
-        raise ContractError("probs must be finite and non-negative")
-    if abs(p.sum() - 1.0) > 1e-6:
-        raise ContractError(f"probs must sum to 1 within 1e-6, got {p.sum()!r}")
-    return int(categorical_rows(p[None], np.array([rng.uniform()]))[0])

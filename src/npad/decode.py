@@ -57,7 +57,7 @@ def default_limits(source_len: int) -> DecodeLimits:
 def resolve_limits(model, limits: DecodeLimits | None) -> DecodeLimits:
     if limits is not None:
         return limits
-    return default_limits(getattr(model, "source_len", 1))
+    return default_limits(model.source_len)
 
 
 @dataclass
@@ -102,7 +102,7 @@ def force_scores(model, sequences) -> list[float]:
     if np.any(forced.view(np.uint64) >= model.n_tokens):   # a negative index reads as huge
         raise out_of_range
     running = (lengths > np.arange(lengths[0])[:, None]).sum(axis=1)   # rows still running at step t
-    H = np.tile(model.initial().h, (len(seqs), 1))
+    H = np.tile(model.initial(), (len(seqs), 1))
     prev = np.full(len(seqs), model.bos)
     totals = np.zeros(len(seqs))
     for t, b in enumerate(running):
@@ -197,7 +197,7 @@ def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, nois
         raise ContractError("only pick searches can replay their outputs")
     limits = resolve_limits(model, limits)
     beams = np.arange(n)
-    h0 = model.initial().h
+    h0 = model.initial()
     H = np.tile(h0, (n, 1))
     prev = np.full(n, model.bos)
     scores = np.zeros(n)
@@ -298,7 +298,7 @@ def exact_search(model, limits: DecodeLimits | None = None) -> Hypothesis:
             f"search space {model.n_tokens}^{limits.max_len} exceeds {MAX_EXACT_SPACE}")
     eos = model.eos
     others = np.array([tok for tok in range(model.n_tokens) if tok != eos])
-    H = model.initial().h[None]
+    H = model.initial()[None]
     prev = np.array([model.bos])
     scores = np.zeros(1)
     prefixes = np.zeros((1, 0), dtype=np.int64)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ContractError, RngStream, sigmoid, softmax
+from .core import ContractError, RngStream, log_softmax, sigmoid, softmax
 
 PAD, BOS, EOS = 0, 1, 2
 PAD_TOKEN, BOS_TOKEN, EOS_TOKEN = "<pad>", "<s>", "</s>"
@@ -170,12 +170,6 @@ class EncodedSource:
         return self.annotations.shape[-2]
 
 
-@dataclass
-class DecoderState:
-    h: np.ndarray
-    t: int = 0
-
-
 def _check_sources(dims: Dims, sources) -> np.ndarray:
     src = np.asarray(sources, dtype=np.int64)
     if src.ndim != 2 or src.size == 0:
@@ -247,28 +241,6 @@ def initial_rows(params: ModelParams, annotations: np.ndarray) -> np.ndarray:
     return np.tanh(_matvec_rows(params.tensors["init.W"], abar) + params.tensors["init.b"])
 
 
-def initial_state(params: ModelParams, enc: EncodedSource) -> DecoderState:
-    return DecoderState(h=initial_rows(params, enc.annotations[None])[0], t=0)
-
-
-def _attend(params: ModelParams, query: np.ndarray, enc: EncodedSource, want_cache: bool = False):
-    """Additive attention over the annotations for one query vector."""
-    M = np.tanh(enc.att_keys + query @ params.tensors["att.Wq"].T)
-    scores = M @ params.tensors["att.v"]
-    alpha = softmax(scores)
-    context = enc.annotations.T @ alpha
-    if want_cache:
-        return context, alpha, M
-    return context, alpha
-
-
-def attention_context(params: ModelParams, state: DecoderState, enc: EncodedSource):
-    """Context vector and attention weights for the given decoder state."""
-    if state.h.shape != (params.dims.d_hid,):
-        raise ContractError(f"state dim {state.h.shape} != d_hid {params.dims.d_hid}")
-    return _attend(params, state.h, enc)
-
-
 def _matvec_rows(W: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Row i is W @ X[i]: a stack of gemv calls, never one gemm.
 
@@ -281,14 +253,23 @@ def _matvec_rows(W: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (W @ X[:, :, None])[:, :, 0]
 
 
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+def _attend_rows(params: ModelParams, enc: EncodedSource, Q: np.ndarray):
+    """Additive attention of each query row of Q (B, d_hid) over the
+    annotations: (M (B, L, d_hid) pre-activations, alpha (B, L), context C (B, 2*d_hid))."""
+    t = params.tensors
+    M = np.tanh(enc.att_keys + Q[:, None, :] @ t["att.Wq"].T)
+    alpha = softmax(M @ t["att.v"])
+    C = (np.swapaxes(enc.annotations, -1, -2) @ alpha[:, :, None])[:, :, 0]
+    return M, alpha, C
 
 
-def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def attention_context(params: ModelParams, h: np.ndarray, enc: EncodedSource):
+    """Context vector and attention weights of one decoder state row h
+    (d_hid,): the one-row call of `_attend_rows`."""
+    if h.shape != (params.dims.d_hid,):
+        raise ContractError(f"state dim {h.shape} != d_hid {params.dims.d_hid}")
+    _, alpha, C = _attend_rows(params, enc, h[None])
+    return C[0], alpha[0]
 
 
 def step_rows_with_cache(params: ModelParams, enc: EncodedSource, H: np.ndarray,
@@ -302,15 +283,13 @@ def step_rows_with_cache(params: ModelParams, enc: EncodedSource, H: np.ndarray,
     """
     t = params.tensors
     Q = H if noise is None else H + noise
-    M = np.tanh(enc.att_keys + Q[:, None, :] @ t["att.Wq"].T)          # (B, L, d_hid)
-    alpha = _softmax_rows(M @ t["att.v"])
-    C = (np.swapaxes(enc.annotations, -1, -2) @ alpha[:, :, None])[:, :, 0]
+    M, alpha, C = _attend_rows(params, enc, Q)
     U = np.concatenate([t["tgt_embed"][prev], C], axis=1)
     W, *gru = enc.dec_gru
     Hn, zr, n = _gru_step((W[:, None] @ U[:, :, None])[..., 0], Q, *gru)
     logits = _matvec_rows(t["out.W"], np.concatenate([Hn, C], axis=1)) + t["out.b"]
     cache = {"q": Q, "M": M, "alpha": alpha, "context": C, "u": U, "z": zr[0], "r": zr[1], "n": n}
-    return Hn, _log_softmax_rows(logits), cache
+    return Hn, log_softmax(logits), cache
 
 
 def step_rows(params: ModelParams, enc: EncodedSource, H: np.ndarray, prev: np.ndarray,
@@ -323,19 +302,20 @@ def step_rows(params: ModelParams, enc: EncodedSource, H: np.ndarray, prev: np.n
     Row i's bits equal those of the single-vector step on row i alone, for
     every B: products are stacks of per-row gemv calls and reductions run
     along each row. Rows never interact. Arguments are not checked here; the
-    decoders build them and `decoder_step` checks single-vector calls.
+    decoders build them and `decoder_step` checks one-row calls.
     """
     return step_rows_with_cache(params, enc, H, prev, noise)[:2]
 
 
-def decoder_step(params: ModelParams, state: DecoderState, prev_token: int,
+def decoder_step(params: ModelParams, h: np.ndarray, prev_token: int,
                  enc: EncodedSource, noise: np.ndarray | None = None):
-    """One decoder transition: a one-row call of `step_rows`.
+    """One decoder transition of the state row h (d_hid,): the checked
+    one-row call of `step_rows`.
 
     The noise vector is added to the previous hidden state before anything
     else happens: the attention query and the GRU both see the perturbed
     state. Pass None (or zeros) for non-noisy stepping. Returns the next
-    state and the log-probability vector over the following token.
+    state row and the log-probability vector over the following token.
     """
     dims = params.dims
     if noise is not None:
@@ -345,8 +325,8 @@ def decoder_step(params: ModelParams, state: DecoderState, prev_token: int,
         noise = noise[None]
     if not 0 <= prev_token < dims.n_tgt:
         raise VocabError(f"target token index {prev_token} out of range (|V_tgt|={dims.n_tgt})")
-    H, logp = step_rows(params, enc, state.h[None], np.array([prev_token]), noise)
-    return DecoderState(h=H[0], t=state.t + 1), logp[0]
+    H, logp = step_rows(params, enc, h[None], np.array([prev_token]), noise)
+    return H[0], logp[0]
 
 
 def score_sequence(params: ModelParams, source, target) -> float:
@@ -366,8 +346,8 @@ class BoundModel:
     """A model bound to one encoded source: the step interface decoders use.
 
     Decoding engines only rely on this surface (n_tokens, eos, bos,
-    state_dim, source_len, initial(), step_batch()), which keeps them
-    testable against hand-built table models.
+    state_dim, source_len, initial() giving the initial state row, and
+    step_batch()), which keeps them testable against hand-built table models.
     """
 
     def __init__(self, params: ModelParams, source):
@@ -379,11 +359,15 @@ class BoundModel:
         self.state_dim = params.dims.d_hid
         self.source_len = self.enc.source_len
 
-    def initial(self) -> DecoderState:
-        return initial_state(self.params, self.enc)
+    def initial(self) -> np.ndarray:
+        """The decoder's initial state row (d_hid,)."""
+        return initial_rows(self.params, self.enc.annotations[None])[0]
 
-    def step(self, state: DecoderState, prev_token: int, noise: np.ndarray | None = None):
-        return decoder_step(self.params, state, prev_token, self.enc, noise)
+    def step(self, h: np.ndarray, prev_token: int, noise: np.ndarray | None = None):
+        """`decoder_step` on this source. No decoder calls it; it stays only
+        because the benchmark's tracer (`tracing.decode_instrumentation`)
+        reads `step` from every bound model it wraps."""
+        return decoder_step(self.params, h, prev_token, self.enc, noise)
 
     def step_batch(self, H: np.ndarray, prev: np.ndarray, noise: np.ndarray | None = None):
         """`step_rows` on this source: (H (B, d), prev (B,), noise (B, d) | None) -> (H', logp)."""

@@ -6,6 +6,7 @@ readers never observe partial writes.
 """
 from __future__ import annotations
 
+import io
 import math
 import os
 import struct
@@ -48,12 +49,15 @@ def save_vocab(path: str, vocab: Vocab) -> None:
 
 
 def _lines(path: str) -> list[str]:
-    """The lines of a UTF-8 text file, without their newlines."""
+    """The lines of a UTF-8 text file, without their line ends (LF, CRLF or CR)."""
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        with open(path, encoding="utf-8") as f:
-            return [line.rstrip("\n") for line in f]
+        text = data.decode("utf-8")
     except UnicodeDecodeError as e:
-        raise FormatError(f"{path}: not UTF-8 text (byte {e.start})") from e
+        line = data.count(b"\n", 0, e.start) + 1
+        raise FormatError(f"{path}:{line}: not UTF-8 text (byte {e.start})") from e
+    return [line.rstrip("\n") for line in io.StringIO(text, newline=None)]
 
 
 def _encode(vocab: Vocab, text: str, where: str, source: bool = False) -> tuple[int, ...]:

@@ -99,6 +99,8 @@ def gen_task(kind: str, vocab_size: int, length_range: tuple[int, int],
 
 def split_pairs(pairs: list[SequencePair], *sizes: int) -> list[list[SequencePair]]:
     """Slice a corpus into consecutive disjoint splits of the given sizes."""
+    if any(size < 0 for size in sizes):
+        raise ContractError(f"split sizes must be >= 0, got {sizes}")
     if sum(sizes) > len(pairs):
         raise ContractError(f"cannot split {len(pairs)} pairs into sizes {sizes}")
     out, start = [], 0

@@ -1,13 +1,34 @@
-"""Per-vector references: the GRU cell and the bidirectional encoder one
-vector per step, and training that force-decodes and backpropagates one pair
-at a time, the way training ran before batches ran as rows. `npad.model` and
-`npad.train` are checked against them bit for bit.
+"""Per-vector references: softmax, attention, the GRU cell and the
+bidirectional encoder one vector at a time, and training that force-decodes
+and backpropagates one pair at a time, the way training ran before batches
+ran as rows. `npad.core`, `npad.model` and `npad.train` are checked against
+them bit for bit.
 """
 import numpy as np
 
 from npad.core import ContractError, sigmoid
 from npad.model import BOS, EncodedSource, _gru_stacks, score_sequence, step_rows_with_cache
 from npad.train import DivergenceError, zero_grads
+
+
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Stable softmax of one vector."""
+    e = np.exp(x - np.max(x))
+    return e / e.sum()
+
+
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Stable log-softmax of one vector."""
+    shifted = x - np.max(x)
+    return shifted - np.log(np.exp(shifted).sum())
+
+
+def _attend(params, query: np.ndarray, enc: EncodedSource):
+    """Additive attention over one source's annotations for one query
+    vector: (context, alpha, M)."""
+    M = np.tanh(enc.att_keys + query @ params.tensors["att.Wq"].T)
+    alpha = softmax(M @ params.tensors["att.v"])
+    return enc.annotations.T @ alpha, alpha, M
 
 
 def _gru_fwd(tensors: dict, pre: str, x: np.ndarray, hprev: np.ndarray):

@@ -6,12 +6,10 @@ be computed by hand. A scalar hidden state lets tests couple injected noise
 to the first-step logits (noise_weight shifts token 0's logit by that many
 units per unit of perturbation).
 
-The batched interface carries each row's step count next to its hidden
-value: a row of H is [h, t]. Noise rows stay state_dim = 1 wide.
+A state row carries the step count next to the hidden value: a row of H is
+[h, t], and `initial()` returns [0, 0]. Noise rows stay state_dim = 1 wide.
 """
 import numpy as np
-
-from npad.model import DecoderState
 
 
 class TableModel:
@@ -28,27 +26,25 @@ class TableModel:
         self.noise_weight = noise_weight
 
     def initial(self):
-        return DecoderState(h=np.zeros(2), t=0)
+        return np.zeros(2)
 
-    def step(self, state, prev_token, noise=None):
-        row = self.rows.get((state.t, prev_token), self.default).copy()
+    def _logp(self, h, t, prev_token, noise):
+        """The log-probabilities of the row [h, t] after prev_token."""
+        row = self.rows.get((t, prev_token), self.default).copy()
         with np.errstate(divide="ignore"):
             logits = np.log(row / row.sum())
         if self.noise_weight and noise is not None:
-            logits[0] += self.noise_weight * float(state.h[0] + noise[0])
+            logits[0] += self.noise_weight * float(h + noise[0])
         shifted = logits - logits.max()
         with np.errstate(divide="ignore"):
-            logp = shifted - np.log(np.exp(shifted).sum())
-        return DecoderState(h=np.zeros(1), t=state.t + 1), logp
+            return shifted - np.log(np.exp(shifted).sum())
 
     def step_batch(self, H, prev, noise=None):
-        """`step` on each row in turn."""
+        """Each row in turn; row [h, t] steps to [0, t + 1]."""
         H_next, logps = np.empty_like(H), []
         for i, (h, t) in enumerate(H):
-            state, logp = self.step(DecoderState(h=np.array([h]), t=int(t)), int(prev[i]),
-                                    None if noise is None else noise[i])
-            H_next[i] = [state.h[0], state.t]
-            logps.append(logp)
+            logps.append(self._logp(h, int(t), int(prev[i]), None if noise is None else noise[i]))
+            H_next[i] = [0.0, t + 1]
         return H_next, np.array(logps)
 
 

@@ -46,6 +46,18 @@ def test_gen_data_deterministic(tmp_path):
     assert (tmp_path / "a" / "train.tsv").read_bytes() == (tmp_path / "b" / "train.tsv").read_bytes()
 
 
+@pytest.mark.parametrize("counts", [("--train-count", "3", "--valid-count", "-1"),
+                                    ("--train-count", "3", "--valid-count", "3",
+                                     "--test-count", "-2")])
+def test_gen_data_negative_split_count_rejected(tmp_path, capsys, counts):
+    # a negative split count is a usage error, not a shortened earlier split
+    out = tmp_path / "data"
+    assert main(["gen-data", "--task", "copy", "--vocab-size", "4", *counts,
+                 "--seed", "1", "--out-dir", str(out)]) == 2
+    assert "must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_artifacts(workspace):
     params = load_model(workspace["model"])
     assert params.dims.d_hid == 6
@@ -311,6 +323,26 @@ def test_report_schema_mismatch(tmp_path, capsys):
         f.write("a,b,c\n1,2,3\n")
     assert main(["report", "--input", path]) == 1
     assert "format" in capsys.readouterr().err
+
+
+HEADER = b"strategy,beam_width,sigma0,chains,eta,mean_nll,mean_nll_per_token,bleu\n"
+
+
+@pytest.mark.parametrize("row, says", [
+    (b"mystery,,,,,1.0,0.5,0.2\n", "unknown strategy 'mystery'"),
+    (b"beam,five,,,,1.0,0.5,0.2\n", "beam_width 'five' is not a number"),
+    (b"npad,,high,4,,1.0,0.5,0.2\n", "sigma0 'high' is not a number"),
+    (b"greedy,,,,,1.0,0.5,n/a\n", "bleu 'n/a' is not a number"),
+    (b"greedy,,,,,1.0,0.5,0.2\xff\n", "not UTF-8 text"),
+])
+def test_report_malformed_row(tmp_path, capsys, row, says):
+    # a bad row ends in a format error naming the file and its line
+    path = tmp_path / "bad.csv"
+    path.write_bytes(HEADER + b"greedy,,,,,1.0,0.5,0.2\n" + row)
+    assert main(["report", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: format: {path}:3: ") and says in err
+    assert "Traceback" not in err
 
 
 def test_inputs_never_mutated(workspace):

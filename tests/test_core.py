@@ -9,13 +9,22 @@ from npad.core import (
     ContractError,
     RngStream,
     categorical_rows,
-    categorical_sample,
     derive_seed,
     gaussian_vec,
     log_softmax,
     sigmoid,
     softmax,
 )
+import reference
+
+
+def logits(data, bound):
+    """A vector, or a matrix of up to six rows, of finite logits in [-bound, bound]."""
+    size = data.draw(st.integers(1, 20))
+    row = st.lists(st.floats(-bound, bound), min_size=size, max_size=size)
+    if data.draw(st.booleans()):
+        return np.array(data.draw(row))
+    return np.array(data.draw(st.lists(row, min_size=1, max_size=6)))
 
 
 class TestSoftmax:
@@ -35,29 +44,33 @@ class TestSoftmax:
         assert out[1] == pytest.approx(0.0, abs=1e-300)
         assert np.all(np.isfinite(out))
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ContractError):
-            softmax(np.array([1.0, np.inf]))
-        with pytest.raises(ContractError):
-            softmax(np.array([np.nan, 0.0]))
-
-    @given(st.lists(st.floats(-100, 100), min_size=1, max_size=20))
-    def test_sums_to_one(self, xs):
-        out = softmax(np.array(xs))
-        assert abs(out.sum() - 1.0) <= 1e-12
+    @given(st.data())
+    def test_sums_to_one(self, data):
+        x = logits(data, 100)
+        out = softmax(x)
+        assert out.shape == x.shape
+        assert np.all(np.abs(out.sum(axis=-1) - 1.0) <= 1e-12)
         assert np.all(out > 0)
 
-    @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12),
-           st.floats(-100, 100))
-    def test_shift_invariance(self, xs, c):
-        base = softmax(np.array(xs))
-        shifted = softmax(np.array(xs) + c)
-        np.testing.assert_allclose(base, shifted, atol=1e-12)
+    @given(st.data(), st.floats(-100, 100))
+    def test_shift_invariance(self, data, c):
+        x = logits(data, 50)
+        np.testing.assert_allclose(softmax(x), softmax(x + c), atol=1e-12)
 
-    @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12))
-    def test_log_softmax_consistent(self, xs):
-        np.testing.assert_allclose(np.exp(log_softmax(np.array(xs))),
-                                   softmax(np.array(xs)), atol=1e-12)
+    @given(st.data())
+    def test_log_softmax_consistent(self, data):
+        x = logits(data, 50)
+        np.testing.assert_allclose(np.exp(log_softmax(x)), softmax(x), atol=1e-12)
+
+    @given(st.data())
+    def test_rows_equal_the_one_vector_reference(self, data):
+        # each row of a 2-D input, and a 1-D input, gets bitwise the
+        # one-vector reference's values
+        x = logits(data, 100)
+        for fn, ref in ((softmax, reference.softmax), (log_softmax, reference.log_softmax)):
+            out = fn(x)
+            for got, row in zip(np.atleast_2d(out), np.atleast_2d(x)):
+                assert np.array_equal(got, ref(row))
 
 
 def test_sigmoid_matches_reference():
@@ -97,49 +110,30 @@ class TestGaussianVec:
 
 
 class TestCategoricalSample:
+    """Sampling properties of `categorical_rows`, one uniform per row."""
+
     def test_point_mass(self):
-        rng = RngStream(9)
-        for _ in range(50):
-            assert categorical_sample(rng, np.array([0.0, 1.0, 0.0])) == 1
+        P = np.tile([0.0, 1.0, 0.0], (50, 1))
+        assert categorical_rows(P, RngStream(9).uniform_vec(50)).tolist() == [1] * 50
 
     def test_determinism(self):
-        probs = np.array([0.2, 0.3, 0.5])
-        a = [categorical_sample(RngStream(4).child(i), probs) for i in range(20)]
-        b = [categorical_sample(RngStream(4).child(i), probs) for i in range(20)]
-        assert a == b
+        P = np.tile([0.2, 0.3, 0.5], (20, 1))
+        a = categorical_rows(P, RngStream(4).uniform_vec(20))
+        b = categorical_rows(P, RngStream(4).uniform_vec(20))
+        assert np.array_equal(a, b)
 
     def test_fair_coin_frequency(self):
         # binomial: sd of the frequency is ~0.0016 at n=1e5; 0.01 is >6 sigma
-        rng = RngStream(21)
         n = 100_000
-        zeros = sum(categorical_sample(rng, np.array([0.5, 0.5])) == 0 for _ in range(n))
-        assert 0.49 <= zeros / n <= 0.51
-
-    def test_invalid_distributions_rejected(self):
-        rng = RngStream(0)
-        with pytest.raises(ContractError):
-            categorical_sample(rng, np.array([0.5, 0.6]))
-        with pytest.raises(ContractError):
-            categorical_sample(rng, np.array([1.5, -0.5]))
-        with pytest.raises(ContractError):
-            categorical_sample(rng, np.array([np.nan, 1.0]))
+        picks = categorical_rows(np.tile([0.5, 0.5], (n, 1)), RngStream(21).uniform_vec(n))
+        assert 0.49 <= np.mean(picks == 0) <= 0.51
 
     @given(st.integers(0, 2**32), st.integers(2, 8))
     @settings(max_examples=50)
     def test_never_selects_zero_probability(self, seed, size):
-        probs = np.zeros(size)
-        probs[size // 2] = 1.0
-        assert categorical_sample(RngStream(seed), probs) == size // 2
-
-
-class FixedUniform:
-    """A stream stand-in whose uniform draw is always u."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def uniform(self):
-        return self.u
+        P = np.zeros((16, size))
+        P[:, size // 2] = 1.0
+        assert categorical_rows(P, RngStream(seed).uniform_vec(16)).tolist() == [size // 2] * 16
 
 
 def searchsorted_pick(p, u):
@@ -164,9 +158,7 @@ class TestCategoricalRows:
         P /= P.sum(axis=1, keepdims=True)
         uniforms = st.sampled_from((0.0,) + self.NEAR_ONE) | st.floats(0.0, 1.0, exclude_max=True)
         u = np.array(data.draw(st.lists(uniforms, min_size=len(P), max_size=len(P))))
-        picks = categorical_rows(P, u).tolist()
-        assert picks == [categorical_sample(FixedUniform(x), p) for x, p in zip(u, P)]
-        assert picks == [searchsorted_pick(p, x) for x, p in zip(u, P)]
+        assert categorical_rows(P, u).tolist() == [searchsorted_pick(p, x) for x, p in zip(u, P)]
 
     def test_sum_below_one_steps_back_over_trailing_zeros(self):
         # ten 0.1s sum to 1 - 2^-53: a uniform at that value passes every

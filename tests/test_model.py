@@ -9,7 +9,6 @@ from npad.model import (
     BOS,
     EOS,
     BoundModel,
-    DecoderState,
     Dims,
     EncodedSource,
     Vocab,
@@ -19,18 +18,16 @@ from npad.model import (
     encode,
     encode_rows,
     init_params,
-    initial_state,
+    initial_rows,
     score_sequence,
-    _attend,
     _gru_stacks,
     step_rows,
     step_rows_with_cache,
 )
-from npad.core import log_softmax
 from npad.backprop import forward_rows
 from npad.tasks import SequencePair
 from conftest import make_params
-from reference import _gru_fwd, encode_with_cache
+from reference import _attend, _gru_fwd, encode_with_cache, log_softmax
 
 
 def uniform_readout(params):
@@ -160,17 +157,15 @@ def test_encode_rows_bitwise_equal_per_vector_encoder(batch):
 
 class TestAttention:
     def test_singleton_source(self, tiny_params):
-        enc = encode(tiny_params, [4])
-        state = initial_state(tiny_params, enc)
-        context, alpha = attention_context(tiny_params, state, enc)
-        np.testing.assert_allclose(context, enc.annotations[0], atol=1e-15)
+        bound = BoundModel(tiny_params, [4])
+        context, alpha = attention_context(tiny_params, bound.initial(), bound.enc)
+        np.testing.assert_allclose(context, bound.enc.annotations[0], atol=1e-15)
         assert alpha.tolist() == [1.0]
 
     def test_identical_annotations_convexity(self, tiny_params):
         row = np.linspace(-1.0, 1.0, 2 * tiny_params.dims.d_hid)
         enc = manual_encoded(tiny_params, np.tile(row, (4, 1)))
-        state = DecoderState(h=np.zeros(tiny_params.dims.d_hid), t=0)
-        context, alpha = attention_context(tiny_params, state, enc)
+        context, alpha = attention_context(tiny_params, np.zeros(tiny_params.dims.d_hid), enc)
         np.testing.assert_allclose(context, row, atol=1e-12)
         assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -185,51 +180,61 @@ class TestAttention:
         t["att.Wk"][:] = 0.0
         t["att.Wk"][0, 0] = math.atanh(math.log(3.0) / 2.0)
         enc = manual_encoded(p, [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
-        context, alpha = attention_context(p, DecoderState(h=np.zeros(2), t=0), enc)
+        context, alpha = attention_context(p, np.zeros(2), enc)
         np.testing.assert_allclose(alpha, [0.75, 0.25], atol=1e-12)
         np.testing.assert_allclose(context, 0.75 * enc.annotations[0], atol=1e-12)
 
     def test_alpha_is_distribution_every_step(self, tiny_params):
-        enc = encode(tiny_params, [3, 4, 3, 4])
-        state = initial_state(tiny_params, enc)
+        bound = BoundModel(tiny_params, [3, 4, 3, 4])
+        h = bound.initial()
         for prev in (BOS, 3, 2, 1):
-            _, alpha = attention_context(tiny_params, state, enc)
+            _, alpha = attention_context(tiny_params, h, bound.enc)
             assert np.all(alpha >= 0)
             assert alpha.sum() == pytest.approx(1.0, abs=1e-9)
-            state, _ = decoder_step(tiny_params, state, prev, enc)
+            h, _ = decoder_step(tiny_params, h, prev, bound.enc)
+
+    def test_state_dim_checked(self, tiny_params):
+        enc = encode(tiny_params, [3, 4])
+        for h in (np.zeros(3), np.zeros((1, 4))):
+            with pytest.raises(ContractError):
+                attention_context(tiny_params, h, enc)
 
 
 class TestDecoderStep:
     def test_zero_noise_deterministic(self, tiny_params):
-        enc = encode(tiny_params, [3, 4])
-        state = initial_state(tiny_params, enc)
-        s1, lp1 = decoder_step(tiny_params, state, BOS, enc, np.zeros(4))
-        s2, lp2 = decoder_step(tiny_params, state, BOS, enc, None)
-        np.testing.assert_array_equal(s1.h, s2.h)
+        bound = BoundModel(tiny_params, [3, 4])
+        h = bound.initial()
+        h1, lp1 = decoder_step(tiny_params, h, BOS, bound.enc, np.zeros(4))
+        h2, lp2 = decoder_step(tiny_params, h, BOS, bound.enc, None)
+        np.testing.assert_array_equal(h1, h2)
         np.testing.assert_array_equal(lp1, lp2)
-        assert s1.t == state.t + 1
+        assert h1.shape == h.shape
 
     def test_uniform_model_logprobs(self, tiny_params):
         p = uniform_readout(tiny_params)
-        enc = encode(p, [3])
-        state = initial_state(p, enc)
-        _, lp = decoder_step(p, state, BOS, enc)
+        bound = BoundModel(p, [3])
+        _, lp = decoder_step(p, bound.initial(), BOS, bound.enc)
         np.testing.assert_allclose(lp, np.full(4, -math.log(4)), atol=1e-15)
 
     def test_step_distribution_normalized(self, tiny_params):
-        enc = encode(tiny_params, [3, 4, 3])
-        state = initial_state(tiny_params, enc)
+        bound = BoundModel(tiny_params, [3, 4, 3])
+        h = bound.initial()
         prev = BOS
         for _ in range(5):
-            state, lp = decoder_step(tiny_params, state, prev, enc)
+            h, lp = decoder_step(tiny_params, h, prev, bound.enc)
             assert np.exp(lp).sum() == pytest.approx(1.0, abs=1e-9)
             prev = int(np.argmax(lp))
 
     def test_noise_dim_checked(self, tiny_params):
-        enc = encode(tiny_params, [3])
-        state = initial_state(tiny_params, enc)
+        bound = BoundModel(tiny_params, [3])
         with pytest.raises(ContractError):
-            decoder_step(tiny_params, state, BOS, enc, np.zeros(3))
+            decoder_step(tiny_params, bound.initial(), BOS, bound.enc, np.zeros(3))
+
+    def test_prev_token_checked(self, tiny_params):
+        bound = BoundModel(tiny_params, [3])
+        for prev in (-1, tiny_params.dims.n_tgt):
+            with pytest.raises(VocabError):
+                decoder_step(tiny_params, bound.initial(), prev, bound.enc)
 
     def test_scalar_oracle_one_step(self):
         # 1-unit model, single-position source: context equals the annotation,
@@ -274,11 +279,11 @@ class TestDecoderStep:
         lse = math.log(sum(math.exp(v) for v in logits))
         expected = [v - lse for v in logits]
 
-        enc = encode(p, [3])
-        state = initial_state(p, enc)
-        assert state.h[0] == pytest.approx(h0, abs=1e-14)
-        new_state, lp = decoder_step(p, state, BOS, enc)
-        assert new_state.h[0] == pytest.approx(h1, abs=1e-14)
+        bound = BoundModel(p, [3])
+        h = bound.initial()
+        assert h[0] == pytest.approx(h0, abs=1e-14)
+        h_next, lp = decoder_step(p, h, BOS, bound.enc)
+        assert h_next[0] == pytest.approx(h1, abs=1e-14)
         np.testing.assert_allclose(lp, expected, atol=1e-12)
 
 
@@ -289,11 +294,11 @@ class TestScoreSequence:
 
     def test_matches_stepwise_replay(self, tiny_params):
         source, target = [3, 4, 3], [1, 3, 2, EOS]
-        enc = encode(tiny_params, source)
-        state = initial_state(tiny_params, enc)
+        bound = BoundModel(tiny_params, source)
+        h = bound.initial()
         prev, total = BOS, 0.0
         for y in target:
-            state, lp = decoder_step(tiny_params, state, prev, enc)
+            h, lp = decoder_step(tiny_params, h, prev, bound.enc)
             total += float(lp[y])
             prev = y
         assert score_sequence(tiny_params, source, target) == total
@@ -320,19 +325,23 @@ class TestScoreSequence:
 
 def test_bound_model_matches_module_ops(tiny_params):
     bound = BoundModel(tiny_params, [3, 4])
-    state = bound.initial()
-    s1, lp1 = bound.step(state, BOS, np.zeros(4))
+    h = bound.initial()
+    h1, lp1 = bound.step(h, BOS, np.zeros(4))
     enc = encode(tiny_params, [3, 4])
-    s2, lp2 = decoder_step(tiny_params, initial_state(tiny_params, enc), BOS, enc)
-    np.testing.assert_array_equal(s1.h, s2.h)
+    h0 = initial_rows(tiny_params, enc.annotations[None])[0]
+    h2, lp2 = decoder_step(tiny_params, h0, BOS, enc)
+    assert np.array_equal(h, h0)
+    np.testing.assert_array_equal(h1, h2)
     np.testing.assert_array_equal(lp1, lp2)
+    H, logp = bound.step_batch(h[None], np.array([BOS]))
+    assert np.array_equal(H[0], h1) and np.array_equal(logp[0], lp1)
 
 
 def per_vector_step(params, enc, q, prev):
     """The reference decoder step of one perturbed state q: (h, logp, the
     intermediates `step_rows_with_cache` returns), one vector at a time."""
     t = params.tensors
-    context, alpha, M = _attend(params, q, enc, want_cache=True)
+    context, alpha, M = _attend(params, q, enc)
     h, (u, _, z, r, n) = _gru_fwd(t, "dec", np.concatenate([t["tgt_embed"][prev], context]), q)
     logp = log_softmax(t["out.W"] @ np.concatenate([h, context]) + t["out.b"])
     return h, logp, {"q": q, "M": M, "alpha": alpha, "context": context, "u": u,
@@ -351,7 +360,8 @@ def random_biases(params, rng):
 def test_step_rows_bitwise_equal_per_vector_steps(batch):
     # every row of the batched step, and every intermediate training reads
     # from it, equals bit for bit the single-vector reference equations,
-    # whatever the batch size, the widths and the other rows
+    # whatever the batch size, the widths and the other rows; so does the
+    # one-row `attention_context`
     for d_hid, d_emb in product([1, 5, 13, 24], [1, 16]):
         params = make_params(batch, d_emb=d_emb, d_hid=d_hid, n_src=35, n_tgt=35, scale=0.3)
         rng = RngStream(batch)
@@ -373,6 +383,9 @@ def test_step_rows_bitwise_equal_per_vector_steps(batch):
             for name, value in reference.items():
                 assert cache[name][i].shape == value.shape, f"{where} {name}"
                 assert np.array_equal(cache[name][i], value), f"{where} {name}"
+            context, alpha = attention_context(params, H[i] + noise[i], enc)
+            assert np.array_equal(context, reference["context"]), where
+            assert np.array_equal(alpha, reference["alpha"]), where
         alone_h, alone_lp = step_rows(params, enc, H[-1:], prev[-1:], noise[-1:])
         assert np.array_equal(alone_h[0], H_next[-1]) and np.array_equal(alone_lp[0], logp[-1])
 

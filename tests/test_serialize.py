@@ -227,11 +227,13 @@ def test_text_truncations_and_bit_flips(tmp_path_factory, text_blobs, data):
 
 def test_text_errors_name_the_line(tmp_path):
     v = FUZZ_TASK.src_vocab
-    for body, message in ((b"s00\t\n\xff\n", "not UTF-8"),
+    for body, message in ((b"s00\t\n\xff\n", r":2: not UTF-8 text \(byte 5\)"),
+                          # past the first 8 KiB: line and byte count from the file's start
+                          (b"s00\tt00\n" * 2000 + b"\xff\n", r":2001: not UTF-8 text \(byte 16000\)"),
                           (b"s00\tt00\ns00 s99\tt00\n", ":2: unknown"),
                           (b"s00\tt00\n \tt00\n", ":2: empty source")):
         path = write_bytes(tmp_path / "p.tsv", body)
         with pytest.raises(FormatError, match=message):
             load_pairs(path, v, FUZZ_TASK.tgt_vocab)
-    with pytest.raises(FormatError, match="not UTF-8"):
+    with pytest.raises(FormatError, match=":4: not UTF-8"):
         load_vocab(write_bytes(tmp_path / "v.txt", b"<pad>\n<s>\n</s>\n\xc3\n"))

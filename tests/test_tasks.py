@@ -78,6 +78,8 @@ def test_split_pairs_disjoint_slices():
     assert not (set(a) & set(b)) and not (set(b) & set(c)) and not (set(a) & set(c))
     with pytest.raises(ContractError):
         split_pairs(data.pairs, 25, 10)
+    with pytest.raises(ContractError):
+        split_pairs(data.pairs, 3, -1)       # would shorten the first split to 2
 
 
 def test_sequence_pair_validation():
