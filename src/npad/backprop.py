@@ -1,10 +1,11 @@
 """Force-decoding losses and exact gradients with a batch's pairs as rows.
 
-Pairs of equal source and target lengths run as the rows of one forward and
-backward pass, and the loss and gradient bits are those of running the pairs
-one at a time in batch order: every product is the per-pair gemv or gemm
-call, and every gradient tensor adds its per-(pair, step) terms in the order
-the per-pair backward visits them (docs/model.md, "Training").
+Consecutive pairs of equal source and target lengths run as the rows of one
+forward and backward pass, and the loss and gradient bits are those of
+running the pairs one at a time in batch order: every product is the
+per-pair gemv or gemm call, and every gradient tensor adds its per-(pair,
+step) terms in the order the per-pair backward visits them (docs/model.md,
+"Training").
 """
 from __future__ import annotations
 
@@ -22,9 +23,8 @@ from .model import (
 from .tasks import SequencePair
 
 
-# Pairs whose forward and backward passes run as rows together: bounds the
-# per-step rows `batch_gradients` keeps for backpropagation, and the group
-# size of a forward-only pass.
+# Most pairs in one group: bounds the per-step rows a group keeps for
+# backpropagation.
 WINDOW = 16
 # Bytes of weight-gradient terms formed at once before they are summed.
 TERM_BYTES = 1 << 17
@@ -32,14 +32,6 @@ TERM_BYTES = 1 << 17
 
 def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(t) for name, t in params.tensors.items()}
-
-
-def _length_groups(pairs: list[SequencePair]) -> list[list[int]]:
-    """Indices of the pairs with equal source and target lengths, in first-seen order."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, pair in enumerate(pairs):
-        groups.setdefault((len(pair.source), len(pair.target)), []).append(i)
-    return list(groups.values())
 
 
 def forward_rows(params: ModelParams, pairs: list[SequencePair]):
@@ -118,7 +110,7 @@ def backward_rows(params: ModelParams, cache) -> dict:
     """Backpropagate a `forward_rows` group. Returns the weight-gradient
     terms of every pair, unsummed: tensor -> row factors whose axis 0 runs in
     the order the per-pair backward visits the terms and axis 1 over the rows
-    (`_add_pair_terms` reads them). The terms reuse the cache's arrays: once a
+    (`_group_terms` reads them). The terms reuse the cache's arrays: once a
     step's gates and attention are read, its z, n, alpha and M hold dz, dn,
     ds and dpre.
 
@@ -188,28 +180,18 @@ def backward_rows(params: ModelParams, cache) -> dict:
     return terms
 
 
-def _add_terms(g: np.ndarray, runs) -> None:
-    """Add terms onto g in order, with the bits of `g += term` one term at a
-    time. `runs` yields (count, fill) for consecutive runs of terms, where
-    fill(i, j, out) writes the run's terms i..j-1 into out. Terms are formed
-    into a buffer of about TERM_BYTES whose slot 0 holds g, and the buffer is
-    summed into g along axis 0 whenever it fills up.
+def _add_terms(g: np.ndarray, count: int, fill) -> None:
+    """Add `count` terms onto g in order, with the bits of `g += term` one
+    term at a time: fill(i, j, out) writes terms i..j-1 into out. Terms are
+    formed into a buffer of about TERM_BYTES whose slot 0 holds g, and the
+    buffer is summed into g along axis 0 each time it fills or the terms end.
     """
     size = max(1, TERM_BYTES // g.nbytes)
-    buf = np.empty((size + 1,) + g.shape)
-    used = 0
-    for count, fill in runs:
-        i = 0
-        while i < count:
-            j = min(count, i + size - used)
-            fill(i, j, buf[1 + used:1 + used + j - i])
-            used += j - i
-            i = j
-            if used == size:
-                _sum_in_order(buf, g)
-                used = 0
-    if used:
-        _sum_in_order(buf[:used + 1], g)
+    buf = np.empty((min(size, count) + 1,) + g.shape)
+    for i in range(0, count, size):
+        j = min(count, i + size)
+        fill(i, j, buf[1:1 + j - i])
+        _sum_in_order(buf[:1 + j - i], g)
 
 
 def _sum_in_order(buf: np.ndarray, g: np.ndarray) -> None:
@@ -223,39 +205,26 @@ def _sum_in_order(buf: np.ndarray, g: np.ndarray) -> None:
         np.add.reduce(buf, axis=0, out=g)
 
 
-def _runs(order) -> list[list[int]]:
-    """Maximal runs of consecutive pairs of one group: [group, first row, end
-    row] of each run, in batch order. A group's rows are its pairs in batch
-    order, so a run's pairs are at consecutive rows."""
-    runs: list[list[int]] = []
-    for gi, row in order:
-        if runs and runs[-1][0] == gi:
-            runs[-1][2] += 1
-        else:
-            runs.append([gi, row, row + 1])
-    return runs
+def _pair_major(f: np.ndarray) -> np.ndarray:
+    """An (S, B, ...) factor as one (S * B, ...) array, pair after pair."""
+    return np.swapaxes(f, 0, 1).reshape(-1, *f.shape[2:])
 
 
-def _pair_major(f: np.ndarray, r0: int, r1: int) -> np.ndarray:
-    """Rows r0..r1-1 of an (S, B, ...) factor as one (k, ...) array, pair after pair."""
-    return np.swapaxes(f[:, r0:r1], 0, 1).reshape(-1, *f.shape[2:])
-
-
-def _run_terms(name: str, enc, factors, r0: int, r1: int):
-    """(count, fill) for the terms of tensor `name` of rows r0..r1-1 of one
-    group, pair after pair: fill(i, j, out) writes terms i..j-1."""
+def _group_terms(name: str, enc, factors):
+    """(count, fill) for the terms of tensor `name` of one group, pair after
+    pair: fill(i, j, out) writes terms i..j-1."""
     if name == "att.Wk":
         # dpre.T @ A of each term's step and pair; dpre is gathered per fill,
-        # not copied pair-major for the whole run, as it is (S, B, L, d_hid)
+        # not copied pair-major for the whole group, as it is (S, B, L, d_hid)
         dpre, A = factors[0], enc.annotations
         steps = len(dpre)
 
         def fill(i, j, out):
             k = np.arange(i, j)
-            rows = r0 + k // steps
+            rows = k // steps
             np.matmul(np.swapaxes(dpre[k % steps, rows], 1, 2), A[rows], out=out)
-        return steps * (r1 - r0), fill
-    a, *b = (_pair_major(f, r0, r1) for f in factors)
+        return steps * dpre.shape[1], fill
+    a, *b = (_pair_major(f) for f in factors)
     if b:
         # np.outer(a, b), except that einsum adds each product onto +0.0 and
         # so forms a -0.0 product as +0.0. The sums they go into start at +0.0,
@@ -269,51 +238,48 @@ def _run_terms(name: str, enc, factors, r0: int, r1: int):
     return len(a), fill
 
 
-def _add_pair_terms(g: dict[str, np.ndarray], groups, order) -> None:
-    """Add the gradient terms of `groups` ((encoding, terms) of each
-    `backward_rows` group) into g pair by pair: `order` is the (group, row)
-    of each pair in batch order. Per tensor, the terms are added in the order
-    the per-pair backward adds them, pair after pair, one run of consecutive
-    rows of a group at a time."""
-    runs = _runs(order)
-    for name, tensor in g.items():
-        if name.endswith("_embed"):
-            for gi, r0, r1 in runs:
-                index, value = groups[gi][1][name]
-                np.add.at(tensor, _pair_major(index, r0, r1), _pair_major(value, r0, r1))
-        else:
-            _add_terms(tensor, (_run_terms(name, groups[gi][0], groups[gi][1][name], r0, r1)
-                                for gi, r0, r1 in runs))
+def _groups(pairs: list[SequencePair], order) -> list[list[int]]:
+    """The indices `order` visits, cut into groups: maximal runs of
+    consecutive pairs of equal source and target lengths, at most WINDOW each."""
+    groups: list[list[int]] = []
+    last = None
+    for i in order:
+        key = (len(pairs[i].source), len(pairs[i].target))
+        if key != last or len(groups[-1]) == WINDOW:
+            groups.append([])
+        groups[-1].append(i)
+        last = key
+    return groups
 
 
 def batch_gradients(params: ModelParams, batch: list[SequencePair]):
     """Sum of the pairs' losses and gradients: (total nll, tensor -> gradient).
 
-    Among each WINDOW consecutive pairs, those of equal lengths run as the
-    rows of one forward and backward pass.
+    Each group of the batch (`_groups`, in batch order) runs as the rows of
+    one forward and backward pass, and adds its terms before the next runs.
     """
     g = zero_grads(params)
     total = 0.0
-    for start in range(0, len(batch), WINDOW):
-        window = batch[start:start + WINDOW]
-        groups, order, nll = [], [None] * len(window), [0.0] * len(window)
-        for gi, ix in enumerate(_length_groups(window)):
-            values, cache = forward_rows(params, [window[i] for i in ix])
-            groups.append((cache["enc"], backward_rows(params, cache)))
-            for row, i in enumerate(ix):
-                order[i], nll[i] = (gi, row), float(values[row])
-        for value in nll:                   # in batch order, one addition at a time
+    for ix in _groups(batch, range(len(batch))):
+        nll, cache = forward_rows(params, [batch[i] for i in ix])
+        for value in nll.tolist():          # in batch order, one addition at a time
             total += value
-        _add_pair_terms(g, groups, order)
+        terms = backward_rows(params, cache)
+        for name, tensor in g.items():
+            if name.endswith("_embed"):
+                tokens, rows = terms[name]
+                np.add.at(tensor, _pair_major(tokens), _pair_major(rows))
+            else:
+                _add_terms(tensor, *_group_terms(name, cache["enc"], terms[name]))
     return total, g
 
 
 def pair_nlls(params: ModelParams, pairs: list[SequencePair]) -> list[float]:
     """Each pair's negative log-likelihood, bitwise -score_sequence: a
-    forward pass over groups of at most WINDOW pairs of equal lengths."""
+    forward pass over the groups of the pairs sorted by their lengths."""
     nll = np.empty(len(pairs))
-    for ix in _length_groups(pairs):
-        for k in range(0, len(ix), WINDOW):
-            part = ix[k:k + WINDOW]
-            nll[part] = forward_rows(params, [pairs[i] for i in part])[0]
+    by_length = sorted(range(len(pairs)),
+                       key=lambda i: (len(pairs[i].source), len(pairs[i].target)))
+    for ix in _groups(pairs, by_length):
+        nll[ix] = forward_rows(params, [pairs[i] for i in ix])[0]
     return nll.tolist()

@@ -32,6 +32,12 @@ from .tasks import ConfigError
 STRATEGIES = ("greedy", "beam", "sample", "diverse", "npad", "exact")
 RESULT_COLUMNS = ("strategy", "beam_width", "sigma0", "chains", "eta",
                   "mean_nll", "mean_nll_per_token", "bleu")
+# Most decoder rows a cell may keep in flight, chains x beam_width: the
+# chains of a sentence step together, so their tables grow with this count.
+# On the translate model (d_hid 24, 35 words, a 12-word sentence) an npad
+# cell's peak RSS grows by about 13 KB a row: 31 MB at 1 chain, 161 MB at
+# 10,000. The bound counts rows only; a larger model or sentence costs more.
+MAX_ROWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -76,6 +82,10 @@ class Cell:
                 raise ConfigError(f"{self.strategy} does not take {name}")
         if self.strategy not in ("sample", "npad") and not self.include_zero_chain:
             raise ConfigError(f"{self.strategy} has no chains, so no zero chain to leave out")
+        rows = (self.chains or 1) * (self.beam_width or 1)
+        if rows > MAX_ROWS:
+            raise ConfigError(f"chains x beam_width is {rows} rows, more than the "
+                              f"{MAX_ROWS} allowed")
 
 
 @dataclass

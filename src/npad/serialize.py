@@ -1,4 +1,6 @@
-"""File formats: model container, vocab files, dataset files, results CSV.
+"""File formats: model container, vocab files, dataset and source files.
+The results CSV is written by `evaluate.write_results_csv` and read back by
+`cli.cmd_report`.
 
 Exact layouts are documented in docs/formats.md and round-trip tested.
 Output files are written atomically (write to a temp file, then rename), so

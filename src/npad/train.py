@@ -41,6 +41,9 @@ class TrainConfig:
                 raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
         if self.clip_norm <= 0:
             raise ContractError("clip_norm must be > 0")
+        for name in ("lr", "lr_decay", "patience"):
+            if getattr(self, name) < 0:
+                raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ContractError("batch_size must be >= 1")
 
@@ -108,7 +111,8 @@ def train(params: ModelParams, dataset: list[SequencePair],
           valid: list[SequencePair], cfg: TrainConfig):
     """Minibatch SGD with clipping; keeps the best-validation checkpoint.
 
-    Batches bucket pairs by target length (stable within the epoch shuffle);
+    Batches bucket pairs by target then source length (stable within the
+    epoch shuffle), so equal-length pairs run as one group in backprop;
     since the loss is computed per sequence no padding or masking is needed.
     Returns (best params, per-epoch trace). Deterministic given cfg.seed.
     """
@@ -124,7 +128,8 @@ def train(params: ModelParams, dataset: list[SequencePair],
     trace: list[TraceRow] = []
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(dataset))
-        ordered = sorted((dataset[i] for i in order), key=lambda p: len(p.target))
+        ordered = sorted((dataset[i] for i in order),
+                         key=lambda p: (len(p.target), len(p.source)))
         batches = [ordered[i:i + cfg.batch_size] for i in range(0, len(ordered), cfg.batch_size)]
         batch_order = rng.permutation(len(batches))
         lr = cfg.lr * cfg.lr_decay ** (epoch - 1)

@@ -1,9 +1,12 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import pytest
 
+import npad
 from npad.cli import main
 from npad.serialize import load_model, load_pairs, load_vocab
 
@@ -131,6 +134,42 @@ def test_decode_flag_validation(workspace, capsys):
             (["greedy", "--no-zero-chain"], "greedy has no chains")]:
         assert main(base + ["--strategy"] + flags) == 1
         assert f"error: config: {message}" in capsys.readouterr().err
+
+
+def test_too_many_rows_in_flight_exit_1_before_allocating(workspace):
+    # 10^8 chains in a 1 GiB address space ended in a MemoryError traceback
+    # at the chains' list; the cell is now refused before anything is read
+    d = workspace["data"]
+    out = workspace["root"] / "rows.jsonl"
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "from npad.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    src_dir = os.path.dirname(os.path.dirname(npad.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", script, "decode", "--strategy", "npad", "--sigma0", "0.3",
+         "--chains", str(10**8), "--seed", "1", "--model", workspace["model"],
+         "--vocab-src", f"{d}/vocab_src.txt", "--vocab-tgt", f"{d}/vocab_tgt.txt",
+         "--input", f"{d}/test.tsv", "--output", str(out)],
+        env={**os.environ, "PYTHONPATH": src_dir}, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: config: chains x beam_width is 100000000 rows")
+    assert run.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--patience", "-1"), ("--lr", "-0.1"),
+                                         ("--lr-decay", "-0.5")])
+def test_negative_training_hyperparameter_exit_1(workspace, capsys, flag, value):
+    # a negative patience stopped after the first epoch; a negative lr ascended
+    d = workspace["data"]
+    out = workspace["root"] / "negative.bin"
+    assert main(["train", "--input", f"{d}/train.tsv", "--valid", f"{d}/valid.tsv",
+                 "--vocab-src", f"{d}/vocab_src.txt", "--vocab-tgt", f"{d}/vocab_tgt.txt",
+                 "--model", str(out), flag, value, "--epochs", "1", "--seed", "5"]) == 1
+    name = flag[2:].replace("-", "_")
+    assert f"error: invalid arguments: {name} must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_non_finite_hyperparameters_exit_1(workspace, capsys):

@@ -18,7 +18,7 @@ from npad.decode import (
     force_scores,
     greedy_search,
 )
-from npad.evaluate import Cell
+from npad.evaluate import MAX_ROWS, Cell
 from npad.model import EOS, BoundModel, VocabError, score_sequence
 from npad.tasks import ConfigError
 from conftest import make_params
@@ -41,9 +41,14 @@ def random_model(seed):
 
 
 def samples(model, n, seed, limits=None):
-    """n ancestral samples, run as the lockstep chains of a sample cell."""
-    cell = Cell(strategy="sample", chains=n)
-    return [r.hypothesis for r in run_chains(model, cell, seed, range(n), limits)]
+    """n ancestral samples, run as the lockstep chains of sample cells of at
+    most MAX_ROWS chains each, the k-th cell's from seed + k."""
+    hyps = []
+    for k, start in enumerate(range(0, n, MAX_ROWS)):
+        cell = Cell(strategy="sample", chains=min(MAX_ROWS, n - start))
+        results = run_chains(model, cell, seed + k, range(cell.chains), limits)
+        hyps += [r.hypothesis for r in results]
+    return hyps
 
 
 class TestNoiseSchedule:

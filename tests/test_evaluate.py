@@ -378,6 +378,24 @@ class TestSpecFiles:
         with pytest.raises(ConfigError, match="beam has no chains"):
             load_spec(self._write_spec(tmp_path, body))
 
+    def test_rows_in_flight_bounded(self, tmp_path):
+        # chains x beam_width rows step together; past MAX_ROWS the cell is
+        # refused before anything is allocated, from a spec as from flags
+        Cell(strategy="npad", sigma0=0.3, chains=50, beam_width=100)
+        Cell(strategy="npad", sigma0=0.3, chains=evaluate.MAX_ROWS)
+        Cell(strategy="beam", beam_width=evaluate.MAX_ROWS)
+        for fields in ({"strategy": "npad", "sigma0": 0.3, "chains": evaluate.MAX_ROWS + 1},
+                       {"strategy": "sample", "chains": 10**8},
+                       {"strategy": "beam", "beam_width": evaluate.MAX_ROWS + 1},
+                       {"strategy": "diverse", "beam_width": 10**8, "eta": 0.5},
+                       {"strategy": "npad", "sigma0": 0.3, "chains": 101, "beam_width": 100}):
+            with pytest.raises(ConfigError, match="rows, more than"):
+                Cell(**fields)
+            body = {"model": "m", "test_set": "t", "vocab_src": "a", "vocab_tgt": "b",
+                    "base_seed": 1, "cells": [fields]}
+            with pytest.raises(ConfigError, match="rows, more than"):
+                load_spec(self._write_spec(tmp_path, body))
+
     def test_non_finite_cell_values_rejected(self):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ConfigError):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import reference
 from npad.core import ContractError, RngStream
 from npad.model import EOS, Dims, init_params, score_sequence
-from npad.tasks import SequencePair, gen_task, split_pairs
+from npad.tasks import TASK_KINDS, SequencePair, gen_task, split_pairs
 from npad import backprop
 from npad.train import (
     DivergenceError,
@@ -90,10 +90,12 @@ class TestRowsMatchPerPairReference:
         "two groups": [(3, 4)] * 3 + [(6, 7)] * 4,
         "interleaved": [(3, 4), (5, 6), (3, 4), (3, 5), (5, 6), (3, 4), (1, 2), (5, 6)],
         "more than a window": [(4, 5), (2, 3)] * backprop.WINDOW,
-        # the (4, 5) pairs form runs of consecutive rows cut by the other
-        # groups, and their last run (batch positions 13-19) by the window
+        # a group is a maximal run of consecutive pairs of equal lengths, cut
+        # at WINDOW pairs: this batch runs as ten small groups, the (4, 5)
+        # pairs alone as four
         "runs cut by groups and the window": [(4, 5)] * 3 + [(2, 3)] + [(4, 5)] * 2
         + [(3, 4), (2, 3), (4, 5)] + [(3, 4)] * 4 + [(4, 5)] * 7,
+        "a run longer than a window": [(2, 3)] + [(3, 4)] * (backprop.WINDOW + 3),
     }
 
     @staticmethod
@@ -151,17 +153,18 @@ class TestRowsMatchPerPairReference:
 def test_einsum_terms_sum_as_outer_products_with_signed_zeros(shape, monkeypatch):
     # einsum forms a -0.0 product as +0.0; summed onto gradients that start
     # at +0.0, its terms still give the bits of `g += np.outer(a, b)`, sign
-    # bits included. The (3, 4) terms are summed five at a time; a
-    # one-element g takes all 24 terms in one np.add.accumulate, where a
-    # pairwise sum would round differently.
+    # bits included. The terms come as two groups, of 3 pairs and of 1; the
+    # (3, 4) terms are summed five at a time, so the first group's 18 are
+    # flushed in parts. A one-element g takes each group's terms in one
+    # np.add.accumulate, where a pairwise sum would round differently.
     monkeypatch.setattr(backprop, "TERM_BYTES", 5 * 8 * 12)
     rng = RngStream(7)
     values = np.array([0.0, -0.0, 1e-200, -1e-200, 0.1, -1 / 3, 1e5])
     S, B = 6, 4
     a, b = (values[rng.integers(0, len(values), size=(S, B, n))] for n in shape)
     g = np.zeros(shape)
-    backprop._add_terms(g, [backprop._run_terms("out.W", None, (a, b), 0, 3),
-                            backprop._run_terms("out.W", None, (a, b), 3, 4)])
+    for rows in (slice(0, 3), slice(3, 4)):
+        backprop._add_terms(g, *backprop._group_terms("out.W", None, (a[:, rows], b[:, rows])))
     expected, negative_zero_terms = np.zeros(shape), 0
     for row in range(B):
         for step in range(S):
@@ -170,6 +173,49 @@ def test_einsum_terms_sum_as_outer_products_with_signed_zeros(shape, monkeypatch
             expected += term
     assert negative_zero_terms > 0
     assert_bitwise(g, expected)
+
+
+def assert_batches_group_as_length_classes(ds, valid, params, monkeypatch):
+    """Two epochs of train at batch 16 (= WINDOW): in every batch the groups
+    are the batch's equal-length classes whole, none split by pairs of other
+    lengths between them."""
+    batches = []
+
+    def record(params, batch):
+        batches.append(batch)
+        return 0.0, backprop.zero_grads(params)
+    monkeypatch.setattr(train_module, "nll_loss", record)
+    train(params, ds, valid, TrainConfig(epochs=2, seed=7, batch_size=16))
+    assert len(batches) == 2 * math.ceil(len(ds) / 16)
+    for batch in batches:
+        classes: dict[tuple[int, int], list[int]] = {}
+        for i, pair in enumerate(batch):
+            classes.setdefault((len(pair.source), len(pair.target)), []).append(i)
+        assert backprop._groups(batch, range(len(batch))) == list(classes.values())
+
+
+@pytest.mark.parametrize("kind", TASK_KINDS)
+def test_training_batches_group_as_their_length_classes(kind, monkeypatch):
+    # every gen-data task has len(target) == len(source) + 1, so the epoch's
+    # sort by target length alone makes equal-length pairs consecutive
+    data = gen_task(kind, 8, (1, 20), 400, seed=41)
+    assert all(len(p.target) == len(p.source) + 1 for p in data.pairs)
+    ds, valid = split_pairs(data.pairs, 390, 10)
+    params = make_params(1, d_emb=2, d_hid=3, n_src=len(data.src_vocab), n_tgt=len(data.tgt_vocab))
+    assert_batches_group_as_length_classes(ds, valid, params, monkeypatch)
+
+
+def test_training_batches_of_mixed_source_lengths_group_as_length_classes(monkeypatch):
+    # source lengths vary within each target length, as in a user's corpus:
+    # the epoch is sorted by target then source length, so the groups are
+    # still whole length classes
+    rng = RngStream(43)
+    lengths = [(int(s), int(t)) for s, t in zip(rng.integers(3, 9, size=300),
+                                                rng.integers(2, 6, size=300))]
+    pairs = list(dict.fromkeys(random_pairs(lengths, seed=44)))
+    ds, valid = pairs[:-10], pairs[-10:]
+    params = make_params(1, d_emb=2, d_hid=3, n_src=35, n_tgt=35)
+    assert_batches_group_as_length_classes(ds, valid, params, monkeypatch)
 
 
 def test_train_calls_hook_points_once_per_batch(monkeypatch):
@@ -262,6 +308,12 @@ class TestTrain:
             for bad in (float("nan"), float("inf")):
                 with pytest.raises(ContractError):
                     TrainConfig(epochs=1, **{name: bad})
+
+    @pytest.mark.parametrize("name, bad", [("patience", -1), ("lr", -0.1), ("lr_decay", -0.5)])
+    def test_negative_config_rejected(self, name, bad):
+        # lr = 0 stays legal (test_zero_lr_leaves_params_unchanged)
+        with pytest.raises(ContractError, match=f"{name} must be >= 0"):
+            TrainConfig(epochs=1, **{name: bad})
 
     def _task_splits(self, count=12, seed=5):
         data = gen_task("copy", 4, (2, 4), count, seed)
