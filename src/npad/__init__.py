@@ -11,6 +11,7 @@ from .decode import (
     exact_search,
     force_score,
     greedy_search,
+    score_sequence,
 )
 from .evaluate import Cell, EvalRecord, ExperimentSpec, corpus_bleu, mean_nll, run_experiment
 from .model import (
@@ -25,9 +26,7 @@ from .model import (
     VocabError,
     attention_context,
     decoder_step,
-    encode,
     init_params,
-    score_sequence,
 )
 from .tasks import SequencePair, TaskData, gen_task
 from .train import TrainConfig, clip_gradients, grad_check, nll_loss, train

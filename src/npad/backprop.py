@@ -18,7 +18,7 @@ from .model import (
     _matvec_rows,
     encode_rows,
     initial_rows,
-    step_rows_with_cache,
+    step_rows,
 )
 from .tasks import SequencePair
 
@@ -56,13 +56,10 @@ def forward_rows(params: ModelParams, pairs: list[SequencePair]):
     prev = np.full(B, BOS)
     nll = np.zeros(B)
     for j, y in enumerate(targets.T):
-        steps["q"][j] = H
-        H, logp, cache = step_rows_with_cache(params, enc, H, prev)
+        H, logp, cache = step_rows(params, enc, H, prev)
         nll -= logp[rows, y]
-        for name in ("u", "z", "r", "n", "alpha", "M"):
+        for name in ("q", "hc", "u", "z", "r", "n", "alpha", "M"):
             steps[name][j] = cache[name]
-        steps["hc"][j, :, :dims.d_hid] = H
-        steps["hc"][j, :, dims.d_hid:] = cache["context"]
         np.exp(logp, out=steps["probs"][j])
         prev = y
     return nll, {"sources": sources, "targets": targets, "enc": enc, "enc_steps": enc_steps,

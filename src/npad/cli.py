@@ -11,7 +11,7 @@ import json
 import sys
 
 from .core import ContractError, RngStream
-from .decode import SearchSpaceError
+from .decode import SearchSpaceError, score_sequence
 from .evaluate import (
     RESULT_COLUMNS,
     STRATEGIES,
@@ -21,7 +21,7 @@ from .evaluate import (
     run_experiment,
     write_results_csv,
 )
-from .model import Dims, VocabError, init_params, score_sequence
+from .model import Dims, VocabError, init_params
 from .serialize import FormatError, _lines, atomic_write, load_model, load_pairs, load_sources, load_vocab, save_model, save_pairs, save_vocab
 from .tasks import ConfigError, TASK_KINDS, gen_task, split_pairs
 from .train import DivergenceError, TrainConfig, train

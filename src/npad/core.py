@@ -44,10 +44,6 @@ class RngStream:
     def child(self, index: int) -> "RngStream":
         return RngStream(derive_seed(self.seed, index))
 
-    def uniform(self) -> float:
-        """One draw from U[0, 1)."""
-        return float(self._gen.random())
-
     def uniform_vec(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape)
 

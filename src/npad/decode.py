@@ -1,6 +1,6 @@
 """Inner decoding strategies: greedy, beam, diverse beam, and an exhaustive
-oracle for tiny instances, plus the shared search engine and batched
-rescoring.
+oracle for tiny instances, plus the shared search engine, batched
+rescoring and sequence scoring (`score_sequence`).
 
 Nothing here draws a random number. `search_rows` is the one search loop:
 it runs any number of independent greedy, picked or beam searches, taking a
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ContractError
-from .model import VocabError
+from .model import BoundModel, VocabError
 
 MAX_EXACT_SPACE = 10**6
 # Rows per kernel call: bounds the (rows, source_len, d_hid) attention
@@ -117,6 +117,13 @@ def force_scores(model, sequences) -> list[float]:
 def force_score(model, tokens) -> float:
     """Non-noisy log-probability of `tokens` under the bound model (replay)."""
     return force_scores(model, [tokens])[0]
+
+
+def score_sequence(params, source, target) -> float:
+    """Non-noisy log-probability of `target` given `source`: `force_score` on
+    the bound source. A `target` without EOS is scored as a prefix, so
+    unfinished decodes can be rescored."""
+    return force_score(BoundModel(params, source), target)
 
 
 def greedy_pick(t, logp, beams):
@@ -293,7 +300,8 @@ def exact_search(model, limits: DecodeLimits | None = None) -> Hypothesis:
     vocabularies and lengths; refuses spaces above 10^6 sequences.
     """
     limits = resolve_limits(model, limits)
-    if model.n_tokens ** limits.max_len > MAX_EXACT_SPACE:
+    # for V >= 2, V^L > bound iff V^min(L, bit_length(bound)) does: a huge L stays cheap
+    if model.n_tokens ** min(limits.max_len, MAX_EXACT_SPACE.bit_length()) > MAX_EXACT_SPACE:
         raise SearchSpaceError(
             f"search space {model.n_tokens}^{limits.max_len} exceeds {MAX_EXACT_SPACE}")
     eos = model.eos

@@ -159,15 +159,16 @@ def init_params(rng: RngStream, dims: Dims, scale: float = 0.08) -> ModelParams:
 
 @dataclass
 class EncodedSource:
-    """Per-position annotations (rows) plus cached attention keys and decoder GRU stacks."""
+    """B encoded sources of one length: per-position annotations plus cached
+    attention keys, and the decoder GRU stacks."""
 
-    annotations: np.ndarray        # (source_len, 2*d_hid), or (B, source_len, 2*d_hid)
-    att_keys: np.ndarray           # (source_len, d_hid): Wk a_i + b, cached; (B, ...) likewise
+    annotations: np.ndarray        # (B, source_len, 2*d_hid)
+    att_keys: np.ndarray           # (B, source_len, d_hid): Wk a_i + b, cached
     dec_gru: tuple                 # the decoder GRU's `_gru_stacks`, made at encode time
 
     @property
     def source_len(self) -> int:
-        return self.annotations.shape[-2]
+        return self.annotations.shape[1]
 
 
 def _check_sources(dims: Dims, sources) -> np.ndarray:
@@ -177,12 +178,6 @@ def _check_sources(dims: Dims, sources) -> np.ndarray:
     if np.any(src < 0) or np.any(src >= dims.n_src):
         raise VocabError(f"source token index out of range (|V_src|={dims.n_src})")
     return src
-
-
-def encode(params: ModelParams, source) -> EncodedSource:
-    """Bidirectional encode of one source: the one-row call of `encode_rows`."""
-    enc = encode_rows(params, np.asarray(source, dtype=np.int64)[None])[0]
-    return EncodedSource(enc.annotations[0], enc.att_keys[0], enc.dec_gru)
 
 
 def _gru_stacks(tensors: dict, pre: str):
@@ -265,31 +260,12 @@ def _attend_rows(params: ModelParams, enc: EncodedSource, Q: np.ndarray):
 
 def attention_context(params: ModelParams, h: np.ndarray, enc: EncodedSource):
     """Context vector and attention weights of one decoder state row h
-    (d_hid,): the one-row call of `_attend_rows`."""
+    (d_hid,) over one encoded source (a stack of one): the one-row call of
+    `_attend_rows`."""
     if h.shape != (params.dims.d_hid,):
         raise ContractError(f"state dim {h.shape} != d_hid {params.dims.d_hid}")
     _, alpha, C = _attend_rows(params, enc, h[None])
     return C[0], alpha[0]
-
-
-def step_rows_with_cache(params: ModelParams, enc: EncodedSource, H: np.ndarray,
-                         prev: np.ndarray, noise: np.ndarray | None = None):
-    """`step_rows` plus the per-row intermediates backpropagation reads.
-
-    Returns (H', logp, cache) where cache maps "q" (perturbed previous
-    state), "M" (attention pre-activations, (B, L, d_hid)), "alpha",
-    "context", "u" (GRU input) and the GRU gates "z", "r", "n" to their
-    (B, ...) arrays.
-    """
-    t = params.tensors
-    Q = H if noise is None else H + noise
-    M, alpha, C = _attend_rows(params, enc, Q)
-    U = np.concatenate([t["tgt_embed"][prev], C], axis=1)
-    W, *gru = enc.dec_gru
-    Hn, zr, n = _gru_step((W[:, None] @ U[:, :, None])[..., 0], Q, *gru)
-    logits = _matvec_rows(t["out.W"], np.concatenate([Hn, C], axis=1)) + t["out.b"]
-    cache = {"q": Q, "M": M, "alpha": alpha, "context": C, "u": U, "z": zr[0], "r": zr[1], "n": n}
-    return Hn, log_softmax(logits), cache
 
 
 def step_rows(params: ModelParams, enc: EncodedSource, H: np.ndarray, prev: np.ndarray,
@@ -297,14 +273,30 @@ def step_rows(params: ModelParams, enc: EncodedSource, H: np.ndarray, prev: np.n
     """The batched decoder step: one transition for each row of H (B, d_hid).
 
     `prev` (B,) holds each row's previous target token and `noise` (B, d_hid)
-    each row's noise (None for none). Returns (H' (B, d_hid), logp (B, |V_tgt|)).
+    each row's noise (None for none). Returns (H' (B, d_hid), logp (B,
+    |V_tgt|), cache), where cache maps the per-row intermediates
+    backpropagation reads to their (B, ...) arrays: "q" (perturbed previous
+    state), "M" (attention pre-activations, (B, L, d_hid)), "alpha",
+    "context", "u" (GRU input), the GRU gates "z", "r", "n" and "hc" (the
+    readout input [H'; context]).
 
     Row i's bits equal those of the single-vector step on row i alone, for
     every B: products are stacks of per-row gemv calls and reductions run
-    along each row. Rows never interact. Arguments are not checked here; the
-    decoders build them and `decoder_step` checks one-row calls.
+    along each row. Rows never interact. `enc` holds one source for every
+    row, or one per row. Arguments are not checked here; the decoders build
+    them and `decoder_step` checks one-row calls.
     """
-    return step_rows_with_cache(params, enc, H, prev, noise)[:2]
+    t = params.tensors
+    Q = H if noise is None else H + noise
+    M, alpha, C = _attend_rows(params, enc, Q)
+    U = np.concatenate([t["tgt_embed"][prev], C], axis=1)
+    W, *gru = enc.dec_gru
+    Hn, zr, n = _gru_step((W[:, None] @ U[:, :, None])[..., 0], Q, *gru)
+    HC = np.concatenate([Hn, C], axis=1)
+    logits = _matvec_rows(t["out.W"], HC) + t["out.b"]
+    cache = {"q": Q, "M": M, "alpha": alpha, "context": C, "u": U, "z": zr[0], "r": zr[1], "n": n,
+             "hc": HC}
+    return Hn, log_softmax(logits), cache
 
 
 def decoder_step(params: ModelParams, h: np.ndarray, prev_token: int,
@@ -325,25 +317,13 @@ def decoder_step(params: ModelParams, h: np.ndarray, prev_token: int,
         noise = noise[None]
     if not 0 <= prev_token < dims.n_tgt:
         raise VocabError(f"target token index {prev_token} out of range (|V_tgt|={dims.n_tgt})")
-    H, logp = step_rows(params, enc, h[None], np.array([prev_token]), noise)
+    H, logp, _ = step_rows(params, enc, h[None], np.array([prev_token]), noise)
     return H[0], logp[0]
 
 
-def score_sequence(params: ModelParams, source, target) -> float:
-    """Total log-probability of `target` given `source` under the non-noisy
-    model: `force_score` on the bound source.
-
-    The value is a complete-sequence log-probability when `target` ends with
-    EOS; prefixes are accepted so that unfinished decodes can still be
-    rescored.
-    """
-    from .decode import force_score          # decode imports this module
-
-    return force_score(BoundModel(params, source), target)
-
-
 class BoundModel:
-    """A model bound to one encoded source: the step interface decoders use.
+    """A model bound to one source, encoded as a stack of one (`encode_rows`
+    on [source]): the step interface decoders use.
 
     Decoding engines only rely on this surface (n_tokens, eos, bos,
     state_dim, source_len, initial() giving the initial state row, and
@@ -352,7 +332,7 @@ class BoundModel:
 
     def __init__(self, params: ModelParams, source):
         self.params = params
-        self.enc = encode(params, source)
+        self.enc = encode_rows(params, [source])[0]
         self.n_tokens = params.dims.n_tgt
         self.eos = EOS
         self.bos = BOS
@@ -361,7 +341,7 @@ class BoundModel:
 
     def initial(self) -> np.ndarray:
         """The decoder's initial state row (d_hid,)."""
-        return initial_rows(self.params, self.enc.annotations[None])[0]
+        return initial_rows(self.params, self.enc.annotations)[0]
 
     def step(self, h: np.ndarray, prev_token: int, noise: np.ndarray | None = None):
         """`decoder_step` on this source. No decoder calls it; it stays only
@@ -371,4 +351,4 @@ class BoundModel:
 
     def step_batch(self, H: np.ndarray, prev: np.ndarray, noise: np.ndarray | None = None):
         """`step_rows` on this source: (H (B, d), prev (B,), noise (B, d) | None) -> (H', logp)."""
-        return step_rows(self.params, self.enc, H, prev, noise)
+        return step_rows(self.params, self.enc, H, prev, noise)[:2]

@@ -7,7 +7,8 @@ them bit for bit.
 import numpy as np
 
 from npad.core import ContractError, sigmoid
-from npad.model import BOS, EncodedSource, _gru_stacks, score_sequence, step_rows_with_cache
+from npad.decode import score_sequence
+from npad.model import BOS, EncodedSource, _gru_stacks, step_rows
 from npad.train import DivergenceError, zero_grads
 
 
@@ -24,11 +25,11 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
 
 
 def _attend(params, query: np.ndarray, enc: EncodedSource):
-    """Additive attention over one source's annotations for one query
-    vector: (context, alpha, M)."""
-    M = np.tanh(enc.att_keys + query @ params.tensors["att.Wq"].T)
+    """Additive attention over one source's annotations (the 2-D view of a
+    stack of one) for one query vector: (context, alpha, M)."""
+    M = np.tanh(enc.att_keys[0] + query @ params.tensors["att.Wq"].T)
     alpha = softmax(M @ params.tensors["att.v"])
-    return enc.annotations.T @ alpha, alpha, M
+    return enc.annotations[0].T @ alpha, alpha, M
 
 
 def _gru_fwd(tensors: dict, pre: str, x: np.ndarray, hprev: np.ndarray):
@@ -41,8 +42,8 @@ def _gru_fwd(tensors: dict, pre: str, x: np.ndarray, hprev: np.ndarray):
 
 
 def encode_with_cache(params, source):
-    """Bidirectional encode of one source, one vector per GRU step, plus the
-    per-position GRU caches (x, h_prev, z, r, n)."""
+    """Bidirectional encode of one source, one vector per GRU step, as a
+    stack of one, plus the per-position GRU caches (x, h_prev, z, r, n)."""
     t = params.tensors
     src = np.asarray(source, dtype=np.int64)
     X = t["src_embed"][src]
@@ -59,27 +60,27 @@ def encode_with_cache(params, source):
         h, cache = _gru_fwd(t, "enc_b", X[i], h)
         ann[i, d_hid:] = h
         b_caches.append(cache)
-    enc = EncodedSource(ann, ann @ t["att.Wk"].T + t["att.b"], _gru_stacks(t, "dec"))
+    enc = EncodedSource(ann[None], (ann @ t["att.Wk"].T + t["att.b"])[None], _gru_stacks(t, "dec"))
     return enc, {"src": src, "f_caches": f_caches, "b_caches": b_caches}
 
 
 def forward_pair(params, pair):
     """Force-decode one pair with zero noise; returns (nll, cache for backprop)."""
     enc, enc_cache = encode_with_cache(params, pair.source)
-    h0 = np.tanh(params.tensors["init.W"] @ enc.annotations.mean(axis=0) + params.tensors["init.b"])
+    abar = enc.annotations[0].mean(axis=0)
+    h0 = np.tanh(params.tensors["init.W"] @ abar + params.tensors["init.b"])
     steps = []
     H = h0[None]
     prev = BOS
     loss = 0.0
     for y in pair.target:
-        H, logp, rows = step_rows_with_cache(params, enc, H, np.array([prev]))
+        H, logp, rows = step_rows(params, enc, H, np.array([prev]))
         loss -= float(logp[0, y])
         step = {name: value[0] for name, value in rows.items()}
         step.update(prev=prev, y=int(y), h=H[0], probs=np.exp(logp[0]))
         steps.append(step)
         prev = int(y)
-    cache = {"enc": enc, "enc_cache": enc_cache,
-             "abar": enc.annotations.mean(axis=0), "h0": h0, "steps": steps}
+    cache = {"enc": enc, "enc_cache": enc_cache, "abar": abar, "h0": h0, "steps": steps}
     return loss, cache
 
 
@@ -120,7 +121,7 @@ def backward_pair(params, cache, g) -> None:
     """Accumulate d(nll)/d(theta) for one force-decoded pair into g."""
     t = params.tensors
     d_emb, d_hid = params.dims.d_emb, params.dims.d_hid
-    A = cache["enc"].annotations
+    A = cache["enc"].annotations[0]
     L = A.shape[0]
     dA = np.zeros_like(A)
 

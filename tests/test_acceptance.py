@@ -18,9 +18,10 @@ from npad.decode import (
     diverse_beam_search,
     exact_search,
     greedy_search,
+    score_sequence,
 )
 from npad.evaluate import Cell, corpus_bleu, decode_corpus, mean_nll, run_cells
-from npad.model import EOS, BoundModel, Dims, init_params, score_sequence
+from npad.model import EOS, BoundModel, Dims, init_params
 from npad.serialize import save_model, save_pairs, save_vocab
 from npad.tasks import gen_task, split_pairs
 from npad.train import TrainConfig, grad_check, train
@@ -105,7 +106,7 @@ def test_criterion_1_oracle_equivalence():
     for seed in range(200):
         rng = RngStream(seed)
         params = make_params(seed, d_emb=2, d_hid=3, n_src=5, n_tgt=4,
-                             scale=0.5 + rng.uniform())
+                             scale=0.5 + float(rng.uniform_vec(())))
         source = [3 + int(rng.integers(0, 2)) for _ in range(1 + int(rng.integers(0, 3)))]
         model = BoundModel(params, source)
         limits = DecodeLimits(max_len)

@@ -14,9 +14,10 @@ from npad.decode import (
     exact_search,
     force_score,
     greedy_search,
+    score_sequence,
 )
 from npad.evaluate import Cell
-from npad.model import BoundModel, score_sequence
+from npad.model import BoundModel
 from npad.tasks import ConfigError
 from conftest import make_params
 from table_models import RecordingModel, TableModel, garden_path

@@ -136,26 +136,56 @@ def test_decode_flag_validation(workspace, capsys):
         assert f"error: config: {message}" in capsys.readouterr().err
 
 
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+
+
+def run_python(*args, timeout=300):
+    """`python ARGS` in a child process that imports this checkout's npad."""
+    src_dir = os.path.dirname(os.path.dirname(npad.__file__))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": src_dir},
+                          capture_output=True, text=True, timeout=timeout)
+
+
+# `python -c NPAD_IN_1GIB ARGS` is `npad ARGS` with its address space capped at 1 GiB.
+NPAD_IN_1GIB = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from npad.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+
+
 def test_too_many_rows_in_flight_exit_1_before_allocating(workspace):
     # 10^8 chains in a 1 GiB address space ended in a MemoryError traceback
     # at the chains' list; the cell is now refused before anything is read
     d = workspace["data"]
     out = workspace["root"] / "rows.jsonl"
-    script = ("import resource, sys\n"
-              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-              "from npad.cli import main\n"
-              "sys.exit(main(sys.argv[1:]))\n")
-    src_dir = os.path.dirname(os.path.dirname(npad.__file__))
-    run = subprocess.run(
-        [sys.executable, "-c", script, "decode", "--strategy", "npad", "--sigma0", "0.3",
-         "--chains", str(10**8), "--seed", "1", "--model", workspace["model"],
-         "--vocab-src", f"{d}/vocab_src.txt", "--vocab-tgt", f"{d}/vocab_tgt.txt",
-         "--input", f"{d}/test.tsv", "--output", str(out)],
-        env={**os.environ, "PYTHONPATH": src_dir}, capture_output=True, text=True, timeout=300)
+    run = run_python(
+        "-c", NPAD_IN_1GIB, "decode", "--strategy", "npad", "--sigma0", "0.3",
+        "--chains", str(10**8), "--seed", "1", "--model", workspace["model"],
+        "--vocab-src", f"{d}/vocab_src.txt", "--vocab-tgt", f"{d}/vocab_tgt.txt",
+        "--input", f"{d}/test.tsv", "--output", str(out))
     assert run.returncode == 1
     assert run.stderr.startswith("error: config: chains x beam_width is 100000000 rows")
     assert run.stderr.count("\n") == 1
     assert not out.exists()
+
+
+def test_huge_exact_search_refused_at_once(workspace):
+    # a size check that raised 7 to max_len as a big integer would run for
+    # hours here; the timeout only guards against such a hang
+    d = workspace["data"]
+    run = run_python(
+        "-c", NPAD_IN_1GIB, "decode", "--strategy", "exact", "--max-len", str(10**12),
+        "--model", workspace["model"], "--vocab-src", f"{d}/vocab_src.txt",
+        "--vocab-tgt", f"{d}/vocab_tgt.txt", "--input", f"{d}/test.tsv", timeout=60)
+    assert run.returncode == 1
+    assert run.stderr == "error: search space 7^1000000000000 exceeds 1000000\n"
+
+
+def test_extreme_numeric_flags_and_spec_fields(tmp_path):
+    # Hypothesis examples of decode and experiment in one child under 1 GiB
+    # (tests/cli_fuzz.py): each exits 0, 1 with one `error:` line, or 2
+    run = run_python(os.path.join(TESTS_DIR, "cli_fuzz.py"), str(tmp_path), timeout=120)
+    assert run.returncode == 0, run.stdout + run.stderr
 
 
 @pytest.mark.parametrize("flag, value", [("--patience", "-1"), ("--lr", "-0.1"),

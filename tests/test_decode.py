@@ -17,9 +17,10 @@ from npad.decode import (
     force_score,
     force_scores,
     greedy_search,
+    score_sequence,
 )
 from npad.evaluate import MAX_ROWS, Cell
-from npad.model import EOS, BoundModel, VocabError, score_sequence
+from npad.model import EOS, BoundModel, VocabError
 from npad.tasks import ConfigError
 from conftest import make_params
 from table_models import TableModel, garden_path, point_mass_eos
@@ -29,7 +30,7 @@ def random_case(seed):
     """Small random model plus a random source for equivalence sweeps."""
     rng = RngStream(seed)
     params = make_params(seed, d_emb=2, d_hid=3, n_src=5, n_tgt=4,
-                         scale=0.5 + rng.uniform())
+                         scale=0.5 + float(rng.uniform_vec(())))
     src_len = 1 + int(rng.integers(0, 3))
     source = [3 + int(rng.integers(0, 2)) for _ in range(src_len)]
     return params, source

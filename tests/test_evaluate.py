@@ -23,7 +23,8 @@ from npad.evaluate import (
     run_experiment,
     write_results_csv,
 )
-from npad.model import EOS, Vocab, score_sequence
+from npad.decode import score_sequence
+from npad.model import EOS, Vocab
 from npad.serialize import save_model, save_pairs, save_vocab
 from npad.tasks import ConfigError, gen_task
 from conftest import damaged, make_params
@@ -102,7 +103,7 @@ class TestCorpusBleu:
         refs = []
         for sent in corpus:
             ref = list(sent)
-            if rng.uniform() < 0.5:
+            if float(rng.uniform_vec(())) < 0.5:
                 ref[0] = (ref[0] + 1) % 4
             refs.append(ref)
         base = corpus_bleu(corpus, refs)

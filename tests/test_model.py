@@ -15,16 +15,14 @@ from npad.model import (
     VocabError,
     attention_context,
     decoder_step,
-    encode,
     encode_rows,
     init_params,
     initial_rows,
-    score_sequence,
     _gru_stacks,
     step_rows,
-    step_rows_with_cache,
 )
 from npad.backprop import forward_rows
+from npad.decode import score_sequence
 from npad.tasks import SequencePair
 from conftest import make_params
 from reference import _attend, _gru_fwd, encode_with_cache, log_softmax
@@ -39,9 +37,15 @@ def uniform_readout(params):
 
 
 def manual_encoded(params, annotations):
-    ann = np.asarray(annotations, dtype=np.float64)
+    """One source of the given (L, 2*d_hid) annotations, as a stack of one."""
+    ann = np.asarray(annotations, dtype=np.float64)[None]
     keys = ann @ params.tensors["att.Wk"].T + params.tensors["att.b"]
     return EncodedSource(ann, keys, _gru_stacks(params.tensors, "dec"))
+
+
+def encode_one(params, source):
+    """One source encoded as a stack of one, as `BoundModel` binds it."""
+    return encode_rows(params, [source])[0]
 
 
 class TestVocab:
@@ -68,30 +72,31 @@ class TestVocab:
 
 class TestEncode:
     def test_single_token_shape(self, tiny_params):
-        enc = encode(tiny_params, [3])
+        enc = encode_one(tiny_params, [3])
         assert enc.source_len == 1
-        assert enc.annotations.shape == (1, 2 * tiny_params.dims.d_hid)
+        assert enc.annotations.shape == (1, 1, 2 * tiny_params.dims.d_hid)
+        assert enc.att_keys.shape == (1, 1, tiny_params.dims.d_hid)
 
     def test_zero_encoder_weights_give_zero_annotations(self, tiny_params):
         p = tiny_params.copy()
         for name in p.tensors:
             if name.startswith(("enc_f.", "enc_b.")):
                 p.tensors[name][:] = 0.0
-        enc = encode(p, [3, 4, 3])
-        np.testing.assert_array_equal(enc.annotations, np.zeros((3, 8)))
+        enc = encode_one(p, [3, 4, 3])
+        np.testing.assert_array_equal(enc.annotations, np.zeros((1, 3, 8)))
 
     def test_deterministic(self, tiny_params):
-        a = encode(tiny_params, [3, 4])
-        b = encode(tiny_params, [3, 4])
+        a = encode_one(tiny_params, [3, 4])
+        b = encode_one(tiny_params, [3, 4])
         np.testing.assert_array_equal(a.annotations, b.annotations)
 
     def test_unknown_token_rejected(self, tiny_params):
         with pytest.raises(VocabError):
-            encode(tiny_params, [3, 99])
+            encode_one(tiny_params, [3, 99])
 
     def test_empty_source_rejected(self, tiny_params):
         with pytest.raises(ContractError):
-            encode(tiny_params, [])
+            encode_one(tiny_params, [])
 
     def test_scalar_gru_oracle(self):
         # independent scalar recurrence for a 1-unit bidirectional encoder
@@ -124,15 +129,15 @@ class TestEncode:
         for x in reversed(xs):
             g.append(cell(bw, x, g[-1]))
         expected = np.array([[f[1], g[3]], [f[2], g[2]], [f[3], g[1]]])
-        enc = encode(p, source)
-        np.testing.assert_allclose(enc.annotations, expected, atol=1e-14)
+        enc = encode_one(p, source)
+        np.testing.assert_allclose(enc.annotations[0], expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("batch", [1, 2, 7, 16])
 def test_encode_rows_bitwise_equal_per_vector_encoder(batch):
-    # each row of the rows encoder, and `encode`, is bitwise the per-vector
-    # reference encoder, whatever the other rows, and so is every step array
-    # backpropagation reads, in both directions
+    # each row of the rows encoder, and a source encoded alone, is bitwise
+    # the per-vector reference encoder, whatever the other rows, and so is
+    # every step array backpropagation reads, in both directions
     for d_hid, length in product([1, 5, 24], [1, 13]):
         params = make_params(batch, d_emb=16, d_hid=d_hid, n_src=35, n_tgt=35, scale=0.3)
         rng = RngStream(batch)
@@ -143,11 +148,11 @@ def test_encode_rows_bitwise_equal_per_vector_encoder(batch):
         enc, steps = encode_rows(params, sources)
         for b, source in enumerate(sources):
             ref, caches = encode_with_cache(params, source)
-            alone = encode(params, source)
-            for got in (enc.annotations[b], alone.annotations):
-                assert np.array_equal(got, ref.annotations)
-            for got in (enc.att_keys[b], alone.att_keys):
-                assert np.array_equal(got, ref.att_keys)
+            alone = encode_one(params, source)
+            for got in (enc.annotations[b], alone.annotations[0]):
+                assert np.array_equal(got, ref.annotations[0])
+            for got in (enc.att_keys[b], alone.att_keys[0]):
+                assert np.array_equal(got, ref.att_keys[0])
             for pre, ran in (("enc_f", caches["f_caches"]), ("enc_b", caches["b_caches"])):
                 assert all(array.shape[:2] == (length, batch) for array in steps[pre])
                 for k, cache in enumerate(ran):   # caches in the order the steps ran
@@ -159,7 +164,7 @@ class TestAttention:
     def test_singleton_source(self, tiny_params):
         bound = BoundModel(tiny_params, [4])
         context, alpha = attention_context(tiny_params, bound.initial(), bound.enc)
-        np.testing.assert_allclose(context, bound.enc.annotations[0], atol=1e-15)
+        np.testing.assert_allclose(context, bound.enc.annotations[0, 0], atol=1e-15)
         assert alpha.tolist() == [1.0]
 
     def test_identical_annotations_convexity(self, tiny_params):
@@ -182,7 +187,7 @@ class TestAttention:
         enc = manual_encoded(p, [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
         context, alpha = attention_context(p, np.zeros(2), enc)
         np.testing.assert_allclose(alpha, [0.75, 0.25], atol=1e-12)
-        np.testing.assert_allclose(context, 0.75 * enc.annotations[0], atol=1e-12)
+        np.testing.assert_allclose(context, 0.75 * enc.annotations[0, 0], atol=1e-12)
 
     def test_alpha_is_distribution_every_step(self, tiny_params):
         bound = BoundModel(tiny_params, [3, 4, 3, 4])
@@ -194,7 +199,7 @@ class TestAttention:
             h, _ = decoder_step(tiny_params, h, prev, bound.enc)
 
     def test_state_dim_checked(self, tiny_params):
-        enc = encode(tiny_params, [3, 4])
+        enc = encode_one(tiny_params, [3, 4])
         for h in (np.zeros(3), np.zeros((1, 4))):
             with pytest.raises(ContractError):
                 attention_context(tiny_params, h, enc)
@@ -327,8 +332,8 @@ def test_bound_model_matches_module_ops(tiny_params):
     bound = BoundModel(tiny_params, [3, 4])
     h = bound.initial()
     h1, lp1 = bound.step(h, BOS, np.zeros(4))
-    enc = encode(tiny_params, [3, 4])
-    h0 = initial_rows(tiny_params, enc.annotations[None])[0]
+    enc = encode_one(tiny_params, [3, 4])
+    h0 = initial_rows(tiny_params, enc.annotations)[0]
     h2, lp2 = decoder_step(tiny_params, h0, BOS, enc)
     assert np.array_equal(h, h0)
     np.testing.assert_array_equal(h1, h2)
@@ -339,13 +344,14 @@ def test_bound_model_matches_module_ops(tiny_params):
 
 def per_vector_step(params, enc, q, prev):
     """The reference decoder step of one perturbed state q: (h, logp, the
-    intermediates `step_rows_with_cache` returns), one vector at a time."""
+    intermediates `step_rows` returns), one vector at a time."""
     t = params.tensors
     context, alpha, M = _attend(params, q, enc)
     h, (u, _, z, r, n) = _gru_fwd(t, "dec", np.concatenate([t["tgt_embed"][prev], context]), q)
-    logp = log_softmax(t["out.W"] @ np.concatenate([h, context]) + t["out.b"])
+    hc = np.concatenate([h, context])
+    logp = log_softmax(t["out.W"] @ hc + t["out.b"])
     return h, logp, {"q": q, "M": M, "alpha": alpha, "context": context, "u": u,
-                     "z": z, "r": r, "n": n}
+                     "z": z, "r": r, "n": n, "hc": hc}
 
 
 def random_biases(params, rng):
@@ -366,15 +372,13 @@ def test_step_rows_bitwise_equal_per_vector_steps(batch):
         params = make_params(batch, d_emb=d_emb, d_hid=d_hid, n_src=35, n_tgt=35, scale=0.3)
         rng = RngStream(batch)
         random_biases(params, rng)
-        enc = encode(params, [3 + (5 * i) % 32 for i in range(16)])
+        enc = encode_one(params, [3 + (5 * i) % 32 for i in range(16)])
         H = rng.uniform_vec((batch, d_hid), -1.0, 1.0)
         prev = rng.integers(0, 35, size=batch)
         noise = rng.uniform_vec((batch, d_hid), -0.3, 0.3)
         noise[::3] = 0.0
-        H_next, logp = step_rows(params, enc, H, prev, noise)
-        H_cached, logp_cached, cache = step_rows_with_cache(params, enc, H, prev, noise)
-        assert np.array_equal(H_cached, H_next) and np.array_equal(logp_cached, logp)
-        assert set(cache) == {"q", "M", "alpha", "context", "u", "z", "r", "n"}
+        H_next, logp, cache = step_rows(params, enc, H, prev, noise)
+        assert set(cache) == {"q", "M", "alpha", "context", "u", "z", "r", "n", "hc"}
         for i in range(batch):
             h, expected, reference = per_vector_step(params, enc, H[i] + noise[i], prev[i])
             where = f"d_hid {d_hid} d_emb {d_emb} row {i}"
@@ -386,7 +390,7 @@ def test_step_rows_bitwise_equal_per_vector_steps(batch):
             context, alpha = attention_context(params, H[i] + noise[i], enc)
             assert np.array_equal(context, reference["context"]), where
             assert np.array_equal(alpha, reference["alpha"]), where
-        alone_h, alone_lp = step_rows(params, enc, H[-1:], prev[-1:], noise[-1:])
+        alone_h, alone_lp, _ = step_rows(params, enc, H[-1:], prev[-1:], noise[-1:])
         assert np.array_equal(alone_h[0], H_next[-1]) and np.array_equal(alone_lp[0], logp[-1])
 
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import reference
 from npad.core import ContractError, RngStream
-from npad.model import EOS, Dims, init_params, score_sequence
+from npad.decode import score_sequence
+from npad.model import EOS, Dims, init_params
 from npad.tasks import TASK_KINDS, SequencePair, gen_task, split_pairs
 from npad import backprop
 from npad.train import (
