@@ -7,6 +7,7 @@ input files are never modified.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -34,6 +35,13 @@ def _at_least(kind, name, low=1):
             raise argparse.ArgumentTypeError(f"{name} must be >= {low}, got {value}")
         return value
     return convert
+
+
+def _model_files(p) -> None:
+    """The model, vocabulary, input and output flags of decode and score."""
+    for flag in ("--model", "--vocab-src", "--vocab-tgt", "--input"):
+        p.add_argument(flag, required=True)
+    p.add_argument("--output", help="default: stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,11 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="decode a test file, one JSON line per input")
     p.add_argument("--strategy", required=True, choices=STRATEGIES)
-    p.add_argument("--model", required=True)
-    p.add_argument("--vocab-src", required=True)
-    p.add_argument("--vocab-tgt", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", help="default: stdout")
+    _model_files(p)
     p.add_argument("--beam-width", type=_at_least(int, "--beam-width"))
     p.add_argument("--sigma0", type=float)
     p.add_argument("--chains", type=_at_least(int, "--chains"))
@@ -92,11 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("score", help="force-decode log-probabilities of pair file")
-    p.add_argument("--model", required=True)
-    p.add_argument("--vocab-src", required=True)
-    p.add_argument("--vocab-tgt", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", help="default: stdout")
+    _model_files(p)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("experiment", help="run every cell of an experiment spec")
@@ -113,14 +113,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output(path: str | None):
+    """A context yielding the file at path, written atomically, or stdout
+    when no path is given."""
+    return atomic_write(path) if path else contextlib.nullcontext(sys.stdout)
+
+
 def _write_lines(path: str | None, lines: list[str]) -> None:
-    if path:
-        with atomic_write(path) as f:
-            for line in lines:
-                f.write(line + "\n")
-    else:
-        for line in lines:
-            print(line)
+    with _output(path) as f:
+        f.writelines(line + "\n" for line in lines)
+
+
+def _load(args):
+    """The model and the source and target vocabularies the flags name."""
+    return load_model(args.model), load_vocab(args.vocab_src), load_vocab(args.vocab_tgt)
 
 
 def cmd_gen_data(args) -> int:
@@ -173,9 +179,7 @@ def _cell_from_args(args) -> Cell:
 
 def cmd_decode(args) -> int:
     cell = _cell_from_args(args)
-    params = load_model(args.model)
-    src_vocab = load_vocab(args.vocab_src)
-    tgt_vocab = load_vocab(args.vocab_tgt)
+    params, src_vocab, tgt_vocab = _load(args)
     sources = load_sources(args.input, src_vocab)
     base_seed = args.seed if args.seed is not None else 0
     trace = bool(args.trace_chains) and cell.strategy in ("sample", "npad")
@@ -203,9 +207,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_score(args) -> int:
-    params = load_model(args.model)
-    src_vocab = load_vocab(args.vocab_src)
-    tgt_vocab = load_vocab(args.vocab_tgt)
+    params, src_vocab, tgt_vocab = _load(args)
     pairs = load_pairs(args.input, src_vocab, tgt_vocab)
     lines = []
     for i, pair in enumerate(pairs):
@@ -222,11 +224,8 @@ def cmd_experiment(args) -> int:
     for r in results:
         if r.error:
             print(f"warning: cell {r.cell} failed: {r.error}", file=sys.stderr)
-    if args.output:
-        with atomic_write(args.output) as f:
-            write_results_csv(f, results)
-    else:
-        write_results_csv(sys.stdout, results)
+    with _output(args.output) as f:
+        write_results_csv(f, results)
     return 0
 
 
@@ -281,13 +280,15 @@ def cmd_report(args) -> int:
     if not lines or lines[0][1].split(",") != list(RESULT_COLUMNS):
         raise FormatError(f"{args.input}: expected header {','.join(RESULT_COLUMNS)}")
     rows = [_report_row(f"{args.input}:{ln}", line) for ln, line in lines[1:]]
-    text = render_report(rows)
-    if args.output:
-        with atomic_write(args.output) as f:
-            f.write(text + "\n")
-    else:
-        print(text)
+    with _output(args.output) as f:
+        f.write(render_report(rows) + "\n")
     return 0
+
+
+# Each documented error class and the label its message follows on stderr.
+ERROR_LABELS = {FormatError: "format: ", ConfigError: "config: ", VocabError: "vocab: ",
+                DivergenceError: "training diverged: ", SearchSpaceError: "",
+                ContractError: "invalid arguments: "}
 
 
 def main(argv=None) -> int:
@@ -299,18 +300,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     except FileNotFoundError as e:
         print(f"error: file not found: {e.filename}", file=sys.stderr)
-    except FormatError as e:
-        print(f"error: format: {e}", file=sys.stderr)
-    except ConfigError as e:
-        print(f"error: config: {e}", file=sys.stderr)
-    except VocabError as e:
-        print(f"error: vocab: {e}", file=sys.stderr)
-    except DivergenceError as e:
-        print(f"error: training diverged: {e}", file=sys.stderr)
-    except SearchSpaceError as e:
-        print(f"error: {e}", file=sys.stderr)
-    except ContractError as e:
-        print(f"error: invalid arguments: {e}", file=sys.stderr)
+    except tuple(ERROR_LABELS) as e:
+        label = next(text for kind, text in ERROR_LABELS.items() if isinstance(e, kind))
+        print(f"error: {label}{e}", file=sys.stderr)
     return 1
 
 

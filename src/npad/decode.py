@@ -22,7 +22,6 @@ so runs are reproducible.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,13 @@ from .core import ContractError
 from .model import BoundModel, VocabError
 
 MAX_EXACT_SPACE = 10**6
+# Largest sigma0 and eta a decode takes. The noise z * sigma0 / t (z a
+# standard normal draw) and the rank penalty eta * r (r at most the
+# vocabulary size) pass through the readout and add up over the steps; near
+# the float maximum (1.8e308) they overflow to inf and the scores turn NaN.
+# From 1e100 they stay finite unless the weights, vocabulary and decode
+# length together grow them by more than 1e200.
+MAX_SCALE = 1e100
 # Rows per kernel call: bounds the (rows, source_len, d_hid) attention
 # temporaries, which a whole exhaustive-search level or the live rows of many
 # wide beams would not.
@@ -198,8 +204,8 @@ def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, nois
     """
     if width < 1:
         raise ContractError(f"beam width must be >= 1, got {width}")
-    if not math.isfinite(eta) or eta < 0:
-        raise ContractError(f"eta must be finite and >= 0, got {eta}")
+    if not 0 <= eta <= MAX_SCALE:
+        raise ContractError(f"eta must be finite, >= 0 and <= {MAX_SCALE:g}, got {eta}")
     if replay is not None and pick is None:
         raise ContractError("only pick searches can replay their outputs")
     limits = resolve_limits(model, limits)

@@ -18,6 +18,7 @@ from math import exp, isfinite, log
 from .chains import ChainResult, npad_search
 from .core import ContractError, derive_seed
 from .decode import (
+    MAX_SCALE,
     DecodeLimits,
     beam_search,
     default_limits,
@@ -56,6 +57,8 @@ class Cell:
             value = getattr(self, name)
             if value is not None and not isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+            if value is not None and value > MAX_SCALE:
+                raise ConfigError(f"{name} must be <= {MAX_SCALE:g}, got {value}")
         for name in ("beam_width", "chains"):
             value = getattr(self, name)
             if value is not None and value < 1:
@@ -118,12 +121,10 @@ def _ngrams(seq, n: int) -> Counter:
     return Counter(tuple(seq[i:i + n]) for i in range(len(seq) - n + 1))
 
 
-def corpus_bleu(hypotheses, references, max_n: int = 4, smooth: bool = False) -> float:
-    """Corpus BLEU: geometric mean of modified n-gram precisions (n=1..max_n)
-    times the brevity penalty. One reference per hypothesis, no smoothing by
-    default (any zero precision gives 0). With smooth=True, n-gram orders with
-    zero matches use a 1/(2*denominator) floor and orders with no n-grams at
-    all are dropped from the mean (for very short synthetic sentences).
+def corpus_bleu(hypotheses, references) -> float:
+    """Corpus BLEU-4: geometric mean of modified n-gram precisions (n=1..4)
+    times the brevity penalty. One reference per hypothesis; any zero
+    precision gives 0.
     """
     if len(hypotheses) != len(references):
         raise ContractError("hypotheses and references must have equal length")
@@ -137,7 +138,7 @@ def corpus_bleu(hypotheses, references, max_n: int = 4, smooth: bool = False) ->
     if hyp_len == 0:
         return 0.0
     log_precisions = []
-    for n in range(1, max_n + 1):
+    for n in range(1, 5):
         matches = 0
         total = 0
         for hyp, ref in zip(hypotheses, references):
@@ -145,20 +146,11 @@ def corpus_bleu(hypotheses, references, max_n: int = 4, smooth: bool = False) ->
             ref_counts = _ngrams(ref, n)
             matches += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
             total += max(len(hyp) - n + 1, 0)
-        if total == 0:
-            if smooth:
-                continue
-            return 0.0
         if matches == 0:
-            if not smooth:
-                return 0.0
-            log_precisions.append(log(1.0 / (2.0 * total)))
-        else:
-            log_precisions.append(log(matches / total))
-    if not log_precisions:
-        return 0.0
+            return 0.0
+        log_precisions.append(log(matches / total))
     bp = 1.0 if hyp_len > ref_len else exp(1.0 - ref_len / hyp_len)
-    return bp * exp(sum(log_precisions) / len(log_precisions))
+    return bp * exp(sum(log_precisions) / 4)
 
 
 def _decode_cell(params, source, cell: Cell, seed: int, max_len: int | None = None):
@@ -357,16 +349,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def results_rows(results: list[CellResult]) -> list[list[str]]:
-    rows = []
-    for r in results:
-        c = r.cell
-        rows.append([c.strategy, _fmt(c.beam_width), _fmt(c.sigma0), _fmt(c.chains),
-                     _fmt(c.eta), _fmt(r.mean_nll), _fmt(r.mean_nll_per_token), _fmt(r.bleu)])
-    return rows
-
-
 def write_results_csv(f, results: list[CellResult]) -> None:
     f.write(",".join(RESULT_COLUMNS) + "\n")
-    for row in results_rows(results):
-        f.write(",".join(row) + "\n")
+    for r in results:
+        c = r.cell
+        row = (c.strategy, c.beam_width, c.sigma0, c.chains, c.eta,
+               r.mean_nll, r.mean_nll_per_token, r.bleu)
+        f.write(",".join(map(_fmt, row)) + "\n")

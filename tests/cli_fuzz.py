@@ -7,21 +7,20 @@ works inside DIR, an empty scratch directory, where it writes the models,
 vocabulary, input and specs.
 
 Every example must exit 0, exit 1 with exactly one `error:` line, or exit 2
-where argparse refuses a value. An experiment exits 0 even when a cell
-fails; the only failure it may report is an exact search refused as too
-large. A huge `max_len` is drawn only with the EOS-first model (zero readout
-weights, a large EOS bias), so its decodes end within a few steps, and only
-with a `sigma0` below 1e300: a larger one can overflow the noise to inf,
-and the NaN distributions that follow never pick EOS, so the decode would
-run all max_len steps. `--workers` is left out: it starts processes.
+where argparse refuses a value. A run that exits 0 raises no RuntimeWarning,
+and each line a decode prints is JSON without NaN or Infinity. An experiment
+exits 0 even when a cell fails; the only failure it may report is an exact
+search refused as too large. A huge `max_len` is drawn only with the
+EOS-first model (zero readout weights, a large EOS bias), so its decodes
+end within a few steps. `--workers` is left out: it starts processes.
 """
 import contextlib
 import io
 import json
-import math
 import os
 import resource
 import sys
+import warnings
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -37,8 +36,6 @@ SMALL = st.integers(-2, 8)
 SIZES = SMALL | st.sampled_from([MAX_ROWS, MAX_ROWS + 1, 10**8, 2**63, 10**30])
 LENGTHS = SMALL | st.sampled_from([10**9, 10**12, 2**63, 10**30])
 FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e-300, 1e300, 1.7e308])
-# noise that stays finite: a non-finite sigma0 is refused before any step
-FINITE_NOISE = FLOATS.filter(lambda x: not 1e300 <= x < math.inf)
 SEEDS = st.integers() | st.sampled_from([-1, 2**64, -(2**64), 10**40])
 SETTINGS = settings(max_examples=150, deadline=None, database=None, derandomize=True)
 
@@ -55,24 +52,36 @@ def write_inputs() -> None:
     save_model("eos_first.bin", params)
 
 
-def run(argv) -> tuple[int, list[str]]:
-    """`main(argv)` with its output captured: (exit code, stderr lines)."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def run(argv):
+    """`main(argv)` with its output and every warning it raises captured:
+    (exit code, stdout lines, stderr lines, warnings)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as raised:
+        warnings.simplefilter("always")
         code = main(argv)
-    return code, err.getvalue().splitlines()
+    return code, out.getvalue().splitlines(), err.getvalue().splitlines(), raised
+
+
+def no_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def check(argv) -> None:
-    code, lines = run(argv)
+    code, out, lines, raised = run(argv)
     if code == 1:
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
     elif code == 2:
         assert lines and ": error: argument --" in lines[-1], (argv, lines)
     else:
         assert code == 0, (argv, code, lines)
+        overflows = [str(w.message) for w in raised if issubclass(w.category, RuntimeWarning)]
+        assert not overflows, (argv, overflows)
         failed = [line for line in lines if line.startswith("warning: cell")]
         assert all("SearchSpaceError" in line for line in failed), (argv, lines)
+        if argv[0] == "decode":
+            for line in out:
+                json.loads(line, parse_constant=no_constant)
 
 
 # the fields each strategy reads; the others are mostly left unset, as a
@@ -93,8 +102,6 @@ def cells(draw):
     for name, values in (("max_len", LENGTHS if eos_first else SMALL), ("chains", sizes),
                          ("beam_width", sizes), ("sigma0", FLOATS), ("eta", FLOATS),
                          ("seed", SEEDS)):
-        if name == "sigma0" and fields.get("max_len", 0) > 8:
-            values = FINITE_NOISE
         if draw(st.integers(0, 9)) < (7 if name in READS[strategy] + ("max_len",) else 1):
             fields[name] = draw(values)
     return strategy, "eos_first.bin" if eos_first else "plain.bin", fields
@@ -103,6 +110,8 @@ def cells(draw):
 @SETTINGS
 @given(cells())
 @example(("exact", "plain.bin", {"max_len": 10**12}))
+@example(("npad", "plain.bin", {"chains": 3, "sigma0": 1.7e308, "seed": 1}))
+@example(("diverse", "plain.bin", {"beam_width": 3, "eta": 1.7e308}))
 def decode_flags(cell):
     strategy, model, fields = cell
     argv = ["decode", "--strategy", strategy, "--model", model, *FILES]

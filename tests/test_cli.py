@@ -220,6 +220,32 @@ def test_non_finite_hyperparameters_exit_1(workspace, capsys):
     assert not (workspace["root"] / "nan.bin").exists()
 
 
+@pytest.mark.parametrize("name, flags", [
+    ("sigma0", ["--strategy", "npad", "--chains", "3", "--sigma0", "1.7e308", "--seed", "1"]),
+    ("eta", ["--strategy", "diverse", "--beam-width", "3", "--eta", "1.7e308"])])
+def test_overflowing_scale_flags_exit_1(workspace, capsys, name, flags):
+    # near the float maximum the chain noise overflowed to NaN scores and the
+    # rank penalty to -inf ties, and the decode still exited 0
+    d = workspace["data"]
+    assert main(["decode", "--model", workspace["model"], "--vocab-src", f"{d}/vocab_src.txt",
+                 "--vocab-tgt", f"{d}/vocab_tgt.txt", "--input", f"{d}/test.tsv", *flags]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config: {name} must be <= 1e+100, got 1.7e+308"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")      # numpy's overflow warnings
+def test_training_divergence_exit_1(workspace, capsys):
+    d = workspace["data"]
+    out = workspace["root"] / "diverged.bin"
+    assert main(["train", "--input", f"{d}/train.tsv", "--valid", f"{d}/valid.tsv",
+                 "--vocab-src", f"{d}/vocab_src.txt", "--vocab-tgt", f"{d}/vocab_tgt.txt",
+                 "--model", str(out), "--lr", "1e300", "--plain-sgd", "--epochs", "1",
+                 "--seed", "5"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "error: training diverged: non-finite loss nan"
+    assert not out.exists()
+
+
 def test_intractable_exact_search_exit_1(workspace, capsys):
     d = workspace["data"]
     rc = main(["decode", "--strategy", "exact", "--model", workspace["model"],

@@ -357,6 +357,13 @@ class TestDiverse:
         with pytest.raises(ContractError):
             diverse_beam_search(BoundModel(tiny_params, [3]), 2, -0.5)
 
+    def test_rejects_eta_that_overflows(self, tiny_params):
+        # eta * rank near the float maximum ranked every lower expansion -inf
+        model = BoundModel(tiny_params, [3])
+        diverse_beam_search(model, 2, decode.MAX_SCALE)
+        with pytest.raises(ContractError, match="eta must be finite, >= 0 and <= 1e"):
+            diverse_beam_search(model, 2, 1.7e308)
+
 
 class TestExact:
     def test_point_mass_forced_sequence(self):

@@ -357,6 +357,33 @@ class TestTrain:
         avg_len = sum(len(p.target) for p in ds) / len(ds)
         assert min(r.train_nll for r in trace) / avg_len < 0.05
 
+    def test_plain_sgd_step_is_lr_times_clipped_gradient(self):
+        # one batch of pairs with distinct target lengths, so the length
+        # sort fixes the batch order whatever the shuffle
+        data = gen_task("copy", 4, (1, 4), 30, seed=5)
+        by_len = {len(p.target): p for p in data.pairs}
+        batch = [by_len[n] for n in sorted(by_len)]
+        valid = [p for p in data.pairs if p not in batch][:3]
+        params = make_params(2, d_emb=3, d_hid=4, n_src=7, n_tgt=7)
+        cfg = TrainConfig(epochs=1, lr=0.3, clip_norm=0.5, batch_size=len(batch),
+                          adaptive=False, seed=4)
+        out, _ = train(params, batch[::-1], valid, cfg)
+        _, g = nll_loss(params, batch)
+        assert grad_global_norm(g) > cfg.clip_norm
+        g = clip_gradients(g, cfg.clip_norm)
+        for name, tensor in params.tensors.items():
+            np.testing.assert_array_equal(out.tensors[name], tensor - cfg.lr * g[name])
+
+    @pytest.mark.parametrize("patience", [0, 2])
+    def test_patience_stops_after_that_many_epochs_without_improvement(self, patience):
+        # lr 0 never improves on epoch 1, so epochs 2 .. patience + 2 are the
+        # patience + 1 epochs without improvement that end the run
+        ds, valid = self._task_splits()
+        params = make_params(1, d_emb=3, d_hid=4, n_src=7, n_tgt=7)
+        _, trace = train(params, ds, valid, TrainConfig(epochs=20, lr=0.0, patience=patience))
+        assert len(trace) == patience + 2
+        assert len({r.valid_nll for r in trace}) == 1
+
     def test_disjointness_enforced(self, tiny_params):
         ds, _ = self._task_splits()
         params = make_params(1, d_emb=3, d_hid=4, n_src=7, n_tgt=7)
