@@ -14,8 +14,8 @@ import numpy as np
 from .model import (
     BOS,
     ModelParams,
-    VocabError,
     _matvec_rows,
+    _vocab_indices,
     encode_rows,
     initial_rows,
     step_rows,
@@ -34,23 +34,21 @@ def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(t) for name, t in params.tensors.items()}
 
 
-def forward_rows(params: ModelParams, pairs: list[SequencePair]):
+def forward_rows(params: ModelParams, pairs: list[SequencePair], keep_cache: bool = True):
     """Force-decode pairs of one source and one target length with zero noise,
     as the rows of each encoder and decoder step. Returns (nll (B,), cache
-    for backprop); nll[b] is bitwise -score_sequence of pair b. The cache
-    holds each decoder step's rows in (T, B, ...) arrays.
+    for backprop); nll[b] is bitwise `decode.force_score` of pair b, negated.
+    The cache holds each decoder step's rows in (T, B, ...) arrays, so it
+    grows as T x source length; without `keep_cache` it is None.
     """
-    dims = params.dims
-    sources = np.array([pair.source for pair in pairs], dtype=np.int64)
-    targets = np.array([pair.target for pair in pairs], dtype=np.int64)
-    if np.any(targets < 0) or np.any(targets >= dims.n_tgt):
-        raise VocabError(f"target token index out of range (|V_tgt|={dims.n_tgt})")
+    dims, d = params.dims, params.dims.d_hid
+    sources = [pair.source for pair in pairs]
     enc, enc_steps = encode_rows(params, sources)
-    (B, T), L = targets.shape, sources.shape[1]
-    widths = {"q": dims.d_hid, "hc": dims.d_hid + dims.d_ann, "u": dims.d_dec_in,
-              "z": dims.d_hid, "r": dims.d_hid, "n": dims.d_hid, "alpha": L, "probs": dims.n_tgt}
-    steps = {name: np.empty((T, B, width)) for name, width in widths.items()}
-    steps["M"] = np.empty((T, B, L, dims.d_hid))
+    targets = _vocab_indices([pair.target for pair in pairs], dims.n_tgt, "tgt")
+    (B, T), L = targets.shape, enc.source_len
+    shapes = {"q": (d,), "hc": (d + dims.d_ann,), "u": (dims.d_dec_in,), "z": (d,), "r": (d,),
+              "n": (d,), "alpha": (L,), "M": (L, d), "probs": (dims.n_tgt,)}
+    steps = {name: np.empty((T, B) + shape) for name, shape in shapes.items()} if keep_cache else {}
     rows = np.arange(B)
     H = initial_rows(params, enc.annotations)
     prev = np.full(B, BOS)
@@ -58,12 +56,14 @@ def forward_rows(params: ModelParams, pairs: list[SequencePair]):
     for j, y in enumerate(targets.T):
         H, logp, cache = step_rows(params, enc, H, prev)
         nll -= logp[rows, y]
-        for name in ("q", "hc", "u", "z", "r", "n", "alpha", "M"):
-            steps[name][j] = cache[name]
-        np.exp(logp, out=steps["probs"][j])
+        for name, kept in steps.items():
+            kept[j] = logp if name == "probs" else cache[name]
         prev = y
-    return nll, {"sources": sources, "targets": targets, "enc": enc, "enc_steps": enc_steps,
-                 "steps": steps}
+    if not keep_cache:
+        return nll, None
+    np.exp(steps["probs"], out=steps["probs"])
+    return nll, {"sources": np.array(sources, dtype=np.int64), "targets": targets, "enc": enc,
+                 "enc_steps": enc_steps, "steps": steps}
 
 
 def _gru_back_rows(tensors, pre: str, dh: np.ndarray, cache):
@@ -272,11 +272,12 @@ def batch_gradients(params: ModelParams, batch: list[SequencePair]):
 
 
 def pair_nlls(params: ModelParams, pairs: list[SequencePair]) -> list[float]:
-    """Each pair's negative log-likelihood, bitwise -score_sequence: a
-    forward pass over the groups of the pairs sorted by their lengths."""
+    """Each pair's negative log-likelihood: a forward pass without the
+    backprop cache over the groups of the pairs sorted by their lengths.
+    `decode.score_sequence` is its one-pair call."""
     nll = np.empty(len(pairs))
     by_length = sorted(range(len(pairs)),
                        key=lambda i: (len(pairs[i].source), len(pairs[i].target)))
     for ix in _groups(pairs, by_length):
-        nll[ix] = forward_rows(params, [pairs[i] for i in ix])[0]
+        nll[ix] = forward_rows(params, [pairs[i] for i in ix], keep_cache=False)[0]
     return nll.tolist()

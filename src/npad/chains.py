@@ -23,7 +23,7 @@ one non-noisy replay row per distinct noisy prefix (`search_rows`'s
 `replay`), with no rescoring pass after it. A noisy beam chain's output is
 known only when its search ends, and replaying every live beam row would
 cost about `width` times the rows, so the distinct outputs of noisy beam
-chains are rescored together as rows after the search (`force_scores`).
+chains are rescored by one forced search after it (`decode.forced_pick`).
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ContractError, RngStream, categorical_rows, derive_seed
-from .decode import DecodeLimits, Hypothesis, force_scores, greedy_pick, resolve_limits, search_rows
+from .decode import DecodeLimits, Hypothesis, forced_pick, greedy_pick, resolve_limits, search_rows
 
 
 @dataclass
@@ -123,7 +123,7 @@ def run_chains(model, cell, seed: int, chains,
     on which other chains run with it.
 
     Noisy greedy and sampling chains are rescored by their replay rows in
-    the search, noisy beam chains by `force_scores` after it (see above).
+    the search, noisy beam chains by a forced search after it (see above).
     """
     chains = list(chains)
     count = cell.chains or 1
@@ -140,7 +140,9 @@ def run_chains(model, cell, seed: int, chains,
                                                 limits=limits)]
         # a zero-noise chain's own score is its replay; only noisy outputs are rescored
         distinct = list(dict.fromkeys(tuple(h.tokens) for h, s in zip(hyps, sigmas) if s))
-        replays = dict(zip(distinct, force_scores(model, distinct)))
+        forced = search_rows(model, len(distinct), pick=forced_pick(distinct, limits.max_len),
+                             limits=limits)
+        replays = {seq: best.logp for seq, (best, _) in zip(distinct, forced)}
         rescored = [replays[tuple(h.tokens)] if s else h.logp for h, s in zip(hyps, sigmas)]
     else:
         pick = _sampler(seed, chains, limits.max_len) if cell.strategy == "sample" else greedy_pick

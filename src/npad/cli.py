@@ -11,8 +11,9 @@ import contextlib
 import json
 import sys
 
+from .backprop import pair_nlls
 from .core import ContractError, RngStream
-from .decode import SearchSpaceError, score_sequence
+from .decode import SearchSpaceError
 from .evaluate import (
     RESULT_COLUMNS,
     STRATEGIES,
@@ -209,12 +210,10 @@ def cmd_decode(args) -> int:
 def cmd_score(args) -> int:
     params, src_vocab, tgt_vocab = _load(args)
     pairs = load_pairs(args.input, src_vocab, tgt_vocab)
-    lines = []
-    for i, pair in enumerate(pairs):
-        logp = score_sequence(params, pair.source, pair.target)
-        lines.append(json.dumps({"input_id": i, "logp": logp,
-                                 "n_target_tokens": len(pair.target)}))
-    _write_lines(args.output, lines)
+    # 0.0 - nll is bitwise `score_sequence` (see there)
+    _write_lines(args.output, [
+        json.dumps({"input_id": i, "logp": 0.0 - nll, "n_target_tokens": len(pair.target)})
+        for i, (pair, nll) in enumerate(zip(pairs, pair_nlls(params, pairs)))])
     return 0
 
 

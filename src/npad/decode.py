@@ -1,6 +1,6 @@
 """Inner decoding strategies: greedy, beam, diverse beam, and an exhaustive
-oracle for tiny instances, plus the shared search engine, batched
-rescoring and sequence scoring (`score_sequence`).
+oracle for tiny instances, plus the shared search engine, forced searches
+(`forced_pick`, `force_score`) and sequence scoring (`score_sequence`).
 
 Nothing here draws a random number. `search_rows` is the one search loop:
 it runs any number of independent greedy, picked or beam searches, taking a
@@ -11,9 +11,8 @@ non-noisy model in its own steps (`replay`), one row per distinct prefix.
 Engines operate on the batched step interface of `model.BoundModel` (or any
 object with the same surface) and advance all their rows together, one
 `step_batch` call per KERNEL_ROWS rows per step: every live hypothesis of
-every search with its replay rows, an exhaustive search level or a set of
-sequences being rescored. A model bound to one source is
-`model.BoundModel(params, source)`.
+every search with its replay rows, or an exhaustive search level. A model
+bound to one source is `model.BoundModel(params, source)`.
 
 Scores are raw cumulative log-probabilities; no length normalization is
 applied anywhere. Top-K ties break by (score desc, parent index asc, token
@@ -26,8 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .backprop import pair_nlls
 from .core import ContractError
-from .model import BoundModel, VocabError
+from .model import _vocab_indices
+from .tasks import SequencePair
 
 MAX_EXACT_SPACE = 10**6
 # Largest sigma0 and eta a decode takes. The noise z * sigma0 / t (z a
@@ -84,52 +85,38 @@ def _step(model, H, prev, noise=None):
     return np.concatenate([h for h, _ in steps]), np.concatenate([lp for _, lp in steps])
 
 
-def force_scores(model, sequences) -> list[float]:
-    """Non-noisy log-probability of each token sequence, teacher-forced
-    together as rows of one batch.
-
-    Rows run longest first, so the rows still running at step t are a prefix
-    of the batch. Each value is bitwise the one-sequence replay.
-    """
-    seqs = [list(s) for s in sequences]
-    if not seqs:
-        return []
-    if not all(seqs):
-        raise ContractError("cannot score an empty token sequence")
-    order = sorted(range(len(seqs)), key=lambda i: -len(seqs[i]))
-    lengths = np.array([len(seqs[i]) for i in order])
-    forced = np.zeros((len(seqs), lengths[0]), dtype=np.int64)
-    out_of_range = VocabError(f"token index out of range (|V_tgt|={model.n_tokens})")
-    try:
-        for row, i in enumerate(order):
-            forced[row, :lengths[row]] = seqs[i]
-    except OverflowError:                   # beyond int64
-        raise out_of_range from None
-    if np.any(forced.view(np.uint64) >= model.n_tokens):   # a negative index reads as huge
-        raise out_of_range
-    running = (lengths > np.arange(lengths[0])[:, None]).sum(axis=1)   # rows still running at step t
-    H = np.tile(model.initial(), (len(seqs), 1))
-    prev = np.full(len(seqs), model.bos)
-    totals = np.zeros(len(seqs))
-    for t, b in enumerate(running):
-        H, logp = _step(model, H[:b], prev[:b])
-        prev = forced[:b, t]
-        totals[:b] += logp[np.arange(b), prev]
-    scores = np.empty(len(seqs))
-    scores[order] = totals
-    return scores.tolist()
+def forced_pick(sequences, max_len: int):
+    """The `search_rows` pick that feeds search s the tokens of sequence s:
+    a search of max_len then scores each sequence as it scores its own
+    output (teacher forcing). Each must be one such a search emits: ending
+    at its one EOS, or max_len tokens long."""
+    if not all(0 < len(seq) <= max_len for seq in sequences):
+        raise ContractError(f"a sequence to score must hold 1 to max_len={max_len} tokens")
+    forced = np.zeros((len(sequences), max(map(len, sequences), default=0)), dtype=np.int64)
+    for s, seq in enumerate(sequences):
+        forced[s, :len(seq)] = seq
+    return lambda t, logp, beams: forced[beams, t - 1]
 
 
 def force_score(model, tokens) -> float:
-    """Non-noisy log-probability of `tokens` under the bound model (replay)."""
-    return force_scores(model, [tokens])[0]
+    """Non-noisy log-probability of `tokens` under the bound model: one forced
+    search of len(tokens) steps. A sequence without EOS is scored as a
+    prefix; one with EOS before its last token would end early and is
+    refused."""
+    tokens = _vocab_indices(tokens, model.n_tokens, "tgt")
+    if np.any(tokens[:-1] == model.eos):
+        raise ContractError("EOS before the last token of a sequence to score")
+    pick = forced_pick([tokens], tokens.size)
+    return search_rows(model, 1, pick=pick, limits=DecodeLimits(tokens.size))[0][0].logp
 
 
 def score_sequence(params, source, target) -> float:
-    """Non-noisy log-probability of `target` given `source`: `force_score` on
+    """Non-noisy log-probability of `target` given `source`: the one-pair call
+    of training's forward (`backprop.pair_nlls`), bitwise `force_score` on
     the bound source. A `target` without EOS is scored as a prefix, so
     unfinished decodes can be rescored."""
-    return force_score(BoundModel(params, source), target)
+    # 0.0 - nll, not -nll: a target of probability 1 scores +0.0, as a search does
+    return 0.0 - pair_nlls(params, [SequencePair(tuple(source), tuple(target))])[0]
 
 
 def greedy_pick(t, logp, beams):
@@ -198,9 +185,10 @@ def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, nois
     length t - 1 among the marked live searches, fed the prefix's last token;
     once `pick` has chosen token t, each marked search adds its replay row's
     log-probability of that token to its total, which starts at 0.0. The
-    totals add in `force_scores`'s order and rows never interact, so each is
-    bitwise `force_score` of the search's tokens. The call then returns
-    (results, replayed), replayed[s] being search s's total (0.0 unmarked).
+    totals add in the order a search adds its scores and rows never
+    interact, so each is bitwise `force_score` of the search's tokens. The
+    call then returns (results, replayed), replayed[s] being search s's
+    total (0.0 unmarked).
     """
     if width < 1:
         raise ContractError(f"beam width must be >= 1, got {width}")

@@ -207,7 +207,8 @@ def decode_corpus(params, sources, references, cell: Cell, base_seed: int,
     (base_seed, input_id), so results are independent of worker count.
     The pool has at most one worker per sentence and per usable CPU.
     With keep_chains, each record of a sample or npad cell keeps its chain
-    results.
+    results. Results are read in index order, in `pool.map`'s chunks, so a
+    failure raises the lowest-index failing sentence's error.
     """
     n = len(sources)
     ctx = {"params": params, "sources": sources, "cell": cell,
@@ -215,7 +216,7 @@ def decode_corpus(params, sources, references, cell: Cell, base_seed: int,
     workers = min(workers, n, len(os.sched_getaffinity(0)))
     if workers > 1:
         with mp.get_context("fork").Pool(workers, _init_worker, (ctx,)) as pool:
-            outcomes = pool.map(_decode_item, range(n))
+            outcomes = list(pool.imap(_decode_item, range(n), chunksize=-(-n // (4 * workers))))
     else:
         outcomes = [_decode_item(i, ctx) for i in range(n)]
     records = []

@@ -171,13 +171,16 @@ class EncodedSource:
         return self.annotations.shape[1]
 
 
-def _check_sources(dims: Dims, sources) -> np.ndarray:
-    src = np.asarray(sources, dtype=np.int64)
-    if src.ndim != 2 or src.size == 0:
-        raise ContractError("source must be a non-empty index sequence")
-    if np.any(src < 0) or np.any(src >= dims.n_src):
-        raise VocabError(f"source token index out of range (|V_src|={dims.n_src})")
-    return src
+def _vocab_indices(tokens, n: int, side: str) -> np.ndarray:
+    """`tokens` as int64 indices into the vocabulary V_side ("src" or "tgt")
+    of n tokens. An index outside it, one beyond int64 too, is a VocabError."""
+    try:
+        idx = np.asarray(tokens, dtype=np.int64)
+    except OverflowError:
+        idx = None
+    if idx is None or np.any(idx < 0) or np.any(idx >= n):
+        raise VocabError(f"token index out of range (|V_{side}|={n})")
+    return idx
 
 
 def _gru_stacks(tensors: dict, pre: str):
@@ -207,7 +210,9 @@ def encode_rows(params: ModelParams, sources):
     (x, h_prev, z, r, n), (L, B, ...) arrays whose axis 0 runs in the order
     the steps ran.
     """
-    src = _check_sources(params.dims, sources)
+    src = _vocab_indices(sources, params.dims.n_src, "src")
+    if src.ndim != 2 or src.size == 0:
+        raise ContractError("source must be a non-empty index sequence")
     t = params.tensors
     B, L = src.shape
     d_hid = params.dims.d_hid

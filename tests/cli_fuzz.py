@@ -1,6 +1,7 @@
 """Hypothesis examples of `npad decode` and `npad experiment` with extreme
-numeric flags and spec fields, run through `cli.main` in one process whose
-address space is capped at 1 GiB.
+numeric flags and spec fields, and of `npad score` on pairs of up to 3,000
+tokens, run through `cli.main` in one process whose address space is capped
+at 1 GiB.
 
 Usage: python tests/cli_fuzz.py DIR  (tests/test_cli.py runs it). The run
 works inside DIR, an empty scratch directory, where it writes the models,
@@ -12,7 +13,9 @@ and each line a decode prints is JSON without NaN or Infinity. An experiment
 exits 0 even when a cell fails; the only failure it may report is an exact
 search refused as too large. A huge `max_len` is drawn only with the
 EOS-first model (zero readout weights, a large EOS bias), so its decodes
-end within a few steps. `--workers` is left out: it starts processes.
+end within a few steps. `--workers` is left out: it starts processes. A
+score must exit 0: a group of equal-length 3,000-token pairs fits in 1 GiB
+only because scoring keeps no backpropagation cache.
 """
 import contextlib
 import io
@@ -67,7 +70,7 @@ def no_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-def check(argv) -> None:
+def check(argv) -> int:
     code, out, lines, raised = run(argv)
     if code == 1:
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
@@ -79,9 +82,10 @@ def check(argv) -> None:
         assert not overflows, (argv, overflows)
         failed = [line for line in lines if line.startswith("warning: cell")]
         assert all("SearchSpaceError" in line for line in failed), (argv, lines)
-        if argv[0] == "decode":
+        if argv[0] in ("decode", "score"):
             for line in out:
                 json.loads(line, parse_constant=no_constant)
+    return code
 
 
 # the fields each strategy reads; the others are mostly left unset, as a
@@ -134,9 +138,27 @@ def experiment_fields(cell, seed_flag):
     check(argv if seed_flag is None else argv + ["--seed", str(seed_flag)])
 
 
+def text(length: int, offset: int) -> str:
+    """A sentence of `length` words of vocab.txt."""
+    return " ".join("abcd"[(offset + k * k) % 4] for k in range(length))
+
+
+@settings(max_examples=10, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(["plain.bin", "eos_first.bin"]),
+       st.lists(st.tuples(st.integers(1, 6) | st.just(3000), st.integers(1, 6) | st.just(3000),
+                          st.integers(0, 3)), min_size=1, max_size=3))
+@example("plain.bin", [(3000, 3000, 0), (3000, 3000, 1), (3000, 3000, 2)])
+def score_pairs(model, pairs):
+    """(source length, target length, offset) for each pair of the file."""
+    with open("pairs.txt", "w") as f:
+        f.writelines(f"{text(ls, k)}\t{text(lt, k + 1)}\n" for ls, lt, k in pairs)
+    assert check(["score", "--model", model, *FILES[:4], "--input", "pairs.txt"]) == 0
+
+
 if __name__ == "__main__":
     os.chdir(sys.argv[1])
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
     write_inputs()
     decode_flags()
     experiment_fields()
+    score_pairs()

@@ -28,24 +28,27 @@ class TableModel:
     def initial(self):
         return np.zeros(2)
 
-    def _logp(self, h, t, prev_token, noise):
-        """The log-probabilities of the row [h, t] after prev_token."""
-        row = self.rows.get((t, prev_token), self.default).copy()
+    def _logits(self, t, prev_token):
+        """The table's log-probabilities at step t after prev_token."""
+        row = self.rows.get((t, prev_token), self.default)
         with np.errstate(divide="ignore"):
-            logits = np.log(row / row.sum())
-        if self.noise_weight and noise is not None:
-            logits[0] += self.noise_weight * float(h + noise[0])
-        shifted = logits - logits.max()
-        with np.errstate(divide="ignore"):
-            return shifted - np.log(np.exp(shifted).sum())
+            return np.log(row / row.sum())
 
     def step_batch(self, H, prev, noise=None):
-        """Each row in turn; row [h, t] steps to [0, t + 1]."""
-        H_next, logps = np.empty_like(H), []
-        for i, (h, t) in enumerate(H):
-            logps.append(self._logp(h, int(t), int(prev[i]), None if noise is None else noise[i]))
-            H_next[i] = [0.0, t + 1]
-        return H_next, np.array(logps)
+        """All rows at once: row [h, t] after prev gets the table's logits for
+        (t, prev), token 0's shifted by noise_weight * (h + its noise), and
+        steps to [0, t + 1]. The logits are made once per distinct (t, prev)."""
+        keys, which = np.unique(np.stack([H[:, 1].astype(np.int64), prev]), axis=1,
+                                return_inverse=True)
+        logits = np.array([self._logits(t, p) for t, p in keys.T.tolist()])[which.ravel()]
+        if self.noise_weight and noise is not None:
+            logits[:, 0] += self.noise_weight * (H[:, 0] + noise[:, 0])
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        with np.errstate(divide="ignore"):
+            logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        H_next = np.zeros_like(H)
+        H_next[:, 1] = H[:, 1] + 1
+        return H_next, logp
 
 
 def point_mass_eos(n_tokens=3):

@@ -8,6 +8,8 @@ import pytest
 
 import npad
 from npad.cli import main
+from npad.decode import force_score
+from npad.model import BoundModel
 from npad.serialize import load_model, load_pairs, load_vocab
 
 
@@ -346,6 +348,31 @@ def test_score_jsonl(workspace, capsys):
     recs = [json.loads(l) for l in lines]
     assert len(recs) == 6
     assert all(r["logp"] < 0 for r in recs)
+
+
+def test_score_is_force_score_bit_for_bit_in_file_order(workspace, capsys):
+    # npad score runs training's forward over length groups; each line must
+    # be the pair's forced search on its bound source, in file order. Three
+    # (source, target) length classes interleave, one of them over 16 pairs
+    d = workspace["data"]
+    words = load_vocab(f"{d}/vocab_src.txt").symbols[3:]
+    classes = [(1, 2), (3, 1), (1, 2), (2, 4), (1, 2)]
+    path = workspace["root"] / "interleaved.tsv"
+    with open(path, "w") as f:
+        for i in range(40):
+            ls, lt = classes[i % len(classes)]
+            src = " ".join(words[(i + k) % len(words)] for k in range(ls))
+            tgt = " ".join(words[(3 * i + k) % len(words)] for k in range(lt))
+            f.write(f"{src}\t{tgt}\n")
+    files = ["--vocab-src", f"{d}/vocab_src.txt", "--vocab-tgt", f"{d}/vocab_tgt.txt"]
+    assert main(["score", "--model", workspace["model"], *files, "--input", str(path)]) == 0
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    params = load_model(workspace["model"])
+    pairs = load_pairs(str(path), load_vocab(f"{d}/vocab_src.txt"), load_vocab(f"{d}/vocab_tgt.txt"))
+    assert [r["input_id"] for r in recs] == list(range(40))
+    assert [r["n_target_tokens"] for r in recs] == [len(p.target) for p in pairs]
+    assert [r["logp"] for r in recs] == [force_score(BoundModel(params, p.source), p.target)
+                                         for p in pairs]
 
 
 def _write_spec(workspace, name, cells, base_seed=7):

@@ -15,9 +15,10 @@ from npad.decode import (
     diverse_beam_search,
     exact_search,
     force_score,
-    force_scores,
+    forced_pick,
     greedy_search,
     score_sequence,
+    search_rows,
 )
 from npad.evaluate import MAX_ROWS, Cell
 from npad.model import EOS, BoundModel, VocabError
@@ -420,28 +421,47 @@ class TestExact:
             exact_search(BoundModel(tiny_params, [3]), DecodeLimits(15))
 
 
+def forced_scores(model, seqs, max_len):
+    """The sequences rescored as the searches of one forced search, as NPAD
+    rescores the outputs of its noisy beam chains."""
+    found = search_rows(model, len(seqs), pick=forced_pick(seqs, max_len),
+                        limits=DecodeLimits(max_len))
+    return [best.logp for best, _ in found]
+
+
 class TestReplaySoundness:
     def test_batched_rescoring_equals_single_replays(self):
         for seed in range(20):
             params, source = random_case(seed)
             model = BoundModel(params, source)
-            seqs = [[3, 2], [2], [3, 3, 1, 2], [3, 2], [1, 0, 3]]
-            scores = force_scores(model, seqs)
+            # what a search of max_len 4 emits: each ends at its EOS or has 4 tokens
+            seqs = [[3, 2], [2], [3, 3, 1, 2], [3, 2], [1, 0, 3, 3]]
+            scores = forced_scores(model, seqs, 4)
             assert scores == [force_score(model, s) for s in seqs]
             assert scores == [score_sequence(params, source, s) for s in seqs]
-        with pytest.raises(ContractError):
-            force_scores(model, [[3], []])
+            assert force_score(model, [1, 0, 3]) == score_sequence(params, source, [1, 0, 3])
+        for seqs in ([[3], []], [[3, 2], [3, 3, 3, 3, 2]]):
+            with pytest.raises(ContractError):
+                forced_pick(seqs, 4)
 
     def test_rescoring_rejects_out_of_range_tokens(self):
         model = random_model(0)
         for bad in (-1, model.n_tokens, 2**63, 2**70, -2**63 - 1):
-            for seqs in ([[bad]], [[3, 2], [1, 0, bad]], [[3, bad, 2], [2]]):
+            for seq in ([bad], [1, 0, bad], [3, bad, 2]):
                 with pytest.raises(VocabError):
-                    force_scores(model, seqs)
+                    force_score(model, seq)
         with pytest.raises(ContractError):
-            force_scores(model, [[3, 2], [], [2**70]])
-        assert force_scores(model, [[0, model.n_tokens - 1]]) == [
+            force_score(model, [])
+        assert forced_scores(model, [[0, model.n_tokens - 1]], 2) == [
             force_score(model, [0, model.n_tokens - 1])]
+
+    def test_force_score_refuses_eos_before_its_last_token(self):
+        # a forced search ends at the first EOS and would score only a prefix
+        model = random_model(0)
+        for seq in ([3, EOS, 3], [EOS, EOS], [EOS, 1, 0, EOS]):
+            with pytest.raises(ContractError):
+                force_score(model, seq)
+        assert force_score(model, [3, 1, EOS]) == score_sequence(*random_case(0), [3, 1, EOS])
 
     def test_silent_decoders_replay_to_their_logp(self):
         for seed in range(100):
@@ -461,3 +481,26 @@ class TestReplaySoundness:
         assert len(beam_search(never_eos, 2, limits=limits)[0].tokens) <= 3
         assert all(len(h.tokens) <= 3 for h in samples(never_eos, 3, 0, limits))
         assert len(diverse_beam_search(never_eos, 2, 0.5, limits=limits)[0].tokens) <= 3
+
+
+def test_table_model_rows_match_the_per_row_formula():
+    # TableModel.step_batch computes its rows together; each must be the
+    # per-row formula, bit for bit, whatever rows stand beside it
+    rng = RngStream(0)
+    for model in (garden_path(noise_weight=1.5), point_mass_eos(4), TableModel({}, n_tokens=5)):
+        for trial in range(30):
+            B = 1 + int(rng.integers(0, 20))
+            H = np.stack([rng.normal_vec(B), rng.integers(0, 4, B).astype(float)], axis=1)
+            prev = rng.integers(0, model.n_tokens, B)
+            noise = None if trial % 2 else rng.normal_vec((B, 1))
+            H_next, logp = model.step_batch(H, prev, noise)
+            for i, ((h, t), p) in enumerate(zip(H, prev)):
+                row = model.rows.get((int(t), int(p)), model.default)
+                with np.errstate(divide="ignore"):
+                    logits = np.log(row / row.sum())
+                    if model.noise_weight and noise is not None:
+                        logits[0] += model.noise_weight * float(h + noise[i, 0])
+                    shifted = logits - logits.max()
+                    expected = shifted - np.log(np.exp(shifted).sum())
+                assert np.array_equal(logp[i], expected)
+                assert H_next[i].tolist() == [0.0, t + 1]

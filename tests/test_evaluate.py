@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +139,23 @@ class TestDecodeCorpus:
         assert [(r.input_id, r.tokens, r.rescored_logp) for r in seq] == \
             [(r.input_id, r.tokens, r.rescored_logp) for r in par]
 
+    def test_lowest_index_failure_is_raised_whatever_arrives_first(self, toy_setup,
+                                                                    monkeypatch):
+        # sentence 0 fails last in time: a pool that reports the first failure
+        # to arrive raises a later sentence's error, and which one can vary
+        params, data, pairs = toy_setup
+
+        def failing(params, source, cell, seed, max_len=None):
+            if source == (0,):
+                time.sleep(0.3)
+            raise ContractError(f"sentence {source[0]}")
+
+        monkeypatch.setattr(evaluate, "_decode_cell", failing)
+        monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: set(range(3)))
+        with pytest.raises(ContractError, match="sentence 0"):
+            decode_corpus(params, [(i,) for i in range(6)], None, Cell(strategy="greedy"),
+                          base_seed=1, workers=3)
+
     @pytest.mark.parametrize("workers, n, cpus, pool", [
         (10**9, 5, 8, 5), (10**9, 5, 2, 2), (3, 5, 8, 3), (4, 5, 1, None), (4, 1, 8, None)])
     def test_pool_capped_by_sentences_and_cpus(self, toy_setup, monkeypatch, workers, n, cpus, pool):
@@ -156,8 +174,8 @@ class TestDecodeCorpus:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return [fn(i) for i in items]
+            def imap(self, fn, items, chunksize=1):
+                return map(fn, items)
 
         class FakeContext:
             Pool = FakePool
@@ -200,12 +218,12 @@ class TestDecodeCorpus:
     def test_sample_cell_rescores_nothing(self, toy_setup, monkeypatch):
         # sampling chains without noise each report their own score, and noisy
         # greedy chains are rescored by their replay rows inside the search:
-        # only NPAD around beam calls the batched rescore
+        # only NPAD around beam runs a forced search to rescore
         params, data, pairs = toy_setup
         rescored = []
-        force_scores = chains.force_scores
-        monkeypatch.setattr(chains, "force_scores",
-                            lambda model, seqs: rescored.extend(seqs) or force_scores(model, seqs))
+        forced_pick = chains.forced_pick
+        monkeypatch.setattr(chains, "forced_pick",
+                            lambda seqs, max_len: rescored.extend(seqs) or forced_pick(seqs, max_len))
         records = decode_corpus(params, [p.source for p in pairs], None,
                                 Cell(strategy="sample", chains=4), base_seed=2)
         assert len(records) == len(pairs) and rescored == []

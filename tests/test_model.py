@@ -94,6 +94,14 @@ class TestEncode:
         with pytest.raises(VocabError):
             encode_one(tiny_params, [3, 99])
 
+    def test_index_beyond_int64_is_a_vocab_error(self, tiny_params):
+        # the int64 conversion raised OverflowError, an undocumented class
+        for bad in (2**63, 2**70, -2**63 - 1):
+            with pytest.raises(VocabError):
+                BoundModel(tiny_params, [bad])
+            with pytest.raises(VocabError):
+                BoundModel(tiny_params, [3, bad])
+
     def test_empty_source_rejected(self, tiny_params):
         with pytest.raises(ContractError):
             encode_one(tiny_params, [])
@@ -324,8 +332,11 @@ class TestScoreSequence:
     def test_rejects_bad_targets(self, tiny_params):
         with pytest.raises(ContractError):
             score_sequence(tiny_params, [3], [])
-        with pytest.raises(VocabError):
-            score_sequence(tiny_params, [3], [99])
+        for bad in (99, -1, 2**63, 2**70):
+            with pytest.raises(VocabError):
+                score_sequence(tiny_params, [3], [bad])
+            with pytest.raises(VocabError):
+                score_sequence(tiny_params, [bad], [3, EOS])
 
 
 def test_bound_model_matches_module_ops(tiny_params):
