@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ContractError, RngStream, categorical_rows, derive_seed
-from .decode import DecodeLimits, Hypothesis, forced_pick, greedy_pick, resolve_limits, search_rows
+from .decode import DecodeLimits, Hypothesis, default_limits, forced_pick, greedy_pick, search_rows
 
 
 @dataclass
@@ -130,7 +130,7 @@ def run_chains(model, cell, seed: int, chains,
     for m in chains:
         if not 0 <= m < count:
             raise ContractError(f"chain index {m} outside 0..{count - 1}")
-    limits = resolve_limits(model, limits)
+    limits = limits or default_limits(model.source_len)
     sigmas = [_sigma0(cell, m) for m in chains]
     width = cell.beam_width or 1
     # a beam chain has one row at step 1 and at most `width` rows after it
@@ -154,18 +154,16 @@ def run_chains(model, cell, seed: int, chains,
 
 
 def select_best(results: list[ChainResult]) -> ChainResult:
-    """Argmax of the non-noisy rescore; ties go to the lowest chain index.
+    """Argmax of the non-noisy rescore; `max` keeps the first of equal
+    scores, so ties go to the lowest chain index (results run in chain
+    order).
 
     Completed chains are preferred: an unfinished prefix's log-probability is
     not comparable to a complete sequence's. Only when every chain is
     incomplete is the best incomplete one returned.
     """
     pool = [r for r in results if r.hypothesis.complete] or results
-    best = pool[0]
-    for r in pool[1:]:
-        if r.rescored_logp > best.rescored_logp:
-            best = r
-    return best
+    return max(pool, key=lambda r: r.rescored_logp)
 
 
 def npad_search(model, cell, seed: int, limits: DecodeLimits | None = None):

@@ -15,6 +15,8 @@ from .backprop import pair_nlls
 from .core import ContractError, RngStream
 from .decode import SearchSpaceError
 from .evaluate import (
+    CHAINED,
+    HYPERPARAMETERS,
     RESULT_COLUMNS,
     STRATEGIES,
     Cell,
@@ -84,10 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode a test file, one JSON line per input")
     p.add_argument("--strategy", required=True, choices=STRATEGIES)
     _model_files(p)
-    p.add_argument("--beam-width", type=_at_least(int, "--beam-width"))
-    p.add_argument("--sigma0", type=float)
-    p.add_argument("--chains", type=_at_least(int, "--chains"))
-    p.add_argument("--eta", type=float)
+    for name, kind in HYPERPARAMETERS.items():
+        flag = "--" + name.replace("_", "-")
+        p.add_argument(flag, type=_at_least(int, flag) if kind is int else float)
     p.add_argument("--no-zero-chain", action="store_true",
                    help="disable the zero-noise guarantee chain")
     p.add_argument("--seed", type=int)
@@ -170,20 +171,15 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _cell_from_args(args) -> Cell:
-    if args.strategy in ("sample", "npad") and args.seed is None:
-        raise ConfigError(f"--seed is required for --strategy {args.strategy}")
-    return Cell(strategy=args.strategy, beam_width=args.beam_width, sigma0=args.sigma0,
-                chains=args.chains, eta=args.eta,
-                include_zero_chain=not args.no_zero_chain)
-
-
 def cmd_decode(args) -> int:
-    cell = _cell_from_args(args)
+    if args.strategy in CHAINED and args.seed is None:
+        raise ConfigError(f"--seed is required for --strategy {args.strategy}")
+    cell = Cell(args.strategy, include_zero_chain=not args.no_zero_chain,
+                **{name: getattr(args, name) for name in HYPERPARAMETERS})
     params, src_vocab, tgt_vocab = _load(args)
     sources = load_sources(args.input, src_vocab)
     base_seed = args.seed if args.seed is not None else 0
-    trace = bool(args.trace_chains) and cell.strategy in ("sample", "npad")
+    trace = bool(args.trace_chains) and cell.strategy in CHAINED
     if args.trace_chains and not trace:
         print("note: --trace-chains only applies to npad/sample; ignored", file=sys.stderr)
     records = decode_corpus(params, sources, None, cell, base_seed,

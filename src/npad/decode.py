@@ -16,8 +16,9 @@ bound to one source is `model.BoundModel(params, source)`.
 
 Scores are raw cumulative log-probabilities; no length normalization is
 applied anywhere. Top-K ties break by (score desc, parent index asc, token
-index asc) and completed-hypothesis ties lexicographically by token indices,
-so runs are reproducible.
+index asc). Hypotheses rank by `_rank`: score desc, then token indices
+lexicographically, so of two equal scores the lexicographically smaller
+sequence wins whatever its length, and runs are reproducible.
 """
 from __future__ import annotations
 
@@ -59,12 +60,6 @@ class DecodeLimits:
 
 def default_limits(source_len: int) -> DecodeLimits:
     return DecodeLimits(max_len=2 * source_len + 5)
-
-
-def resolve_limits(model, limits: DecodeLimits | None) -> DecodeLimits:
-    if limits is not None:
-        return limits
-    return default_limits(model.source_len)
 
 
 @dataclass
@@ -124,21 +119,9 @@ def greedy_pick(t, logp, beams):
     return np.argmax(logp, axis=1)
 
 
-def _better_completed(a: Hypothesis, b: Hypothesis | None) -> bool:
-    """True when `a` should replace `b`: higher score, lexicographic on ties."""
-    if b is None:
-        return True
-    if a.logp != b.logp:
-        return a.logp > b.logp
-    return a.tokens < b.tokens
-
-
-def _best(hyps):
-    best = None
-    for hyp in hyps:
-        if _better_completed(hyp, best):
-            best = hyp
-    return best
+def _rank(hyp: Hypothesis):
+    """The order of hypotheses, best first: score desc, then tokens lexicographically."""
+    return -hyp.logp, hyp.tokens
 
 
 def _top_k(raw, logp, beams, k_live, eta):
@@ -196,7 +179,7 @@ def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, nois
         raise ContractError(f"eta must be finite, >= 0 and <= {MAX_SCALE:g}, got {eta}")
     if replay is not None and pick is None:
         raise ContractError("only pick searches can replay their outputs")
-    limits = resolve_limits(model, limits)
+    limits = limits or default_limits(model.source_len)
     beams = np.arange(n)
     h0 = model.initial()
     H = np.tile(h0, (n, 1))
@@ -260,7 +243,7 @@ def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, nois
     live = [[] for _ in range(n)]
     for i, s in enumerate(beams):
         live[s].append(Hypothesis(tokens[i].tolist(), float(scores[i]), False))
-    found = [(_best(done), done) if done else (_best(live[s]), [])
+    found = [(min(done, key=_rank), done) if done else (min(live[s], key=_rank), [])
              for s, done in enumerate(completed)]
     return found if replay is None else (found, replayed)
 
@@ -293,7 +276,7 @@ def exact_search(model, limits: DecodeLimits | None = None) -> Hypothesis:
     Ties break lexicographically by token indices. Tractable only for tiny
     vocabularies and lengths; refuses spaces above 10^6 sequences.
     """
-    limits = resolve_limits(model, limits)
+    limits = limits or default_limits(model.source_len)
     # for V >= 2, V^L > bound iff V^min(L, bit_length(bound)) does: a huge L stays cheap
     if model.n_tokens ** min(limits.max_len, MAX_EXACT_SPACE.bit_length()) > MAX_EXACT_SPACE:
         raise SearchSpaceError(
@@ -304,15 +287,13 @@ def exact_search(model, limits: DecodeLimits | None = None) -> Hypothesis:
     prev = np.array([model.bos])
     scores = np.zeros(1)
     prefixes = np.zeros((1, 0), dtype=np.int64)
-    best: Hypothesis | None = None
+    found = []                          # each depth's best
     for depth in range(1, limits.max_len + 1):
         H, logp = _step(model, H, prev)
         ends = scores + logp[:, eos]
         ties = np.flatnonzero(ends == ends.max())
         i = min(ties, key=lambda k: prefixes[k].tolist())
-        cand = Hypothesis(prefixes[i].tolist() + [eos], float(ends[i]), True)
-        if _better_completed(cand, best):
-            best = cand
+        found.append(Hypothesis(prefixes[i].tolist() + [eos], float(ends[i]), True))
         if depth == limits.max_len:
             break
         n = scores.size
@@ -320,4 +301,4 @@ def exact_search(model, limits: DecodeLimits | None = None) -> Hypothesis:
         prev = np.tile(others, n)
         prefixes = np.hstack([np.repeat(prefixes, others.size, axis=0), prev[:, None]])
         H = np.repeat(H, others.size, axis=0)
-    return best
+    return min(found, key=_rank)

@@ -21,7 +21,6 @@ from .decode import (
     MAX_SCALE,
     DecodeLimits,
     beam_search,
-    default_limits,
     diverse_beam_search,
     exact_search,
     greedy_search,
@@ -30,9 +29,18 @@ from .model import EOS, BoundModel
 from .serialize import load_model, load_pairs, load_vocab
 from .tasks import ConfigError
 
-STRATEGIES = ("greedy", "beam", "sample", "diverse", "npad", "exact")
-RESULT_COLUMNS = ("strategy", "beam_width", "sigma0", "chains", "eta",
-                  "mean_nll", "mean_nll_per_token", "bleu")
+# Each hyperparameter a cell may set, with its JSON type, in results-column order.
+HYPERPARAMETERS = {"beam_width": int, "sigma0": float, "chains": int, "eta": float}
+# The hyperparameters each strategy reads, True where it requires one. A cell
+# sets no other: the results would print it as if it applied.
+READS = {"greedy": {}, "beam": {"beam_width": True},
+         "sample": {"sigma0": False, "chains": False},
+         "diverse": {"beam_width": True, "eta": True},
+         "npad": {"beam_width": False, "sigma0": True, "chains": True}, "exact": {}}
+STRATEGIES = tuple(READS)
+# The strategies that run chains (`chains.npad_search`).
+CHAINED = tuple(strategy for strategy, reads in READS.items() if "chains" in reads)
+RESULT_COLUMNS = ("strategy", *HYPERPARAMETERS, "mean_nll", "mean_nll_per_token", "bleu")
 # Most decoder rows a cell may keep in flight, chains x beam_width: the
 # chains of a sentence step together, so their tables grow with this count.
 # On the translate model (d_hid 24, 35 words, a 12-word sentence) an npad
@@ -53,37 +61,26 @@ class Cell:
     include_zero_chain: bool = True
 
     def __post_init__(self):
-        for name in ("sigma0", "eta"):
+        # an integer is at least 1; a float is finite, at most MAX_SCALE and
+        # at least 0 where a strategy reads it
+        for name, kind in HYPERPARAMETERS.items():
             value = getattr(self, name)
-            if value is not None and not isfinite(value):
+            if value is not None and kind is float and not isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
-            if value is not None and value > MAX_SCALE:
+            if value is not None and kind is float and value > MAX_SCALE:
                 raise ConfigError(f"{name} must be <= {MAX_SCALE:g}, got {value}")
-        for name in ("beam_width", "chains"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
+            if value is not None and kind is int and value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
-        if self.strategy in ("beam", "diverse") and self.beam_width is None:
-            raise ConfigError(f"{self.strategy} requires beam_width >= 1")
-        if self.strategy == "diverse" and (self.eta is None or self.eta < 0):
-            raise ConfigError("diverse requires eta >= 0")
-        if self.strategy == "npad" and self.chains is None:
-            raise ConfigError("npad requires chains >= 1")
-        if self.strategy == "npad" and self.sigma0 is None:
-            raise ConfigError("npad requires sigma0 >= 0")
-        if self.strategy in ("sample", "npad") and (self.sigma0 or 0) < 0:
-            raise ConfigError(f"{self.strategy} requires sigma0 >= 0")
-        # a field the strategy never reads would print in the results as if it applied
-        unread = {"beam_width": ("greedy", "sample", "exact"),
-                  "eta": ("greedy", "beam", "sample", "npad", "exact"),
-                  "sigma0": ("greedy", "beam", "diverse", "exact"),
-                  "chains": ("greedy", "beam", "diverse", "exact")}
-        for name, strategies in unread.items():
-            if self.strategy in strategies and getattr(self, name) is not None:
+        reads = READS[self.strategy]
+        for name, kind in HYPERPARAMETERS.items():
+            value = getattr(self, name)
+            if name not in reads and value is not None:
                 raise ConfigError(f"{self.strategy} does not take {name}")
-        if self.strategy not in ("sample", "npad") and not self.include_zero_chain:
+            if (value is None and reads.get(name)) or (value or 0) < 0:
+                raise ConfigError(f"{self.strategy} requires {name} >= {1 if kind is int else 0}")
+        if self.strategy not in CHAINED and not self.include_zero_chain:
             raise ConfigError(f"{self.strategy} has no chains, so no zero chain to leave out")
         rows = (self.chains or 1) * (self.beam_width or 1)
         if rows > MAX_ROWS:
@@ -123,16 +120,13 @@ def _ngrams(seq, n: int) -> Counter:
 
 def corpus_bleu(hypotheses, references) -> float:
     """Corpus BLEU-4: geometric mean of modified n-gram precisions (n=1..4)
-    times the brevity penalty. One reference per hypothesis; any zero
-    precision gives 0.
+    times the brevity penalty. One reference per hypothesis; an empty one has
+    length 0 and no n-grams. Any zero precision gives 0.
     """
     if len(hypotheses) != len(references):
         raise ContractError("hypotheses and references must have equal length")
     if not references:
         raise ContractError("empty corpus")
-    for ref in references:
-        if len(ref) == 0:
-            raise ContractError("empty reference sentence")
     hyp_len = sum(len(h) for h in hypotheses)
     ref_len = sum(len(r) for r in references)
     if hyp_len == 0:
@@ -161,8 +155,8 @@ def _decode_cell(params, source, cell: Cell, seed: int, max_len: int | None = No
     output, bit for bit, so only chain outputs are rescored.
     """
     model = BoundModel(params, source)
-    limits = DecodeLimits(max_len) if max_len else default_limits(model.source_len)
-    if cell.strategy in ("sample", "npad"):
+    limits = DecodeLimits(max_len) if max_len else None
+    if cell.strategy in CHAINED:
         best, results = npad_search(model, cell, seed, limits)
         hyp = best.hypothesis
         return list(hyp.tokens), best.rescored_logp, hyp.complete, results
@@ -240,8 +234,7 @@ class ExperimentSpec:
 # Field -> JSON type, for the spec and for each cell.
 _SPEC_TYPES = {"model": str, "test_set": str, "vocab_src": str, "vocab_tgt": str,
                "base_seed": int, "cells": list, "max_len": int}
-_CELL_TYPES = {"strategy": str, "zero_chain": bool, "beam_width": int, "chains": int,
-               "sigma0": float, "eta": float}
+_CELL_TYPES = {"strategy": str, "zero_chain": bool, **HYPERPARAMETERS}
 _TYPE_NAMES = {str: "a string", int: "an integer", list: "a list", bool: "true or false",
                float: "a finite number"}
 
@@ -284,11 +277,9 @@ def load_spec(path: str) -> ExperimentSpec:
     for i, c in enumerate(raw["cells"]):
         if not isinstance(c, dict) or "strategy" not in c:
             raise ConfigError(f"{path}: cell {i} is not an object with a 'strategy'")
-        _check_fields(f"{path}: cell {i}", c, _CELL_TYPES, {"beam_width", "chains", "sigma0", "eta"})
-        cells.append(Cell(strategy=c["strategy"], beam_width=c.get("beam_width"),
-                          sigma0=c.get("sigma0"), chains=c.get("chains"),
-                          eta=c.get("eta"),
-                          include_zero_chain=c.get("zero_chain", True)))
+        _check_fields(f"{path}: cell {i}", c, _CELL_TYPES, set(HYPERPARAMETERS))
+        cells.append(Cell(c["strategy"], include_zero_chain=c.get("zero_chain", True),
+                          **{name: c.get(name) for name in HYPERPARAMETERS}))
     if not cells:
         raise ConfigError(f"{path}: spec has no cells")
     return ExperimentSpec(model=raw["model"], test_set=raw["test_set"],
@@ -334,6 +325,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1,
     src_vocab = load_vocab(spec.vocab_src)
     tgt_vocab = load_vocab(spec.vocab_tgt)
     pairs = load_pairs(spec.test_set, src_vocab, tgt_vocab)
+    if not pairs:
+        raise ConfigError(f"{spec.test_set}: the test set has no pairs")
     seed = spec.base_seed if base_seed is None else base_seed
     return run_cells(params, pairs, spec.cells, seed, spec.max_len, workers)
 
@@ -354,6 +347,6 @@ def write_results_csv(f, results: list[CellResult]) -> None:
     f.write(",".join(RESULT_COLUMNS) + "\n")
     for r in results:
         c = r.cell
-        row = (c.strategy, c.beam_width, c.sigma0, c.chains, c.eta,
+        row = (c.strategy, *(getattr(c, name) for name in HYPERPARAMETERS),
                r.mean_nll, r.mean_nll_per_token, r.bleu)
         f.write(",".join(map(_fmt, row)) + "\n")

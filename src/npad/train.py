@@ -116,6 +116,9 @@ def train(params: ModelParams, dataset: list[SequencePair],
     since the loss is computed per sequence no padding or masking is needed.
     Returns (best params, per-epoch trace). Deterministic given cfg.seed.
     """
+    for name, pairs in (("training", dataset), ("validation", valid)):
+        if not pairs:
+            raise ContractError(f"{name} set must be non-empty")
     if set(dataset) & set(valid):
         raise ContractError("train and validation sets must be disjoint")
     rng = RngStream(cfg.seed)

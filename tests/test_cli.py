@@ -235,6 +235,23 @@ def test_overflowing_scale_flags_exit_1(workspace, capsys, name, flags):
         f"error: config: {name} must be <= 1e+100, got 1.7e+308"]
 
 
+@pytest.mark.parametrize("empty", ["--input", "--valid"])
+def test_empty_training_or_validation_set_exit_1(workspace, capsys, empty):
+    # an empty --input ended in a ZeroDivisionError traceback
+    d = workspace["data"]
+    (workspace["root"] / "empty.tsv").write_text("")
+    files = {"--input": f"{d}/train.tsv", "--valid": f"{d}/valid.tsv",
+             empty: str(workspace["root"] / "empty.tsv")}
+    out = workspace["root"] / "empty.bin"
+    assert main(["train", *(word for pair in files.items() for word in pair),
+                 "--vocab-src", f"{d}/vocab_src.txt", "--vocab-tgt", f"{d}/vocab_tgt.txt",
+                 "--model", str(out), "--epochs", "1", "--seed", "5"]) == 1
+    name = "training" if empty == "--input" else "validation"
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: invalid arguments: {name} set must be non-empty"]
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")      # numpy's overflow warnings
 def test_training_divergence_exit_1(workspace, capsys):
     d = workspace["data"]

@@ -416,6 +416,17 @@ class TestExact:
         assert hyp.tokens == best_tokens
         assert hyp.logp == pytest.approx(best_logp, abs=1e-12)
 
+    def test_equal_scores_across_depths_break_lexicographically(self):
+        # [0, EOS] and [EOS] both score log 0.4; [0, EOS] wins because
+        # hypotheses order by their tokens on ties, not shortest first
+        eos = TableModel.eos
+        model = TableModel({(0, TableModel.bos): [0.4, 0.2, 0.4], (1, 0): [0.0, 0.0, 1.0]})
+        limits = DecodeLimits(3)
+        hyp = exact_search(model, limits)
+        assert hyp.tokens == [0, eos] and hyp.logp == force_score(model, [eos])
+        best, completed = beam_search(model, 3, limits=limits)
+        assert best == hyp and [eos] in [h.tokens for h in completed]
+
     def test_refuses_huge_spaces(self, tiny_params):
         with pytest.raises(SearchSpaceError):
             exact_search(BoundModel(tiny_params, [3]), DecodeLimits(15))

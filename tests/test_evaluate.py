@@ -27,7 +27,7 @@ from npad.evaluate import (
 from npad.decode import score_sequence
 from npad.model import EOS, Vocab
 from npad.serialize import save_model, save_pairs, save_vocab
-from npad.tasks import ConfigError, gen_task
+from npad.tasks import ConfigError, SequencePair, gen_task
 from conftest import damaged, make_params
 
 
@@ -81,11 +81,16 @@ class TestCorpusBleu:
         expected = math.exp(sum(math.log(x) for x in (4 / 5, 3 / 4, 2 / 3, 1 / 2)) / 4)
         assert got == pytest.approx(expected, abs=1e-12)
 
-    def test_empty_reference_rejected(self):
-        with pytest.raises(ContractError):
-            corpus_bleu([list("ab")], [[]])
+    def test_mismatched_lengths_rejected(self):
         with pytest.raises(ContractError):
             corpus_bleu([list("ab")], [list("ab"), list("cd")])
+
+    def test_empty_reference_has_length_zero_and_no_ngrams(self):
+        assert corpus_bleu([list("ab")], [[]]) == 0.0
+        # "ab" against nothing adds 2 unigrams and 1 bigram, none matching:
+        # precisions 4/6, 3/4, 2/2, 1/1; BP = 1 (6 hypothesis tokens, 4 reference)
+        got = corpus_bleu([list("abcd"), list("ab")], [list("abcd"), []])
+        assert got == pytest.approx(0.5 ** 0.25, rel=1e-12)
 
     def test_empty_hypotheses_zero(self):
         assert corpus_bleu([[]], [list("abcd")]) == 0.0
@@ -255,6 +260,16 @@ class TestRunCells:
         assert results[1].error is None
         assert results[1].mean_nll > 0
 
+    def test_empty_target_is_a_zero_length_reference(self, toy_setup):
+        # an empty target line is legal in a pair file; it failed every cell
+        params, data, pairs = toy_setup
+        pairs = pairs + [SequencePair(pairs[0].source, (EOS,))]
+        result, = run_cells(params, pairs, [Cell(strategy="greedy")], base_seed=1)
+        assert result.error is None
+        hyps = [[t for t in r.tokens if t != EOS] for r in result.records]
+        refs = [[t for t in p.target if t != EOS] for p in pairs]
+        assert refs[-1] == [] and result.bleu == corpus_bleu(hyps, refs)
+
     def test_csv_shape_and_determinism(self, toy_setup, tmp_path):
         import io
 
@@ -294,6 +309,22 @@ class TestSpecFiles:
         results = run_experiment(spec)
         assert len(results) == 2
         assert results[1].mean_nll <= results[0].mean_nll
+
+    def test_empty_test_set_rejected_before_any_cell_runs(self, toy_setup, tmp_path, monkeypatch):
+        # it printed one mean_nll warning per cell and wrote blank metrics
+        params, data, _ = toy_setup
+        save_model(str(tmp_path / "m.bin"), params)
+        save_vocab(str(tmp_path / "vs.txt"), data.src_vocab)
+        save_vocab(str(tmp_path / "vt.txt"), data.tgt_vocab)
+        (tmp_path / "test.tsv").write_text("\n")
+        spec = load_spec(self._write_spec(tmp_path, {
+            "model": str(tmp_path / "m.bin"), "test_set": str(tmp_path / "test.tsv"),
+            "vocab_src": str(tmp_path / "vs.txt"), "vocab_tgt": str(tmp_path / "vt.txt"),
+            "base_seed": 5, "cells": [{"strategy": "greedy"}]}))
+        monkeypatch.setattr(evaluate, "run_cells", lambda *args: pytest.fail("a cell ran"))
+        with pytest.raises(ConfigError) as e:
+            run_experiment(spec)
+        assert str(e.value) == f"{tmp_path / 'test.tsv'}: the test set has no pairs"
 
     def test_missing_fields_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

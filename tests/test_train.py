@@ -384,6 +384,17 @@ class TestTrain:
         assert len(trace) == patience + 2
         assert len({r.valid_nll for r in trace}) == 1
 
+    @pytest.mark.parametrize("empty", ["training", "validation"])
+    def test_empty_sets_refused_before_the_first_batch(self, empty, monkeypatch):
+        # an empty training set divided by zero after the epoch; an empty
+        # validation set failed only after a whole epoch of batches
+        monkeypatch.setattr(train_module, "nll_loss", lambda *args: pytest.fail("a batch ran"))
+        ds, valid = self._task_splits()
+        params = make_params(1, d_emb=3, d_hid=4, n_src=7, n_tgt=7)
+        sets = {"training": ds, "validation": valid, empty: []}
+        with pytest.raises(ContractError, match=f"{empty} set must be non-empty"):
+            train(params, sets["training"], sets["validation"], TrainConfig(epochs=1, seed=0))
+
     def test_disjointness_enforced(self, tiny_params):
         ds, _ = self._task_splits()
         params = make_params(1, d_emb=3, d_hid=4, n_src=7, n_tgt=7)
