@@ -5,6 +5,8 @@ across workers. Each worker owns its RngStream exclusively.
 """
 from __future__ import annotations
 
+from numbers import Integral, Real
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -13,6 +15,16 @@ _GAMMA = 0x9E3779B97F4A7C15  # splitmix64 increment
 
 class ContractError(ValueError):
     """An argument violated a documented precondition."""
+
+
+def is_integer(value) -> bool:
+    """An int or a numpy integer; a bool is not one."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A real number (int, float or numpy number); a bool is not one."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def _splitmix64(x: int) -> int:

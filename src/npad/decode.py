@@ -15,10 +15,13 @@ every search with its replay rows, or an exhaustive search level. A model
 bound to one source is `model.BoundModel(params, source)`.
 
 Scores are raw cumulative log-probabilities; no length normalization is
-applied anywhere. Top-K ties break by (score desc, parent index asc, token
-index asc). Hypotheses rank by `_rank`: score desc, then token indices
-lexicographically, so of two equal scores the lexicographically smaller
-sequence wins whatever its length, and runs are reproducible.
+applied anywhere. Beam top-K bounds each search's expansions by their K-th
+score and stable-sorts only those within the bound (`_first_k`), so ties
+break by (score desc, parent index asc, token index asc), as a stable sort
+of every expansion would break them. Hypotheses rank by `_rank`: score
+desc, then token indices lexicographically, so of two equal scores the
+lexicographically smaller sequence wins whatever its length, and runs are
+reproducible.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backprop import pair_nlls
-from .core import ContractError
+from .core import ContractError, is_integer
 from .model import _vocab_indices
 from .tasks import SequencePair
 
@@ -54,6 +57,8 @@ class DecodeLimits:
     max_len: int
 
     def __post_init__(self):
+        if not is_integer(self.max_len):
+            raise ContractError(f"max_len must be an integer, got {self.max_len!r}")
         if self.max_len < 1:
             raise ContractError(f"max_len must be >= 1, got {self.max_len}")
 
@@ -136,11 +141,29 @@ def _top_k(raw, logp, beams, k_live, eta):
         np.put_along_axis(rank, np.argsort(-logp, axis=1, kind="stable"),
                           np.arange(1.0, n_tokens + 1), axis=1)
         sel = raw - eta * rank
-    # A search's rows are one contiguous block, rows edges[s]:edges[s + 1]; a
-    # stable sort of its row-major candidates keeps ties in (parent, token) order.
+    neg = -sel.ravel()
+    if k_live.size == 1:                # a lone search: its block is every row
+        return _first_k(neg, k_live[0])
+    # A search's rows are one contiguous block, rows edges[s]:edges[s + 1], so
+    # its row-major candidates are in (parent, token) order.
     edges = np.searchsorted(beams, np.arange(k_live.size + 1)).tolist()
-    return np.concatenate([np.argsort(-sel[a:b], axis=None, kind="stable")[:k] + a * n_tokens
+    return np.concatenate([_first_k(neg[a * n_tokens:b * n_tokens], k) + a * n_tokens
                            for a, b, k in zip(edges, edges[1:], k_live.tolist()) if a < b])
+
+
+def _first_k(neg, k):
+    """The first k indices of a stable ascending argsort of the flat `neg`.
+
+    Only the candidates, the values not above the k-th smallest, are sorted.
+    They keep their flat order, so a stable sort of them orders ties as the
+    full sort does. A NaN k-th value (fewer than k non-NaN values) or k at
+    least the number of values makes every value a candidate. A NaN beside a
+    finite k-th value is a candidate too, but sorts after the k values not
+    above it, outside the first k."""
+    kth = min(k, neg.size) - 1
+    bound = np.partition(neg, kth)[kth]
+    candidates = np.flatnonzero(~(neg > bound))
+    return candidates[np.argsort(neg[candidates], kind="stable")[:k]]
 
 
 def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, noise=None,
@@ -173,6 +196,8 @@ def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, nois
     call then returns (results, replayed), replayed[s] being search s's
     total (0.0 unmarked).
     """
+    if not is_integer(width):
+        raise ContractError(f"beam width must be an integer, got {width!r}")
     if width < 1:
         raise ContractError(f"beam width must be >= 1, got {width}")
     if not 0 <= eta <= MAX_SCALE:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from math import exp, isfinite, log
 
 from .chains import ChainResult, npad_search
-from .core import ContractError, derive_seed
+from .core import ContractError, derive_seed, is_integer, is_number
 from .decode import (
     MAX_SCALE,
     DecodeLimits,
@@ -61,16 +61,23 @@ class Cell:
     include_zero_chain: bool = True
 
     def __post_init__(self):
-        # an integer is at least 1; a float is finite, at most MAX_SCALE and
-        # at least 0 where a strategy reads it
+        # an integer (not a bool) is at least 1; a float is a real number (not
+        # a bool), finite, at most MAX_SCALE and at least 0 where a strategy
+        # reads it
         for name, kind in HYPERPARAMETERS.items():
             value = getattr(self, name)
-            if value is not None and kind is float and not isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-            if value is not None and kind is float and value > MAX_SCALE:
-                raise ConfigError(f"{name} must be <= {MAX_SCALE:g}, got {value}")
-            if value is not None and kind is int and value < 1:
+            if value is None:
+                continue
+            if kind is int and not is_integer(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if kind is int and value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
+            if kind is float and not is_number(value):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+            if kind is float and not isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+            if kind is float and value > MAX_SCALE:
+                raise ConfigError(f"{name} must be <= {MAX_SCALE:g}, got {value}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
         reads = READS[self.strategy]
@@ -155,7 +162,7 @@ def _decode_cell(params, source, cell: Cell, seed: int, max_len: int | None = No
     output, bit for bit, so only chain outputs are rescored.
     """
     model = BoundModel(params, source)
-    limits = DecodeLimits(max_len) if max_len else None
+    limits = None if max_len is None else DecodeLimits(max_len)
     if cell.strategy in CHAINED:
         best, results = npad_search(model, cell, seed, limits)
         hyp = best.hypothesis

@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npad import decode
 from npad.chains import _chain_noise, run_chains
@@ -126,6 +128,21 @@ def test_default_limits_follow_source_length():
     assert default_limits(4).max_len == 13
     with pytest.raises(ContractError):
         DecodeLimits(0)
+
+
+def test_limits_and_widths_are_integers(tiny_params):
+    # 2.5 and True were accepted and failed later inside the search, or ran
+    # as another width; a numpy integer is an integer
+    model = BoundModel(tiny_params, [3])
+    for bad in (2.5, 3.0, True):
+        with pytest.raises(ContractError, match="max_len must be an integer"):
+            DecodeLimits(bad)
+        with pytest.raises(ContractError, match="beam width must be an integer"):
+            beam_search(model, bad)
+        with pytest.raises(ContractError, match="beam width must be an integer"):
+            search_rows(model, 2, bad)
+    assert DecodeLimits(np.int64(3)).max_len == 3
+    assert beam_search(model, np.int64(3)) == beam_search(model, 3)
 
 
 class TestGreedy:
@@ -266,6 +283,76 @@ class TestTopK:
             assert got.tolist() == want, f"seed {seed}"
             ties += len(set(raw.ravel()[want].tolist())) < len(want)
         assert ties > 40
+
+    @staticmethod
+    def lone(raw, k, eta=0.0, logp=None):
+        """`_top_k` of one search over every row of `raw`, checked against the
+        reference; returns the chosen flat indices."""
+        logp = raw if logp is None else logp
+        beams, k_live = np.zeros(raw.shape[0], dtype=np.int64), np.array([k])
+        got = decode._top_k(raw, logp, beams, k_live, eta).tolist()
+        assert got == per_search_top_k(raw, logp, beams, k_live, eta)
+        return got
+
+    @pytest.mark.parametrize("eta", [0.0, 0.7])
+    @pytest.mark.parametrize("rows, n_tokens", [(10, 35), (3, 1000)])
+    def test_lone_search_equals_reference(self, rows, n_tokens, eta):
+        # a beam-10 step: the shapes beam-translate and a larger vocabulary give
+        for seed in range(20):
+            rng = RngStream(seed)
+            logp = rng.uniform_vec((rows, n_tokens), -8.0, 0.0)
+            raw = rng.uniform_vec((rows, 1), -5.0, 0.0) + logp
+            assert len(self.lone(raw, 10, eta, logp)) == 10
+
+    def test_ties_at_the_kth_value_break_by_parent_then_token(self):
+        # by hand: two 0s, then four -1s of which the first in flat order
+        raw = np.array([[0.0, -1.0, -1.0], [-1.0, 0.0, -1.0]])
+        assert self.lone(raw, 3) == [0, 4, 1]
+        # every value equal: the first k in flat order
+        assert self.lone(np.zeros((10, 35)), 10) == list(range(10))
+        # small integer scores tie at the k-th value across several parents
+        for seed in range(20):
+            rng = RngStream(seed)
+            raw = rng.integers(-4, 1, size=(10, 35)).astype(float)
+            got = self.lone(raw, 10)
+            bound = raw.ravel()[got[-1]]
+            assert np.count_nonzero(raw >= bound) > 10
+            assert np.unique(np.flatnonzero(raw.ravel() == bound) // 35).size > 1
+
+    def test_minus_inf_at_the_kth_value(self):
+        # three finite expansions for a width of 5: two -inf ones fill it, in flat order
+        raw = np.full((4, 6), -np.inf)
+        raw[1, 2], raw[3, 0], raw[0, 5] = -1.0, -0.5, -2.0
+        assert self.lone(raw, 5) == [18, 8, 5, 0, 1]
+
+    def test_fewer_non_nan_values_than_k(self):
+        # the k-th value is NaN: NaNs come last, in flat order
+        raw = np.full((3, 4), np.nan)
+        raw[2, 1], raw[0, 3], raw[1, 1] = -1.0, -3.0, -np.inf
+        assert self.lone(raw, 5) == [9, 3, 5, 0, 1]
+        assert self.lone(raw, 2) == [9, 3]
+
+    def test_k_at_least_the_number_of_candidates(self):
+        raw = np.array([[-2.0, -1.0, -1.0], [0.0, -3.0, -1.0]])
+        for k in (6, 7, 10):
+            assert self.lone(raw, k) == [3, 1, 2, 5, 0, 4]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), eta=st.sampled_from([0.0, 0.7]))
+    def test_any_searches_equal_reference(self, data, eta):
+        n_tokens = data.draw(st.integers(1, 8), label="n_tokens")
+        rows = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=4)
+                         .filter(any), label="rows per search")
+        k_live = np.array(data.draw(st.lists(st.integers(1, 10), min_size=len(rows),
+                                             max_size=len(rows)), label="k_live"))
+        beams = np.repeat(np.arange(len(rows)), rows)
+        value = st.one_of(st.integers(-3, 0).map(float),
+                          st.sampled_from([-np.inf, np.nan]), st.floats(-5.0, 0.0))
+        cells = data.draw(st.lists(value, min_size=2 * beams.size * n_tokens,
+                                   max_size=2 * beams.size * n_tokens), label="values")
+        logp, raw = np.array(cells).reshape(2, beams.size, n_tokens)
+        got = decode._top_k(raw, logp, beams, k_live, eta)
+        assert got.tolist() == per_search_top_k(raw, logp, beams, k_live, eta)
 
 
 def test_step_split_at_kernel_rows_gives_one_calls_bits(monkeypatch, tiny_params):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from npad.evaluate import (
     EvalRecord,
     corpus_bleu,
     decode_corpus,
+    decode_with_cell,
     load_spec,
     mean_nll,
     mean_nll_per_token,
@@ -143,6 +145,19 @@ class TestDecodeCorpus:
         par = decode_corpus(params, sources, refs, cell, base_seed=4, workers=3)
         assert [(r.input_id, r.tokens, r.rescored_logp) for r in seq] == \
             [(r.input_id, r.tokens, r.rescored_logp) for r in par]
+
+    def test_max_len_zero_or_non_integral_refused(self, toy_setup):
+        # max_len=0 decoded at the default length, 2.5 failed inside the search
+        # and True ran as 1
+        params, data, pairs = toy_setup
+        for bad in (0, 2.5, True):
+            with pytest.raises(ContractError, match="max_len must be"):
+                decode_with_cell(params, pairs[0].source, Cell("greedy"), 0, max_len=bad)
+            with pytest.raises(ContractError, match="max_len must be"):
+                decode_corpus(params, [p.source for p in pairs], None, Cell("greedy"), 0,
+                              max_len=bad)
+        results = run_cells(params, pairs, [Cell("greedy")], base_seed=1, max_len=0)
+        assert results[0].error == "ContractError: max_len must be >= 1, got 0"
 
     def test_lowest_index_failure_is_raised_whatever_arrives_first(self, toy_setup,
                                                                     monkeypatch):
@@ -442,6 +457,27 @@ class TestSpecFiles:
                     "base_seed": 1, "cells": [fields]}
             with pytest.raises(ConfigError, match="rows, more than"):
                 load_spec(self._write_spec(tmp_path, body))
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"strategy": "beam", "beam_width": 2.5}, "beam_width must be an integer, got 2.5"),
+        ({"strategy": "npad", "chains": 2.5, "sigma0": 0.1}, "chains must be an integer, got 2.5"),
+        ({"strategy": "beam", "beam_width": True}, "beam_width must be an integer, got True"),
+        ({"strategy": "sample", "chains": True}, "chains must be an integer, got True"),
+        ({"strategy": "npad", "chains": 2, "sigma0": 0.1, "beam_width": 3.0},
+         "beam_width must be an integer, got 3.0"),
+        ({"strategy": "npad", "chains": 2, "sigma0": True}, "sigma0 must be a number, got True"),
+        ({"strategy": "diverse", "beam_width": 2, "eta": False}, "eta must be a number, got False"),
+        ({"strategy": "diverse", "beam_width": 2, "eta": "0.5"}, "eta must be a number, got '0.5'"),
+    ])
+    def test_bools_non_integral_counts_and_non_numbers_rejected(self, fields, message):
+        # each was accepted and failed inside the decoder, or ran as another value
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            Cell(**fields)
+
+    def test_numpy_numbers_and_integer_scales_accepted(self):
+        Cell("beam", beam_width=np.int64(3))
+        Cell("npad", chains=np.int32(2), sigma0=np.float64(0.1), beam_width=np.int16(2))
+        Cell("diverse", beam_width=2, eta=0)
 
     def test_non_finite_cell_values_rejected(self):
         for bad in (float("nan"), float("inf"), float("-inf")):
