@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractError, RngStream, categorical_rows, derive_seed
+from .core import ContractError, RngStream, categorical_rows, derive_seeds
 from .decode import DecodeLimits, Hypothesis, default_limits, forced_pick, greedy_pick, search_rows
 
 
@@ -48,9 +48,11 @@ def _sigma0(cell, m: int) -> float:
     return 0.0 if (m == 0 and cell.include_zero_chain) else cell.sigma0 or 0.0
 
 
-def _stream(seed: int, m: int, which: int) -> RngStream:
-    """Chain m's private stream: 0 for its noise, 1 for its sampling uniforms."""
-    return RngStream(derive_seed(derive_seed(seed, m), which))
+def _streams(seed: int, chains, which: int) -> list[RngStream]:
+    """The chains' private streams, `which` 0 for their noise and 1 for their
+    sampling uniforms: chain m's is RngStream(derive_seed(derive_seed(seed,
+    m), which)), and all are seeded in one pass (`RngStream.many`)."""
+    return RngStream.many(derive_seeds(derive_seeds(seed, np.asarray(chains)), which))
 
 
 def _grown(table, need: int, cap: int, live, draw):
@@ -76,7 +78,8 @@ def _chain_noise(cell, seed: int, chains: list[int], draws: int, dim: int):
     sigma0 = np.array([_sigma0(cell, m) for m in chains])
     if not sigma0.any():
         return None
-    streams = {i: _stream(seed, chains[i], 0) for i in np.flatnonzero(sigma0)}
+    noisy = np.flatnonzero(sigma0)
+    streams = dict(zip(noisy.tolist(), _streams(seed, np.asarray(chains)[noisy], 0)))
     table = np.zeros((len(chains), 0, dim))
     used = np.zeros(len(chains), dtype=np.int64)
 
@@ -98,7 +101,7 @@ def _chain_noise(cell, seed: int, chains: list[int], draws: int, dim: int):
 def _sampler(seed: int, chains: list[int], steps: int):
     """The sampling `pick`: each chain draws at most `steps` uniforms, in
     blocks as its steps need them, and picks its step-t token with the t-th."""
-    streams = [_stream(seed, m, 1) for m in chains]
+    streams = _streams(seed, chains, 1)
     u = np.zeros((len(chains), 0))
 
     def pick(t, logp, beams):

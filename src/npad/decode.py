@@ -200,7 +200,7 @@ def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, nois
         raise ContractError(f"beam width must be an integer, got {width!r}")
     if width < 1:
         raise ContractError(f"beam width must be >= 1, got {width}")
-    if not 0 <= eta <= MAX_SCALE:
+    if not 0 <= float(eta) <= MAX_SCALE:
         raise ContractError(f"eta must be finite, >= 0 and <= {MAX_SCALE:g}, got {eta}")
     if replay is not None and pick is None:
         raise ContractError("only pick searches can replay their outputs")

@@ -76,7 +76,8 @@ class Cell:
                 raise ConfigError(f"{name} must be a number, got {value!r}")
             if kind is float and not isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
-            if kind is float and value > MAX_SCALE:
+            # float(value): numpy would cast MAX_SCALE to a float32 value's type, to inf
+            if kind is float and float(value) > MAX_SCALE:
                 raise ConfigError(f"{name} must be <= {MAX_SCALE:g}, got {value}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")

@@ -3,8 +3,10 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from npad.chains import ChainResult, npad_search, run_chains, select_best
+from npad.chains import ChainResult, _streams, npad_search, run_chains, select_best
 from npad.core import ContractError, RngStream, derive_seed
 from npad import decode
 from npad.decode import (
@@ -166,6 +168,33 @@ class TestChainNoise:
                 cfg_for(2, bad)
             with pytest.raises(ConfigError):
                 cfg_for(2, bad, inner="sample")
+
+
+class TestChainStreams:
+    """Chain m's private streams, seeded for all the chains in one pass."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 10_000), max_size=6),
+           st.integers(0, 1))
+    def test_chain_m_gets_its_nested_seed(self, seed, chains, which):
+        for m, stream in zip(chains, _streams(seed, chains, which), strict=True):
+            one = RngStream(derive_seed(derive_seed(seed, m), which))
+            assert stream.seed == one.seed
+            assert stream.normal_vec(2).tolist() == one.normal_vec(2).tolist()
+
+    def test_chains_seeded_together_get_the_streams_they_get_among_more(self, tiny_params):
+        # C2's nesting: chains 3 and 7 seeded alone draw what they draw among
+        # range(10), and so decode the same, noise and uniforms alike
+        for which in (0, 1):
+            ten = _streams(SEED, range(10), which)
+            for stream, other in zip(_streams(SEED, [3, 7], which), (ten[3], ten[7])):
+                assert stream.seed == other.seed
+                assert stream.uniform_vec(4).tolist() == other.uniform_vec(4).tolist()
+        model = BoundModel(tiny_params, [3, 4])
+        cfg = cfg_for(10, 0.6, inner="sample")
+        ten = run_chains(model, cfg, SEED, range(10), DecodeLimits(6))
+        pair = run_chains(model, cfg, SEED, [3, 7], DecodeLimits(6))
+        assert pair == [ten[3], ten[7]]
 
 
 class TestRunChain:

@@ -10,6 +10,7 @@ from npad.core import (
     RngStream,
     categorical_rows,
     derive_seed,
+    derive_seeds,
     gaussian_vec,
     log_softmax,
     sigmoid,
@@ -188,6 +189,66 @@ class TestSeedDerivation:
         b = RngStream(77).child(3)
         assert a.seed == b.seed
         np.testing.assert_array_equal(a.normal_vec(5), b.normal_vec(5))
+
+    def test_array_derivation_equals_derive_seed(self):
+        # derive_seeds is derive_seed elementwise, bases taken modulo 2^64 as
+        # derive_seed takes them, over arrays or Python ints of any size
+        bases = [0, 1, 2**32 - 1, 2**63, 2**64 - 1, -5, 2**70 + 3]
+        indices = [0, 1, 2, 49, 2**32, 2**62]
+        for base in bases:
+            got = derive_seeds(base, np.array(indices))
+            assert got.dtype == np.uint64
+            assert got.tolist() == [derive_seed(base, i) for i in indices]
+        got = derive_seeds(bases, 3)
+        assert got.tolist() == [derive_seed(base, 3) for base in bases]
+        assert derive_seeds(7, 3).tolist() == [derive_seed(7, 3)]
+        with pytest.raises(ContractError):
+            derive_seeds(1, [0, -1])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 10_000), max_size=8),
+           st.integers(0, 1))
+    def test_nested_derivation_equals_derive_seed(self, seed, chains, which):
+        got = derive_seeds(derive_seeds(seed, np.array(chains, dtype=np.int64)), which)
+        assert got.tolist() == [derive_seed(derive_seed(seed, m), which) for m in chains]
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+class TestManyStreams:
+    """`RngStream.many` seeds its PCG64s from arrays, without numpy's
+    SeedSequence: each must be the generator RngStream(s) builds."""
+
+    @staticmethod
+    def assert_same(seeds):
+        many = RngStream.many(seeds)
+        assert len(many) == len(seeds)
+        for stream, seed in zip(many, seeds):
+            one = RngStream(seed)
+            words = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            assert np.array_equal(stream._gen.bit_generator.seed_seq.words, words)
+            assert stream.seed == one.seed
+            assert stream._gen.bit_generator.state == one._gen.bit_generator.state
+            assert stream.normal_vec(3).tolist() == one.normal_vec(3).tolist()
+            assert stream.uniform_vec(3).tolist() == one.uniform_vec(3).tolist()
+
+    def test_edge_seeds_match_seed_sequence(self):
+        # 2^32 - 1 is one entropy word and 2^32 two, the high one set
+        self.assert_same(SEEDS)
+        self.assert_same(SEEDS[::-1])
+        self.assert_same([2**32 - 1])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6))
+    def test_any_64_bit_seeds_match_seed_sequence(self, seeds):
+        self.assert_same(seeds)
+
+    def test_takes_uint64_arrays_and_masks_ints_as_rng_stream_does(self):
+        seeds = derive_seeds(5, np.arange(10))
+        assert [s.seed for s in RngStream.many(seeds)] == seeds.tolist()
+        assert [s.seed for s in RngStream.many([-1, 2**64 + 2])] == [2**64 - 1, 2]
+        assert RngStream.many([]) == []
 
 
 def test_stream_replay_is_identical():

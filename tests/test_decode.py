@@ -452,6 +452,13 @@ class TestDiverse:
         with pytest.raises(ContractError, match="eta must be finite, >= 0 and <= 1e"):
             diverse_beam_search(model, 2, 1.7e308)
 
+    @pytest.mark.filterwarnings("error")
+    def test_numpy_float_eta_compares_without_a_warning(self, tiny_params):
+        # the bound 1e100 cast to float32 or float16 overflowed with a warning
+        model = BoundModel(tiny_params, [3])
+        for kind in (np.float32, np.float16):
+            assert diverse_beam_search(model, 2, kind(0.5)) == diverse_beam_search(model, 2, 0.5)
+
 
 class TestExact:
     def test_point_mass_forced_sequence(self):

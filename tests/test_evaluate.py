@@ -486,6 +486,17 @@ class TestSpecFiles:
             with pytest.raises(ConfigError):
                 Cell(strategy="diverse", beam_width=2, eta=bad)
 
+    @pytest.mark.filterwarnings("error")
+    def test_numpy_float_scales_compare_without_a_warning(self):
+        # numpy cast the bound 1e100 to a float32 or float16 value's type,
+        # which overflowed to inf with a RuntimeWarning
+        for kind in (np.float32, np.float16):
+            assert Cell("npad", chains=2, sigma0=kind(0.1)).sigma0 == kind(0.1)
+            Cell("sample", chains=2, sigma0=kind(0.1))
+            Cell("diverse", beam_width=2, eta=kind(0.5))
+        with pytest.raises(ConfigError, match="sigma0 must be <= 1e\\+100"):
+            Cell("npad", chains=2, sigma0=np.float64(1e101))
+
     def test_overflowing_scales_rejected(self, tmp_path):
         # sigma0 or eta near the float maximum overflowed the chain noise to
         # NaN scores and the rank penalty to -inf ties; both are refused as
