@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 
 from .backprop import pair_nlls
@@ -25,10 +26,10 @@ from .evaluate import (
     run_experiment,
     write_results_csv,
 )
-from .model import Dims, VocabError, init_params
+from .model import Dims, VocabError, init_params, tensor_shapes
 from .serialize import FormatError, _lines, atomic_write, load_model, load_pairs, load_sources, load_vocab, save_model, save_pairs, save_vocab
 from .tasks import ConfigError, TASK_KINDS, gen_task, split_pairs
-from .train import DivergenceError, TrainConfig, train
+from .train import MAX_PARAMS, DivergenceError, TrainConfig, train
 
 
 def _at_least(kind, name, low=1):
@@ -153,6 +154,10 @@ def cmd_train(args) -> int:
     dataset = load_pairs(args.input, src_vocab, tgt_vocab)
     valid = load_pairs(args.valid, src_vocab, tgt_vocab)
     dims = Dims(d_emb=args.d_emb, d_hid=args.d_hid, n_src=len(src_vocab), n_tgt=len(tgt_vocab))
+    size = sum(math.prod(shape) for shape in tensor_shapes(dims).values())
+    if size > MAX_PARAMS:
+        raise ConfigError(f"d_emb {args.d_emb} and d_hid {args.d_hid} make {size} parameters, "
+                          f"more than the {MAX_PARAMS} allowed")
     params = init_params(RngStream(args.seed), dims)
     cfg = TrainConfig(epochs=args.epochs, lr=args.lr, lr_decay=args.lr_decay,
                       clip_norm=args.clip_norm, batch_size=args.batch_size,

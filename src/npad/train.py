@@ -17,8 +17,16 @@ from .model import ModelParams
 from .tasks import SequencePair
 
 
+# The largest model `npad train` builds, in parameters. Training holds about
+# seven float64 copies of them at once (the caller's parameters, the working
+# copy, the best checkpoint, the adaptive accumulator, the gradient, its
+# clipped copy and the update's temporaries): a few pairs trained with
+# d_hid 700, 9.9 million parameters, peaked at about 610 MB.
+MAX_PARAMS = 10**7
+
+
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss or gradient."""
+    """Training produced a non-finite loss, gradient or validation NLL."""
 
 
 @dataclass
@@ -149,6 +157,8 @@ def train(params: ModelParams, dataset: list[SequencePair],
                 else:
                     tensor -= lr * g[name]
         v_sent, v_tok = valid_nll(params, valid)
+        if not math.isfinite(v_sent):
+            raise DivergenceError(f"non-finite validation NLL {v_sent!r} after epoch {epoch}")
         trace.append(TraceRow(epoch, epoch_total / len(dataset), v_sent, v_tok))
         if v_sent < best_valid:
             best_valid = v_sent

@@ -1,7 +1,8 @@
 """Hypothesis examples of `npad decode` and `npad experiment` with extreme
-numeric flags and spec fields, and of `npad score` on pairs of up to 3,000
-tokens, run through `cli.main` in one process whose address space is capped
-at 1 GiB.
+numeric flags and spec fields, of `npad score` on pairs of up to 3,000
+tokens, and of `npad gen-data` and `npad train` with extreme sizes, counts
+and rates, run through `cli.main` in one process whose address space is
+capped at 1 GiB.
 
 Usage: python tests/cli_fuzz.py DIR  (tests/test_cli.py runs it). The run
 works inside DIR, an empty scratch directory, where it writes the models,
@@ -15,7 +16,11 @@ search refused as too large. A huge `max_len` is drawn only with the
 EOS-first model (zero readout weights, a large EOS bias), so its decodes
 end within a few steps. `--workers` is left out: it starts processes. A
 score must exit 0: a group of equal-length 3,000-token pairs fits in 1 GiB
-only because scoring keeps no backpropagation cache.
+only because scoring keeps no backpropagation cache. So that every example
+is short, a gen-data count is small or above `tasks.MAX_PAIRS`, a model is
+small (at most 2,000 wide in one of its sizes) or above `train.MAX_PARAMS`,
+and a train run of more than 8 epochs stops after its first (`--stop-below`
+1e300 or inf).
 """
 import contextlib
 import io
@@ -33,6 +38,7 @@ from npad.core import RngStream
 from npad.evaluate import MAX_ROWS, STRATEGIES
 from npad.model import EOS, Dims, Vocab, init_params
 from npad.serialize import save_model, save_vocab
+from npad.tasks import MAX_PAIRS, MAX_VOCAB, TASK_KINDS
 
 FILES = ["--vocab-src", "vocab.txt", "--vocab-tgt", "vocab.txt", "--input", "input.txt"]
 SMALL = st.integers(-2, 8)
@@ -40,6 +46,9 @@ SIZES = SMALL | st.sampled_from([MAX_ROWS, MAX_ROWS + 1, 10**8, 2**63, 10**30])
 LENGTHS = SMALL | st.sampled_from([10**9, 10**12, 2**63, 10**30])
 FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e-300, 1e300, 1.7e308])
 SEEDS = st.integers() | st.sampled_from([-1, 2**64, -(2**64), 10**40])
+HUGE = st.sampled_from([10**9, 10**12, 2**63, 10**30])
+# a pair count is small or above the bound: a valid large count takes seconds
+COUNTS = SMALL | st.sampled_from([MAX_PAIRS + 1, 10**12, 2**63])
 SETTINGS = settings(max_examples=150, deadline=None, database=None, derandomize=True)
 
 
@@ -48,6 +57,8 @@ def write_inputs() -> None:
     save_vocab("vocab.txt", Vocab.from_content(["a", "b", "c", "d"]))
     with open("input.txt", "w") as f:
         f.write("a b c\tc b a\nd\td\n")
+    with open("valid.txt", "w") as f:
+        f.write("c c\tc c\n")
     params = init_params(RngStream(3), Dims(d_emb=4, d_hid=6, n_src=7, n_tgt=7), scale=0.8)
     save_model("plain.bin", params)
     params.tensors["out.W"][:] = 0.0
@@ -155,6 +166,38 @@ def score_pairs(model, pairs):
     assert check(["score", "--model", model, *FILES[:4], "--input", "pairs.txt"]) == 0
 
 
+@SETTINGS
+@given(st.sampled_from(TASK_KINDS),
+       SMALL | st.sampled_from([MAX_VOCAB, MAX_VOCAB + 1, 10**7, 2**32, 2**63]),
+       st.fixed_dictionaries({"train-count": COUNTS}, optional={
+           "valid-count": COUNTS, "test-count": COUNTS, "min-len": st.integers(-2, 21) | HUGE,
+           "max-len": st.integers(-2, 21) | HUGE}),
+       SEEDS)
+@example("copy", 10**7, {"train-count": 5}, 0)
+@example("copy", 4, {"train-count": 10**12}, 0)
+@example("copy", 1, {"train-count": 10**6, "min-len": 1, "max-len": 2}, 0)
+def gen_data_flags(task, vocab_size, fields, seed):
+    fields = {"vocab-size": vocab_size, **fields, "seed": seed}
+    check(["gen-data", "--task", task, "--out-dir", "corpus",
+           *[f"--{name}={value}" for name, value in fields.items()]])
+
+
+@SETTINGS
+@given(st.dictionaries(st.sampled_from(["d-emb", "d-hid", "batch-size"]),
+                       SMALL | st.sampled_from([2000, 10**5, 10**7]) | HUGE),
+       st.dictionaries(st.sampled_from(["lr", "clip-norm", "stop-below"]), FLOATS),
+       SMALL | HUGE)
+@example({"d-hid": 100000}, {}, 1)
+@example({"d-emb": 10**7}, {}, 1)
+@example({}, {"lr": 1e300}, 1)
+def train_flags(sizes, rates, epochs):
+    if epochs > 8:
+        rates["stop-below"] = 1e300 if epochs % 2 else float("inf")
+    argv = ["train", "--input", "input.txt", "--valid", "valid.txt", "--vocab-src", "vocab.txt",
+            "--vocab-tgt", "vocab.txt", "--model", "trained.bin", "--seed", "1"]
+    check(argv + [f"--{name}={value!r}" for name, value in {**sizes, **rates, "epochs": epochs}.items()])
+
+
 if __name__ == "__main__":
     os.chdir(sys.argv[1])
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -162,3 +205,5 @@ if __name__ == "__main__":
     decode_flags()
     experiment_fields()
     score_pairs()
+    gen_data_flags()
+    train_flags()

@@ -1,14 +1,17 @@
 """Per-vector references: softmax, attention, the GRU cell and the
-bidirectional encoder one vector at a time, and training that force-decodes
+bidirectional encoder one vector at a time, training that force-decodes
 and backpropagates one pair at a time, the way training ran before batches
-ran as rows. `npad.core`, `npad.model` and `npad.train` are checked against
-them bit for bit.
+ran as rows, and corpus generation with two numpy draws per pair, the way it
+ran before the data stream's words were replayed in chunks. `npad.core`,
+`npad.model`, `npad.train` and `npad.tasks` are checked against them bit for
+bit.
 """
 import numpy as np
 
-from npad.core import ContractError, sigmoid
+from npad.core import ContractError, RngStream, sigmoid
 from npad.decode import score_sequence
-from npad.model import BOS, EncodedSource, _gru_stacks, step_rows
+from npad.model import BOS, EOS, EncodedSource, _gru_stacks, step_rows
+from npad.tasks import N_SPECIALS, ConfigError, SequencePair, TaskData, _content_vocab
 from npad.train import DivergenceError, zero_grads
 
 
@@ -204,3 +207,44 @@ def valid_nll(params, pairs):
         total += pair_nll(params, pair)
         tokens += len(pair.target)
     return total / len(pairs), total / tokens
+
+
+def gen_task(kind: str, vocab_size: int, length_range: tuple[int, int],
+             count: int, seed: int) -> TaskData:
+    """`npad.tasks.gen_task` with a `data_rng.integers` call for each
+    attempt's length and another for its content (unchecked arguments; an
+    exhausted source space fails after 200 x count attempts)."""
+    lo, hi = length_range
+    rng = RngStream(seed)
+    mapping_rng, data_rng = rng.child(0), rng.child(1)
+    if kind == "lexical-translate":
+        src_vocab = _content_vocab("s", vocab_size)
+        tgt_vocab = _content_vocab("t", vocab_size)
+        bijection = mapping_rng.permutation(vocab_size)
+    else:
+        src_vocab = tgt_vocab = _content_vocab("w", vocab_size)
+        bijection = None
+
+    pairs: list[SequencePair] = []
+    seen: set[tuple[int, ...]] = set()
+    attempts = 0
+    while len(pairs) < count:
+        attempts += 1
+        if attempts > 200 * count:
+            raise ConfigError(
+                f"could not generate {count} unique sources for {kind} "
+                f"(vocab_size={vocab_size}, lengths={length_range})")
+        length = int(data_rng.integers(lo, hi + 1))
+        content = data_rng.integers(0, vocab_size, size=length)
+        source = tuple(int(c) + N_SPECIALS for c in content)
+        if source in seen:
+            continue
+        seen.add(source)
+        if kind == "copy":
+            body = source
+        elif kind == "reverse":
+            body = tuple(reversed(source))
+        else:
+            body = tuple(int(bijection[c]) + N_SPECIALS for c in reversed(content))
+        pairs.append(SequencePair(source, body + (EOS,)))
+    return TaskData(kind, src_vocab, tgt_vocab, pairs)

@@ -184,8 +184,9 @@ def test_huge_exact_search_refused_at_once(workspace):
 
 
 def test_extreme_numeric_flags_and_spec_fields(tmp_path):
-    # Hypothesis examples of decode and experiment in one child under 1 GiB
-    # (tests/cli_fuzz.py): each exits 0, 1 with one `error:` line, or 2
+    # Hypothesis examples of decode, experiment, score, gen-data and train in
+    # one child under 1 GiB (tests/cli_fuzz.py): each exits 0, 1 with one
+    # `error:` line, or 2
     run = run_python(os.path.join(TESTS_DIR, "cli_fuzz.py"), str(tmp_path), timeout=120)
     assert run.returncode == 0, run.stdout + run.stderr
 

@@ -256,3 +256,14 @@ def test_stream_replay_is_identical():
         return [float(stream.uniform_vec(())) for _ in range(5)] + list(stream.normal_vec(3))
 
     assert run(RngStream(123)) == run(RngStream(123))
+
+
+def test_full_32_bit_range_draws_each_output_low_half_then_high_half():
+    # the words `tasks._attempts` replays numpy's bounded draws from
+    stream, raw = RngStream(7), np.random.Generator(np.random.PCG64(7)).bit_generator
+    words = stream.integers(0, 2**32, size=5)
+    outputs = raw.random_raw(3).tolist()
+    halves = [half for out in outputs for half in (out & 0xFFFFFFFF, out >> 32)]
+    assert words.tolist() == halves[:5]
+    # the sixth word is the spare high half, which a bounded draw reads next
+    assert int(stream.integers(0, 10)) == (halves[5] * 10) >> 32
