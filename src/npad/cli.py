@@ -234,9 +234,8 @@ REPORT_HEADER = ("strategy", "width", "sigma0", "chains", "eta",
 
 
 def render_report(rows: list[list[str]]) -> str:
-    """Aligned table, rows grouped by strategy with sigma0 (then width,
-    chains, eta) ascending; metric columns carry better-direction markers.
-    """
+    """Aligned table, rows sorted by strategy, then width, sigma0, chains and
+    eta ascending (a blank first); metric columns carry better-direction markers."""
     def sort_key(row):
         def num(x, default=-1.0):
             return float(x) if x else default

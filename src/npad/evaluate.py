@@ -10,10 +10,9 @@ from __future__ import annotations
 import json
 import multiprocessing as mp
 import os
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from math import exp, isfinite, log
+from math import exp, inf, log
 
 from .chains import ChainResult, npad_search
 from .core import ContractError, derive_seed, is_integer, is_number
@@ -61,26 +60,31 @@ class Cell:
     include_zero_chain: bool = True
 
     def __post_init__(self):
-        # an integer (not a bool) is at least 1; a float is a real number (not
-        # a bool), finite, at most MAX_SCALE and at least 0 where a strategy
-        # reads it
+        # an integer (not a bool) is at least 1; a number (not a bool) is
+        # finite, at most MAX_SCALE and at least 0 where a strategy reads it
         for name, kind in HYPERPARAMETERS.items():
             value = getattr(self, name)
             if value is None:
                 continue
             if kind is int and not is_integer(value):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+                raise ConfigError(f"{name} must be an integer, got {value!r:.40}")
             if kind is int and value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+                raise ConfigError(f"{name} must be >= 1, got {value!r:.40}")
             if kind is float and not is_number(value):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-            if kind is float and not isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-            # float(value): numpy would cast MAX_SCALE to a float32 value's type, to inf
-            if kind is float and float(value) > MAX_SCALE:
-                raise ConfigError(f"{name} must be <= {MAX_SCALE:g}, got {value}")
+                raise ConfigError(f"{name} must be a number, got {value!r:.40}")
+            # compared as Python numbers: numpy would cast MAX_SCALE to a float32
+            # value's type (inf), and float() of an int past 1.8e308 overflows
+            number = int(value) if is_integer(value) else float(value)
+            if not -inf < number < inf:
+                raise ConfigError(f"{name} must be finite, got {value!r:.40}")
+            if kind is float and number > MAX_SCALE:
+                raise ConfigError(f"{name} must be <= {MAX_SCALE:g}, got {value!r:.40}")
+        if not isinstance(self.include_zero_chain, bool):
+            raise ConfigError(f"zero_chain must be true or false, "
+                              f"got {self.include_zero_chain!r:.40}")
         if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
+            raise ConfigError(f"unknown strategy {self.strategy!r:.40}, "
+                              f"expected one of {STRATEGIES}")
         reads = READS[self.strategy]
         for name, kind in HYPERPARAMETERS.items():
             value = getattr(self, name)
@@ -239,61 +243,53 @@ class ExperimentSpec:
     max_len: int | None = None
 
 
-# Field -> JSON type, for the spec and for each cell.
+# Each spec field and its JSON type; every one but max_len is required.
 _SPEC_TYPES = {"model": str, "test_set": str, "vocab_src": str, "vocab_tgt": str,
                "base_seed": int, "cells": list, "max_len": int}
-_CELL_TYPES = {"strategy": str, "zero_chain": bool, **HYPERPARAMETERS}
-_TYPE_NAMES = {str: "a string", int: "an integer", list: "a list", bool: "true or false",
-               float: "a finite number"}
-
-
-def _has_type(value, kind) -> bool:
-    """A JSON value check: bools are not numbers, and a number is finite."""
-    if isinstance(value, bool) or kind is bool:
-        return isinstance(value, bool) and kind is bool
-    if kind is float:
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    return isinstance(value, kind)
-
-
-def _check_fields(where: str, fields: dict, types: dict, nullable: set) -> None:
-    extra = set(fields) - set(types)
-    if extra:
-        raise ConfigError(f"{where} has unknown fields {sorted(extra)}")
-    for name, value in fields.items():
-        if not (value is None and name in nullable or _has_type(value, types[name])):
-            raise ConfigError(f"{where}: {name!r} must be {_TYPE_NAMES[types[name]]}, "
-                              f"got {value!r:.40}")
+_TYPE_NAMES = {str: "a string", int: "an integer", list: "a list"}
+# The fields a cell may have; `Cell` checks their values.
+_CELL_FIELDS = {"strategy", "zero_chain", *HYPERPARAMETERS}
 
 
 def load_spec(path: str) -> ExperimentSpec:
-    """Read an experiment spec, checking its structure and every field type."""
+    """Read an experiment spec, checking its structure; `Cell` checks each cell."""
     try:
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    # not UTF-8, not JSON, nested too deep, or an integer of more digits than int() reads
+    except (ValueError, RecursionError) as e:
         raise ConfigError(f"{path}: not valid JSON ({e})") from e
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: the spec is not a JSON object")
-    missing = {"model", "test_set", "vocab_src", "vocab_tgt", "base_seed", "cells"} - set(raw)
+    missing = set(_SPEC_TYPES) - {"max_len"} - set(raw)
     if missing:
         raise ConfigError(f"{path}: missing spec fields {sorted(missing)}")
-    _check_fields(path, raw, _SPEC_TYPES, {"max_len"})
+    unknown = sorted(set(raw) - set(_SPEC_TYPES))
+    if unknown:
+        raise ConfigError(f"{path} has unknown fields {unknown}")
+    for name, value in raw.items():
+        # a bool is not an integer; only max_len may be null
+        if not (isinstance(value, _SPEC_TYPES[name]) and not isinstance(value, bool)
+                or value is None and name == "max_len"):
+            raise ConfigError(f"{path}: {name!r} must be {_TYPE_NAMES[_SPEC_TYPES[name]]}, "
+                              f"got {value!r:.40}")
     if raw.get("max_len") is not None and raw["max_len"] < 1:
         raise ConfigError(f"{path}: 'max_len' must be >= 1, got {raw['max_len']}")
     cells = []
     for i, c in enumerate(raw["cells"]):
         if not isinstance(c, dict) or "strategy" not in c:
             raise ConfigError(f"{path}: cell {i} is not an object with a 'strategy'")
-        _check_fields(f"{path}: cell {i}", c, _CELL_TYPES, set(HYPERPARAMETERS))
-        cells.append(Cell(c["strategy"], include_zero_chain=c.get("zero_chain", True),
-                          **{name: c.get(name) for name in HYPERPARAMETERS}))
+        unknown = sorted(set(c) - _CELL_FIELDS)
+        if unknown:
+            raise ConfigError(f"{path}: cell {i} has unknown fields {unknown}")
+        try:
+            cells.append(Cell(c["strategy"], include_zero_chain=c.get("zero_chain", True),
+                              **{name: c.get(name) for name in HYPERPARAMETERS}))
+        except ConfigError as e:
+            raise ConfigError(f"{path}: cell {i}: {e}") from None
     if not cells:
         raise ConfigError(f"{path}: spec has no cells")
-    return ExperimentSpec(model=raw["model"], test_set=raw["test_set"],
-                          vocab_src=raw["vocab_src"], vocab_tgt=raw["vocab_tgt"],
-                          base_seed=raw["base_seed"], cells=cells,
-                          max_len=raw.get("max_len"))
+    return ExperimentSpec(**dict(raw, cells=cells))
 
 
 @dataclass
@@ -344,11 +340,9 @@ def _strip_eos(tokens):
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    """A CSV cell: blank for unset, else str(), which writes a float as repr()
+    does (shortest round trip) and a numpy number as its bare value."""
+    return "" if value is None else str(value)
 
 
 def write_results_csv(f, results: list[CellResult]) -> None:

@@ -26,7 +26,7 @@ MAX_PARAMS = 10**7
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss, gradient or validation NLL."""
+    """Training overflowed or produced a non-finite loss, gradient or validation NLL."""
 
 
 @dataclass
@@ -137,39 +137,45 @@ def train(params: ModelParams, dataset: list[SequencePair],
     best_valid = float("inf")
     bad_epochs = 0
     trace: list[TraceRow] = []
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(dataset))
-        ordered = sorted((dataset[i] for i in order),
-                         key=lambda p: (len(p.target), len(p.source)))
-        batches = [ordered[i:i + cfg.batch_size] for i in range(0, len(ordered), cfg.batch_size)]
-        batch_order = rng.permutation(len(batches))
-        lr = cfg.lr * cfg.lr_decay ** (epoch - 1)
-        epoch_total = 0.0
-        for bi in batch_order:
-            batch = batches[bi]
-            loss, g = nll_loss(params, batch)
-            epoch_total += loss * len(batch)
-            g = clip_gradients(g, cfg.clip_norm)
-            for name, tensor in params.tensors.items():
-                if accum is not None:
-                    accum[name] += g[name] * g[name]
-                    tensor -= lr * g[name] / (np.sqrt(accum[name]) + 1e-8)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch in range(1, cfg.epochs + 1):
+                order = rng.permutation(len(dataset))
+                ordered = sorted((dataset[i] for i in order),
+                                 key=lambda p: (len(p.target), len(p.source)))
+                batches = [ordered[i:i + cfg.batch_size]
+                           for i in range(0, len(ordered), cfg.batch_size)]
+                batch_order = rng.permutation(len(batches))
+                lr = cfg.lr * cfg.lr_decay ** (epoch - 1)
+                epoch_total = 0.0
+                for bi in batch_order:
+                    batch = batches[bi]
+                    loss, g = nll_loss(params, batch)
+                    epoch_total += loss * len(batch)
+                    g = clip_gradients(g, cfg.clip_norm)
+                    for name, tensor in params.tensors.items():
+                        if accum is not None:
+                            accum[name] += g[name] * g[name]
+                            tensor -= lr * g[name] / (np.sqrt(accum[name]) + 1e-8)
+                        else:
+                            tensor -= lr * g[name]
+                v_sent, v_tok = valid_nll(params, valid)
+                if not math.isfinite(v_sent):
+                    raise DivergenceError(f"non-finite validation NLL {v_sent!r} "
+                                          f"after epoch {epoch}")
+                trace.append(TraceRow(epoch, epoch_total / len(dataset), v_sent, v_tok))
+                if v_sent < best_valid:
+                    best_valid = v_sent
+                    best_params = params.copy()
+                    bad_epochs = 0
                 else:
-                    tensor -= lr * g[name]
-        v_sent, v_tok = valid_nll(params, valid)
-        if not math.isfinite(v_sent):
-            raise DivergenceError(f"non-finite validation NLL {v_sent!r} after epoch {epoch}")
-        trace.append(TraceRow(epoch, epoch_total / len(dataset), v_sent, v_tok))
-        if v_sent < best_valid:
-            best_valid = v_sent
-            best_params = params.copy()
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-        if cfg.stop_below_token_nll is not None and v_tok < cfg.stop_below_token_nll:
-            break
-        if bad_epochs > cfg.patience:
-            break
+                    bad_epochs += 1
+                if cfg.stop_below_token_nll is not None and v_tok < cfg.stop_below_token_nll:
+                    break
+                if bad_epochs > cfg.patience:
+                    break
+    except FloatingPointError as e:
+        raise DivergenceError(f"{e} in epoch {epoch}") from None
     return best_params, trace
 
 

@@ -9,8 +9,8 @@ works inside DIR, an empty scratch directory, where it writes the models,
 vocabulary, input and specs.
 
 Every example must exit 0, exit 1 with exactly one `error:` line, or exit 2
-where argparse refuses a value. A run that exits 0 raises no RuntimeWarning,
-and each line a decode prints is JSON without NaN or Infinity. An experiment
+where argparse refuses a value. No run raises a RuntimeWarning, and each
+line a decode prints is JSON without NaN or Infinity. An experiment
 exits 0 even when a cell fails; the only failure it may report is an exact
 search refused as too large. A huge `max_len` is drawn only with the
 EOS-first model (zero readout weights, a large EOS bias), so its decodes
@@ -83,14 +83,14 @@ def no_constant(name):
 
 def check(argv) -> int:
     code, out, lines, raised = run(argv)
+    overflows = [str(w.message) for w in raised if issubclass(w.category, RuntimeWarning)]
+    assert not overflows, (argv, code, overflows)
     if code == 1:
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
     elif code == 2:
         assert lines and ": error: argument --" in lines[-1], (argv, lines)
     else:
         assert code == 0, (argv, code, lines)
-        overflows = [str(w.message) for w in raised if issubclass(w.category, RuntimeWarning)]
-        assert not overflows, (argv, overflows)
         failed = [line for line in lines if line.startswith("warning: cell")]
         assert all("SearchSpaceError" in line for line in failed), (argv, lines)
         if argv[0] in ("decode", "score"):
@@ -137,6 +137,7 @@ def decode_flags(cell):
 @SETTINGS
 @given(cells(), st.none() | SEEDS)
 @example(("exact", "plain.bin", {"max_len": 10**12}), None)
+@example(("npad", "plain.bin", {"chains": 3, "sigma0": 10**400, "seed": 1}), None)
 def experiment_fields(cell, seed_flag):
     strategy, model, fields = cell
     cell_fields = {k: v for k, v in fields.items() if k not in ("max_len", "seed")}

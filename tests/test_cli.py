@@ -9,8 +9,10 @@ import pytest
 import npad
 from npad.cli import main
 from npad.decode import force_score
+from npad.evaluate import Cell
 from npad.model import BoundModel
 from npad.serialize import load_model, load_pairs, load_vocab
+from npad.tasks import ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -253,16 +255,16 @@ def test_empty_training_or_validation_set_exit_1(workspace, capsys, empty):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")      # numpy's overflow warnings
 def test_training_divergence_exit_1(workspace, capsys):
+    # the overflow is the one error line; numpy's warnings printed before it
     d = workspace["data"]
     out = workspace["root"] / "diverged.bin"
     assert main(["train", "--input", f"{d}/train.tsv", "--valid", f"{d}/valid.tsv",
                  "--vocab-src", f"{d}/vocab_src.txt", "--vocab-tgt", f"{d}/vocab_tgt.txt",
                  "--model", str(out), "--lr", "1e300", "--plain-sgd", "--epochs", "1",
                  "--seed", "5"]) == 1
-    assert capsys.readouterr().err.splitlines()[-1] == \
-        "error: training diverged: non-finite loss nan"
+    assert capsys.readouterr().err.splitlines() == \
+        ["error: training diverged: overflow encountered in matmul in epoch 1"]
     assert not out.exists()
 
 
@@ -323,21 +325,28 @@ def test_malformed_text_files_exit_1(workspace, capsys):
 
 def test_malformed_spec_exit_1(workspace, capsys):
     # a spec that is not an object, or has a field of the wrong type, ends in a
-    # config error before anything runs, not in a traceback or failed cells
-    bodies = [[], {"cells": {}}, {"cells": ["greedy"]}, {"base_seed": "x"},
-              {"max_len": "7"}, {"cells": [{"strategy": "beam", "beam_width": "3"}]},
-              {"cells": [{"strategy": "npad", "chains": 2.5, "sigma0": 0.3}]},
-              {"cells": [{"strategy": "npad", "chains": 2, "sigma0": "0.3"}]}]
+    # config error before anything runs, not in a traceback or failed cells;
+    # a bad cell's error names the file and the cell
+    bodies = [[], {"cells": {}}, {"cells": ["greedy"]}, {"base_seed": "x"}, {"max_len": "7"}]
+    bad_cells = [{"strategy": "beam", "beam_width": "3"},
+                 {"strategy": "npad", "chains": 2.5, "sigma0": 0.3},
+                 {"strategy": "npad", "chains": 2, "sigma0": "0.3"},
+                 {"strategy": "npad", "sigma0": 0.3},
+                 {"strategy": "npad", "chains": 2, "sigma0": 10**400}]
     with open(_write_spec(workspace, "good.json", [{"strategy": "greedy"}])) as f:
         good = json.load(f)
-    for i, body in enumerate(bodies):
+    for i, body in enumerate(bodies + [{"cells": [cell]} for cell in bad_cells]):
         path = workspace["root"] / f"bad{i}.json"
         path.write_text(json.dumps(dict(good, **body) if isinstance(body, dict) else body))
         out = str(workspace["root"] / f"bad{i}.csv")
         rc = main(["experiment", "--spec", str(path), "--output", out])
-        err = capsys.readouterr().err
+        lines = capsys.readouterr().err.splitlines()
         assert rc == 1, body
-        assert "error: config:" in err and "Traceback" not in err
+        assert len(lines) == 1 and lines[0].startswith(f"error: config: {path}: "), (body, lines)
+        if i >= len(bodies):                  # the cell's own error, as Cell words it
+            with pytest.raises(ConfigError) as e:
+                Cell(**bad_cells[i - len(bodies)])
+            assert lines[0] == f"error: config: {path}: cell 0: {e.value}"
         assert not os.path.exists(out)
 
 
@@ -443,9 +452,9 @@ def test_report_round_trip_counts_and_grouping(workspace, capsys):
     lines = [l for l in out.strip().split("\n") if l and not set(l) <= {"-", " "}]
     assert len(lines) == 1 + 3                       # header + one row per cell
     assert "NLL↓" in lines[0] and "BLEU↑" in lines[0]
-    npad_rows = [l for l in lines if l.startswith("npad")]
-    assert len(npad_rows) == 2
-    assert npad_rows[0].index("0.1") < npad_rows[1].index("0.3") or "0.1" in npad_rows[0]
+    rows = [l.split() for l in lines[1:]]
+    assert [row[0] for row in rows] == ["greedy", "npad", "npad"]
+    assert [row[1] for row in rows[1:]] == ["0.1", "0.3"]   # sigma0: the width is blank
 
 
 def test_report_header_only(workspace, capsys, tmp_path):

@@ -289,7 +289,10 @@ class TestRunCells:
         import io
 
         params, data, pairs = toy_setup
-        cells = [Cell(strategy="greedy"), Cell(strategy="npad", sigma0=0.1, chains=2)]
+        # the last cell is the npad cell in numpy numbers, which were written
+        # as their repr, np.float64(0.1), a cell `npad report` cannot read
+        cells = [Cell(strategy="greedy"), Cell(strategy="npad", sigma0=0.1, chains=2),
+                 Cell(strategy="npad", sigma0=np.float64(0.1), chains=np.int64(2))]
         results = run_cells(params, pairs, cells, base_seed=3)
         one, two = io.StringIO(), io.StringIO()
         write_results_csv(one, results)
@@ -297,8 +300,9 @@ class TestRunCells:
         assert one.getvalue() == two.getvalue()
         header, *rows = one.getvalue().strip().split("\n")
         assert header == "strategy,beam_width,sigma0,chains,eta,mean_nll,mean_nll_per_token,bleu"
-        assert len(rows) == 2
+        assert len(rows) == 3
         assert rows[0].startswith("greedy,,,,,")
+        assert rows[1].startswith("npad,,0.1,2,,") and rows[2] == rows[1]
 
 
 class TestSpecFiles:
@@ -391,6 +395,15 @@ class TestSpecFiles:
         except ConfigError:
             pass
 
+    def test_unreadable_json_rejected(self, tmp_path):
+        # each ended in a traceback: a RecursionError, and a ValueError from
+        # an integer of more digits than int() reads
+        path = tmp_path / "spec.json"
+        for blob in ("[" * 100_000, '{"base_seed": ' + "7" * 5000 + "}"):
+            path.write_text(blob)
+            with pytest.raises(ConfigError, match="not valid JSON"):
+                load_spec(str(path))
+
     def test_invalid_cells_rejected(self):
         with pytest.raises(ConfigError):
             Cell(strategy="mystery")
@@ -468,9 +481,18 @@ class TestSpecFiles:
         ({"strategy": "npad", "chains": 2, "sigma0": True}, "sigma0 must be a number, got True"),
         ({"strategy": "diverse", "beam_width": 2, "eta": False}, "eta must be a number, got False"),
         ({"strategy": "diverse", "beam_width": 2, "eta": "0.5"}, "eta must be a number, got '0.5'"),
+        ({"strategy": "npad", "chains": 2, "sigma0": 10**400},
+         f"sigma0 must be <= 1e\\+100, got {'1' + '0' * 39}"),
+        ({"strategy": "diverse", "beam_width": 2, "eta": -10**400}, "diverse requires eta >= 0"),
+        ({"strategy": "npad", "chains": 2, "sigma0": 0.3, "include_zero_chain": "no"},
+         "zero_chain must be true or false, got 'no'"),
+        ({"strategy": "sample", "chains": 2, "include_zero_chain": 1},
+         "zero_chain must be true or false, got 1"),
     ])
     def test_bools_non_integral_counts_and_non_numbers_rejected(self, fields, message):
-        # each was accepted and failed inside the decoder, or ran as another value
+        # each was accepted and failed inside the decoder, or ran as another
+        # value; a number past the float range raised OverflowError, and a
+        # non-bool zero chain ran as its truth value
         with pytest.raises(ConfigError, match=f"^{message}$"):
             Cell(**fields)
 

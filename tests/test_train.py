@@ -330,14 +330,20 @@ class TestTrain:
             np.testing.assert_array_equal(out.tensors[name], params.tensors[name])
         assert len(trace) == 1
 
-    def test_non_finite_validation_nll_is_divergence(self):
-        # lr 1e300 overflows the weights in the first update, so the epoch's
-        # validation NLL is nan; it ended as a finished run with the initial
-        # weights kept as the best
+    def test_non_finite_validation_nll_is_divergence(self, monkeypatch):
+        # lr 1e300 overflows the next forward pass after the first update: it
+        # ended as a finished run with the initial weights kept as the best,
+        # then as numpy overflow warnings before the error; now the overflow
+        # itself is the error, under any caller's errstate
         ds, valid = self._task_splits()
         params = make_params(1, d_emb=3, d_hid=4, n_src=7, n_tgt=7)
-        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="validation"):
-            train(params, ds, valid, TrainConfig(epochs=1, lr=1e300, seed=9))
+        for outer in ("ignore", "warn"):
+            with np.errstate(all=outer), pytest.raises(
+                    DivergenceError, match="^overflow encountered in matmul in epoch 1$"):
+                train(params, ds, valid, TrainConfig(epochs=1, lr=1e300, seed=9))
+        monkeypatch.setattr(train_module, "valid_nll", lambda p, v: (float("nan"), float("nan")))
+        with pytest.raises(DivergenceError, match="validation NLL nan after epoch 1"):
+            train(params, ds, valid, TrainConfig(epochs=1, lr=0.1, seed=9))
 
     def test_same_seed_same_trace(self):
         ds, valid = self._task_splits()
