@@ -66,26 +66,21 @@ def forward_rows(params: ModelParams, pairs: list[SequencePair], keep_cache: boo
                  "enc_steps": enc_steps, "steps": steps}
 
 
-def _gru_back_rows(tensors, pre: str, dh: np.ndarray, cache):
-    """Backward through one GRU step of each row. Returns (dx, dh_prev) and
-    the gates' pre-activation gradients (dz, dr, dn), the weight gradients'
-    row factors."""
-    x, hprev, z, r, n = cache
-    dz = dh * (n - hprev)
-    dn = dh * z
-    dhp = dh * (1.0 - z)
-    dn_pre = dn * (1.0 - n * n)
-    dx = _matvec_rows(tensors[f"{pre}.Wn"].T, dn_pre)
-    tmp = _matvec_rows(tensors[f"{pre}.Un"].T, dn_pre)
-    dr = tmp * hprev
-    dhp = dhp + tmp * r
-    dz_pre = dz * z * (1.0 - z)
-    dx += _matvec_rows(tensors[f"{pre}.Wz"].T, dz_pre)
-    dhp += _matvec_rows(tensors[f"{pre}.Uz"].T, dz_pre)
-    dr_pre = dr * r * (1.0 - r)
-    dx += _matvec_rows(tensors[f"{pre}.Wr"].T, dr_pre)
-    dhp += _matvec_rows(tensors[f"{pre}.Ur"].T, dr_pre)
-    return dx, dhp, (dz_pre, dr_pre, dn_pre)
+def _gru_back_rows(stacks, dh: np.ndarray, hprev, z, r, n):
+    """Backward through one `model._gru_step`, given its `_gru_stacks`, its
+    states' gradients dh (..., B, d_hid), h_prev and gates, with its leading
+    axes. Returns (dx, dh_prev) and the gates' pre-activation gradients (dz,
+    dr, dn), the weight gradients' row factors."""
+    W, Uzr, Un = (np.swapaxes(m, -1, -2) for m in stacks[:3])
+    dn = dh * z * (1.0 - n * n)
+    tmp = (Un @ dn[..., None])[..., 0]
+    dz = dh * (n - hprev) * z * (1.0 - z)
+    dr = tmp * hprev * r * (1.0 - r)
+    D = np.stack([dz, dr, dn], axis=-3)[..., None]
+    dx = (W[..., None, :, :] @ D)[..., 0]                      # W_g^T d_g over (z, r, n)
+    du = (Uzr @ D[..., :2, :, :, :])[..., 0]                   # U_g^T d_g over (z, r)
+    dhp = dh * (1.0 - z) + tmp * r + du[..., 0, :, :] + du[..., 1, :, :]
+    return dx[..., 2, :, :] + dx[..., 0, :, :] + dx[..., 1, :, :], dhp, (dz, dr, dn)
 
 
 def _gru_terms(pre: str, x: np.ndarray, hprev: np.ndarray, r: np.ndarray, d) -> dict:
@@ -133,8 +128,7 @@ def backward_rows(params: ModelParams, cache) -> dict:
         dh = dhc[:, :d_hid] + carry
         dctx = dhc[:, d_hid:].copy()
 
-        du, dq, (z[j], dr[j], n[j]) = _gru_back_rows(
-            t, "dec", dh, (st["u"][j], q[j], z[j], r[j], n[j]))
+        du, dq, (z[j], dr[j], n[j]) = _gru_back_rows(enc.dec_gru, dh, q[j], z[j], r[j], n[j])
         du_emb[j] = du[:, :d_emb]
         dctx += du[:, d_emb:]
 
@@ -161,18 +155,19 @@ def backward_rows(params: ModelParams, cache) -> dict:
     terms.update({"init.W": (dpre0[None], A.mean(axis=1)[None]), "init.b": (dpre0[None],)})
     dA += _matvec_rows(t["init.W"].T, dpre0)[:, None, :] / L
 
-    # encoder: each direction from its last step back; enc_b ran from the right
+    # encoder: both directions as the rows of each step; step k read positions k and L-1-k
+    X, S, G, stacks = cache["enc_steps"]
+    z, r, n = (G[:, :, g] for g in range(3))               # (L, 2, B, d_hid) views
+    dr = np.empty_like(r)
+    carry = np.zeros((2, B, d_hid))
     dX = np.zeros((L, B, d_emb))
-    for pre, half in (("enc_f", slice(None, d_hid)), ("enc_b", slice(d_hid, None))):
-        x, hprev, z, r, n = cache["enc_steps"][pre]
-        dr = np.empty_like(r)
-        carry = np.zeros((B, d_hid))
-        for k in range(L - 1, -1, -1):
-            i = k if pre == "enc_f" else L - 1 - k
-            dx, carry, (z[k], dr[k], n[k]) = _gru_back_rows(
-                t, pre, dA[:, i, half] + carry, (x[k], hprev[k], z[k], r[k], n[k]))
-            dX[i] += dx
-        terms.update(_gru_terms(pre, x, hprev, r, (z, dr, n)))
+    for k in range(L - 1, -1, -1):
+        dh = np.stack([dA[:, k, :d_hid], dA[:, L - 1 - k, d_hid:]]) + carry
+        dx, carry, (z[k], dr[k], n[k]) = _gru_back_rows(stacks, dh, S[k], z[k], r[k], n[k])
+        dX[k] += dx[0]
+        dX[L - 1 - k] += dx[1]
+    for d, pre in enumerate(("enc_f", "enc_b")):
+        terms.update(_gru_terms(pre, X[d], S[:, d], r[:, d], (z[:, d], dr[:, d], n[:, d])))
     terms["src_embed"] = (cache["sources"].T, dX)
     return terms
 

@@ -299,6 +299,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     except FileNotFoundError as e:
         print(f"error: file not found: {e.filename}", file=sys.stderr)
+    except OSError as e:
+        where = e.filename2 or e.filename       # a rename's target, the path given, is second
+        print("error: file: " + (f"{where}: {e.strerror}" if where else str(e)), file=sys.stderr)
     except tuple(ERROR_LABELS) as e:
         label = next(text for kind, text in ERROR_LABELS.items() if isinstance(e, kind))
         print(f"error: {label}{e}", file=sys.stderr)

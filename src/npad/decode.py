@@ -316,8 +316,8 @@ def exact_search(model, limits: DecodeLimits | None = None) -> Hypothesis:
     for depth in range(1, limits.max_len + 1):
         H, logp = _step(model, H, prev)
         ends = scores + logp[:, eos]
-        ties = np.flatnonzero(ends == ends.max())
-        i = min(ties, key=lambda k: prefixes[k].tolist())
+        # ties go to the first prefix, the least: prefixes run parent by parent, children by token
+        i = int(np.argmax(ends))
         found.append(Hypothesis(prefixes[i].tolist() + [eos], float(ends[i]), True))
         if depth == limits.max_len:
             break

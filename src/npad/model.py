@@ -206,9 +206,9 @@ def encode_rows(params: ModelParams, sources):
     the one-vector-per-step encoder on source b.
 
     Returns the sources stacked into one EncodedSource ((B, L, ...) arrays)
-    and, for backpropagation, each direction's step inputs and gates
-    (x, h_prev, z, r, n), (L, B, ...) arrays whose axis 0 runs in the order
-    the steps ran.
+    and, for backpropagation, the arrays the steps ran on, in their order:
+    the inputs (2, L, B, d_emb), the states before each step (L, 2, B,
+    d_hid), the gates z, r, n (L, 2, 3, B, d_hid) and the `_gru_stacks`.
     """
     src = _vocab_indices(sources, params.dims.n_src, "src")
     if src.ndim != 2 or src.size == 0:
@@ -216,8 +216,8 @@ def encode_rows(params: ModelParams, sources):
     t = params.tensors
     B, L = src.shape
     d_hid = params.dims.d_hid
-    dirs = ("enc_f", "enc_b")                                 # direction 0 forward, 1 backward
-    W, *gru = (np.array(s) for s in zip(*(_gru_stacks(t, pre) for pre in dirs)))   # (2, ...)
+    stacks = tuple(np.array(s) for s in zip(_gru_stacks(t, "enc_f"), _gru_stacks(t, "enc_b")))
+    W, *gru = stacks                                  # (2, ...): direction 0 forward, 1 backward
     X = t["src_embed"][src.T]                                 # (L, B, d_emb)
     Xd = np.stack([X, X[::-1]])                               # direction d's input at its step k
     # one gemv per gate, never one [Wz; Wr; Wn] product, which changes bits
@@ -230,9 +230,7 @@ def encode_rows(params: ModelParams, sources):
     ann[:, :, :d_hid] = S[1:, 0].transpose(1, 0, 2)
     ann[:, :, d_hid:] = S[:0:-1, 1].transpose(1, 0, 2)        # the backward direction ran from the right
     enc = EncodedSource(ann, ann @ t["att.Wk"].T + t["att.b"], _gru_stacks(t, "dec"))
-    steps = {pre: (Xd[d], S[:-1, d], G[:, d, 0], G[:, d, 1], G[:, d, 2])
-             for d, pre in enumerate(dirs)}
-    return enc, steps
+    return enc, (Xd, S[:-1], G, stacks)
 
 
 def initial_rows(params: ModelParams, annotations: np.ndarray) -> np.ndarray:

@@ -146,7 +146,7 @@ def train(params: ModelParams, dataset: list[SequencePair],
                 batches = [ordered[i:i + cfg.batch_size]
                            for i in range(0, len(ordered), cfg.batch_size)]
                 batch_order = rng.permutation(len(batches))
-                lr = cfg.lr * cfg.lr_decay ** (epoch - 1)
+                lr = cfg.lr * np.float64(cfg.lr_decay) ** (epoch - 1)
                 epoch_total = 0.0
                 for bi in batch_order:
                     batch = batches[bi]

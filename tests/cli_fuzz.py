@@ -186,11 +186,12 @@ def gen_data_flags(task, vocab_size, fields, seed):
 @SETTINGS
 @given(st.dictionaries(st.sampled_from(["d-emb", "d-hid", "batch-size"]),
                        SMALL | st.sampled_from([2000, 10**5, 10**7]) | HUGE),
-       st.dictionaries(st.sampled_from(["lr", "clip-norm", "stop-below"]), FLOATS),
+       st.dictionaries(st.sampled_from(["lr", "lr-decay", "clip-norm", "stop-below"]), FLOATS),
        SMALL | HUGE)
 @example({"d-hid": 100000}, {}, 1)
 @example({"d-emb": 10**7}, {}, 1)
 @example({}, {"lr": 1e300}, 1)
+@example({}, {"lr": 0.0, "lr-decay": 1e300}, 3)
 def train_flags(sizes, rates, epochs):
     if epochs > 8:
         rates["stop-below"] = 1e300 if epochs % 2 else float("inf")

@@ -365,6 +365,32 @@ def test_unknown_flag_and_missing_file_are_distinct(workspace, capsys):
     assert "file not found" in file_err
 
 
+@pytest.mark.parametrize("probe", ["out-dir", "input", "model"])
+def test_file_errors_are_one_error_line(workspace, tmp_path, capsys, probe):
+    # FileExistsError and IsADirectoryError (the model's only at the save,
+    # after training) end in one error line naming the path, and leave no file
+    d = workspace["data"]
+    a_file, a_dir = str(tmp_path / "a_file"), str(tmp_path / "a_dir")
+    open(a_file, "w").close()
+    os.mkdir(a_dir)
+    train = {"--input": f"{d}/train.tsv", "--valid": f"{d}/valid.tsv",
+             "--vocab-src": f"{d}/vocab_src.txt", "--vocab-tgt": f"{d}/vocab_tgt.txt",
+             "--model": str(tmp_path / "m.bin"), "--d-emb": "2", "--d-hid": "2",
+             "--epochs": "1", "--seed": "5"}
+    if probe == "out-dir":
+        argv = ["gen-data", "--task", "copy", "--vocab-size", "4", "--train-count", "3",
+                "--seed", "1", "--out-dir", a_file]
+        reason = "File exists"
+    else:
+        argv = ["train"] + [x for flag in {**train, f"--{probe}": a_dir}.items() for x in flag]
+        reason = "Is a directory"
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: file: {a_file if probe == 'out-dir' else a_dir}: {reason}"]
+    assert sorted(os.listdir(tmp_path)) == ["a_dir", "a_file"]
+    assert os.listdir(a_dir) == []
+
+
 def test_score_jsonl(workspace, capsys):
     d = workspace["data"]
     rc = main(["score", "--model", workspace["model"],

@@ -521,6 +521,20 @@ class TestExact:
         best, completed = beam_search(model, 3, limits=limits)
         assert best == hyp and [eos] in [h.tokens for h in completed]
 
+    @pytest.mark.parametrize("rows, best", [
+        ({(1, 0): [0, 0, 1, 0], (1, 3): [0, 0, 1, 0]}, [0]),
+        ({(1, 0): [0, 0, 0, 1], (1, 3): [1, 0, 0, 0], (2, 0): [0, 0, 1, 0],
+          (2, 3): [0, 0, 1, 0]}, [0, 3])])
+    def test_equal_scores_within_one_depth_break_lexicographically(self, rows, best):
+        # [0, EOS] ties [3, EOS], and [0, 3, EOS] ties [3, 0, EOS], at log 0.5:
+        # the lexicographically smaller one wins, not the later one
+        eos = TableModel.eos
+        model = TableModel({(0, TableModel.bos): [0.5, 0.0, 0.0, 0.5], **rows}, n_tokens=4)
+        limits = DecodeLimits(3)
+        hyp = exact_search(model, limits)
+        assert hyp.tokens == best + [eos] and hyp.logp == np.log(0.5)
+        assert beam_search(model, 4, limits=limits)[0] == hyp
+
     def test_refuses_huge_spaces(self, tiny_params):
         with pytest.raises(SearchSpaceError):
             exact_search(BoundModel(tiny_params, [3]), DecodeLimits(15))

@@ -153,7 +153,7 @@ def test_encode_rows_bitwise_equal_per_vector_encoder(batch):
             for gate in "zrn":
                 params.tensors[f"{pre}.b{gate}"][:] = rng.uniform_vec(d_hid, -0.3, 0.3)
         sources = rng.integers(3, 35, size=(batch, length))
-        enc, steps = encode_rows(params, sources)
+        enc, (X, S, G, _) = encode_rows(params, sources)
         for b, source in enumerate(sources):
             ref, caches = encode_with_cache(params, source)
             alone = encode_one(params, source)
@@ -161,11 +161,12 @@ def test_encode_rows_bitwise_equal_per_vector_encoder(batch):
                 assert np.array_equal(got, ref.annotations[0])
             for got in (enc.att_keys[b], alone.att_keys[0]):
                 assert np.array_equal(got, ref.att_keys[0])
-            for pre, ran in (("enc_f", caches["f_caches"]), ("enc_b", caches["b_caches"])):
-                assert all(array.shape[:2] == (length, batch) for array in steps[pre])
+            for d, ran in enumerate((caches["f_caches"], caches["b_caches"])):
+                steps = (X[d], S[:, d], G[:, d, 0], G[:, d, 1], G[:, d, 2])
+                assert all(array.shape[:2] == (length, batch) for array in steps)
                 for k, cache in enumerate(ran):   # caches in the order the steps ran
-                    for name, got, want in zip("x h_prev z r n".split(), steps[pre], cache):
-                        assert np.array_equal(got[k, b], want), f"d_hid {d_hid} {pre} {k} {name}"
+                    for name, got, want in zip("x h_prev z r n".split(), steps, cache):
+                        assert np.array_equal(got[k, b], want), f"d_hid {d_hid} dir {d} {k} {name}"
 
 
 class TestAttention:

@@ -345,6 +345,14 @@ class TestTrain:
         with pytest.raises(DivergenceError, match="validation NLL nan after epoch 1"):
             train(params, ds, valid, TrainConfig(epochs=1, lr=0.1, seed=9))
 
+    def test_overflowing_lr_decay_is_divergence(self):
+        # with lr 0 the weights never move; the rate itself, 1e300 ** 2 in
+        # epoch 3, overflows, and that is divergence, not an OverflowError
+        ds, valid = self._task_splits()
+        params = make_params(1, d_emb=3, d_hid=4, n_src=7, n_tgt=7)
+        with pytest.raises(DivergenceError, match="^overflow encountered in scalar power in epoch 3$"):
+            train(params, ds, valid, TrainConfig(epochs=3, lr=0.0, lr_decay=1e300, seed=9))
+
     def test_same_seed_same_trace(self):
         ds, valid = self._task_splits()
         params = make_params(2, d_emb=3, d_hid=4, n_src=7, n_tgt=7)
