@@ -148,7 +148,23 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _check_output(path: str) -> None:
+    """Refuse, before any work, an output path the save would fail on: a
+    directory, or a path whose directory does not exist."""
+    import errno
+    import os
+
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), parent)
+
+
 def cmd_train(args) -> int:
+    for path in (args.model, args.trace):
+        if path:
+            _check_output(path)
     src_vocab = load_vocab(args.vocab_src)
     tgt_vocab = load_vocab(args.vocab_tgt)
     dataset = load_pairs(args.input, src_vocab, tgt_vocab)

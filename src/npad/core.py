@@ -165,8 +165,10 @@ class RngStream:
     def uniform_vec(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape)
 
-    def normal_vec(self, dim: int) -> np.ndarray:
-        return self._gen.standard_normal(dim)
+    def normal_vec(self, shape, out: np.ndarray | None = None) -> np.ndarray:
+        """Standard normals of `shape`, drawn into `out` (a C-contiguous float64
+        array of that shape) when it is given: the same draws either way."""
+        return self._gen.standard_normal(shape, out=out)
 
     def integers(self, low: int, high: int, size=None):
         """Uniform integers in [low, high)."""
@@ -182,22 +184,24 @@ class RngStream:
 def softmax(x: np.ndarray) -> np.ndarray:
     """Stable softmax along the last axis (max-subtraction): each row is
     positive and sums to 1. Unchecked; the callers pass finite floats."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=e)
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
     """Stable log-softmax along the last axis; exp of the result matches softmax()."""
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    total = np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    return np.subtract(shifted, total, out=shifted)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function: 1 / (1 + e^-x) for x >= 0 and
-    e^x / (1 + e^x) below, both from one exp(-|x|)."""
+    e^x / (1 + e^x) below, both from one exp(-|x|): the numerator is
+    max(e, 1) = 1 where x >= 0 (there e <= 1) and max(e, 0) = e below."""
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def gaussian_vec(rng: RngStream, dim: int, sigma: float) -> np.ndarray:

@@ -8,7 +8,6 @@ worker parallelism cannot change any result.
 from __future__ import annotations
 
 import json
-import multiprocessing as mp
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -221,6 +220,8 @@ def decode_corpus(params, sources, references, cell: Cell, base_seed: int,
            "base_seed": base_seed, "max_len": max_len, "keep_chains": keep_chains}
     workers = min(workers, n, len(os.sched_getaffinity(0)))
     if workers > 1:
+        import multiprocessing as mp    # only a pool needs it: `import npad` stays without it
+
         with mp.get_context("fork").Pool(workers, _init_worker, (ctx,)) as pool:
             outcomes = list(pool.imap(_decode_item, range(n), chunksize=-(-n // (4 * workers))))
     else:
@@ -230,6 +231,15 @@ def decode_corpus(params, sources, references, cell: Cell, base_seed: int,
         ref = tuple(references[i]) if references is not None else ()
         records.append(EvalRecord(i, cell.strategy, tokens, logp, ref, complete, chains))
     return records
+
+
+def __getattr__(name: str):
+    """`evaluate.mp`, the multiprocessing module `decode_corpus` imports for its
+    pool, imported on first use like there (PEP 562)."""
+    if name == "mp":
+        import multiprocessing
+        return multiprocessing
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass

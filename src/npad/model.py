@@ -194,9 +194,21 @@ def _gru_step(wx, h, Uzr, Un, bzr, bn):
     """One GRU step (docs/model.md) of states h (..., B, d_hid) from the gates'
     input products wx (..., 3, B, d_hid) and `_gru_stacks`'s U and b, with
     h's leading axes: returns (h', zr, n), z and r stacked in zr."""
-    zr = sigmoid(wx[..., :2, :, :] + (Uzr @ h[..., None, :, :, None])[..., 0] + bzr)
-    n = np.tanh(wx[..., 2, :, :] + (Un @ (zr[..., 1, :, :] * h)[..., None])[..., 0] + bn)
-    return (1.0 - zr[..., 0, :, :]) * h + zr[..., 0, :, :] * n, zr, n
+    # each sum Wx + Uh + b runs in the gemv output's buffer: (Uh + Wx) + b is
+    # bitwise (Wx + Uh) + b, since IEEE addition commutes exactly
+    a = (Uzr @ h[..., None, :, :, None])[..., 0]
+    a += wx[..., :2, :, :]
+    a += bzr
+    zr = sigmoid(a)
+    n = (Un @ (zr[..., 1, :, :] * h)[..., None])[..., 0]
+    n += wx[..., 2, :, :]
+    n += bn
+    np.tanh(n, out=n)
+    z = zr[..., 0, :, :]
+    h_new = 1.0 - z
+    h_new *= h
+    h_new += z * n
+    return h_new, zr, n
 
 
 def encode_rows(params: ModelParams, sources):
@@ -255,7 +267,8 @@ def _attend_rows(params: ModelParams, enc: EncodedSource, Q: np.ndarray):
     """Additive attention of each query row of Q (B, d_hid) over the
     annotations: (M (B, L, d_hid) pre-activations, alpha (B, L), context C (B, 2*d_hid))."""
     t = params.tensors
-    M = np.tanh(enc.att_keys + Q[:, None, :] @ t["att.Wq"].T)
+    M = np.add(enc.att_keys, Q[:, None, :] @ t["att.Wq"].T)
+    np.tanh(M, out=M)
     alpha = softmax(M @ t["att.v"])
     C = (np.swapaxes(enc.annotations, -1, -2) @ alpha[:, :, None])[:, :, 0]
     return M, alpha, C
@@ -296,7 +309,8 @@ def step_rows(params: ModelParams, enc: EncodedSource, H: np.ndarray, prev: np.n
     W, *gru = enc.dec_gru
     Hn, zr, n = _gru_step((W[:, None] @ U[:, :, None])[..., 0], Q, *gru)
     HC = np.concatenate([Hn, C], axis=1)
-    logits = _matvec_rows(t["out.W"], HC) + t["out.b"]
+    logits = _matvec_rows(t["out.W"], HC)
+    logits += t["out.b"]
     cache = {"q": Q, "M": M, "alpha": alpha, "context": C, "u": U, "z": zr[0], "r": zr[1], "n": n,
              "hc": HC}
     return Hn, log_softmax(logits), cache

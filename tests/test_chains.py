@@ -68,8 +68,8 @@ class TestChainNoise:
         # greedy chain's one replay row per step gets a zero row.
         draws = []
         normal_vec = RngStream.normal_vec
-        monkeypatch.setattr(RngStream, "normal_vec",
-                            lambda rng, shape: draws.append(shape) or normal_vec(rng, shape))
+        monkeypatch.setattr(RngStream, "normal_vec", lambda rng, shape, out=None:
+                            draws.append(shape) or normal_vec(rng, shape, out))
         for inner, width, rows in (("greedy", 1, 5), ("beam", 2, 1 + 2 * 4)):
             cfg = cfg_for(3, 0.7, inner=inner, width=width)
             for m in (1, 2):
@@ -87,8 +87,8 @@ class TestChainNoise:
     def test_zero_chain_gets_no_noise_and_draws_nothing(self, monkeypatch):
         draws = []
         normal_vec = RngStream.normal_vec
-        monkeypatch.setattr(RngStream, "normal_vec",
-                            lambda rng, shape: draws.append(shape) or normal_vec(rng, shape))
+        monkeypatch.setattr(RngStream, "normal_vec", lambda rng, shape, out=None:
+                            draws.append(shape) or normal_vec(rng, shape, out))
         for inner, width in (("greedy", 1), ("beam", 2)):
             model = RecordingModel({}, default=[0.5, 0.5, 0.0], state_dim=3)
             [r] = run_chains(model, cfg_for(4, 0.4, inner=inner, width=width), SEED, [0], LIMITS)
@@ -111,8 +111,8 @@ class TestChainNoise:
         # and under zero_chain chain 0 samples without noise and draws nothing
         draws = []
         normal_vec = RngStream.normal_vec
-        monkeypatch.setattr(RngStream, "normal_vec",
-                            lambda rng, shape: draws.append(shape) or normal_vec(rng, shape))
+        monkeypatch.setattr(RngStream, "normal_vec", lambda rng, shape, out=None:
+                            draws.append(shape) or normal_vec(rng, shape, out))
         model = RecordingModel({}, default=[0.5, 0.5, 0.0], state_dim=4)
         results = run_chains(model, cfg_for(3, 0.7, inner="sample"), SEED, range(3),
                              DecodeLimits(5))
@@ -130,6 +130,20 @@ class TestChainNoise:
         for r in results:
             u = RngStream(derive_seed(derive_seed(SEED, r.chain_index), 1)).uniform_vec(5)
             assert r.hypothesis.tokens == [int(x >= 0.5) for x in u]
+
+    def test_output_one_token_longer_than_its_source_draws_once(self, monkeypatch):
+        # a chain's first block holds the rows of an output one token longer
+        # than its source: a 21-token greedy output of a 20-token source draws
+        # its 21 rows in one call, not 16 and then 16 more
+        draws = []
+        normal_vec = RngStream.normal_vec
+        monkeypatch.setattr(RngStream, "normal_vec", lambda rng, shape, out=None:
+                            draws.append(shape) or normal_vec(rng, shape, out))
+        model = RecordingModel({(20, 0): [0.0, 0.0, 1.0]}, default=[1.0, 0.0, 0.0], state_dim=4)
+        model.source_len = 20
+        [r] = run_chains(model, cfg_for(2, 0.5), SEED, [1], DecodeLimits(100))
+        assert r.hypothesis.tokens == [0] * 20 + [2] and r.hypothesis.complete
+        assert draws == [(21, 4)]
 
     def test_chains_share_each_step(self):
         # every live hypothesis of every chain is a row of one step: a 6-chain

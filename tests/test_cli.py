@@ -367,8 +367,8 @@ def test_unknown_flag_and_missing_file_are_distinct(workspace, capsys):
 
 @pytest.mark.parametrize("probe", ["out-dir", "input", "model"])
 def test_file_errors_are_one_error_line(workspace, tmp_path, capsys, probe):
-    # FileExistsError and IsADirectoryError (the model's only at the save,
-    # after training) end in one error line naming the path, and leave no file
+    # FileExistsError and IsADirectoryError (the model's before training, see
+    # below) end in one error line naming the path, and leave no file
     d = workspace["data"]
     a_file, a_dir = str(tmp_path / "a_file"), str(tmp_path / "a_dir")
     open(a_file, "w").close()
@@ -389,6 +389,29 @@ def test_file_errors_are_one_error_line(workspace, tmp_path, capsys, probe):
     assert lines == [f"error: file: {a_file if probe == 'out-dir' else a_dir}: {reason}"]
     assert sorted(os.listdir(tmp_path)) == ["a_dir", "a_file"]
     assert os.listdir(a_dir) == []
+
+
+@pytest.mark.parametrize("flag", ["--model", "--trace"])
+@pytest.mark.parametrize("bad", ["a_dir", "missing/out"])
+def test_train_refuses_an_unwritable_output_before_training(workspace, tmp_path, capsys,
+                                                            monkeypatch, flag, bad):
+    # a directory, or a path in a directory that does not exist, is refused
+    # at once: train() never runs and nothing is written
+    monkeypatch.setattr("npad.cli.train", lambda *args: pytest.fail("train() was called"))
+    d = workspace["data"]
+    os.mkdir(tmp_path / "a_dir")
+    outputs = {"--model": str(tmp_path / "m.bin"), "--trace": str(tmp_path / "t.csv"),
+               flag: str(tmp_path / bad)}
+    argv = ["train", "--input", f"{d}/train.tsv", "--valid", f"{d}/valid.tsv",
+            "--vocab-src", f"{d}/vocab_src.txt", "--vocab-tgt", f"{d}/vocab_tgt.txt",
+            "--d-emb", "2", "--d-hid", "2", "--epochs", "1", "--seed", "5"]
+    assert main(argv + [x for item in outputs.items() for x in item]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    if bad == "a_dir":
+        assert lines == [f"error: file: {tmp_path / 'a_dir'}: Is a directory"]
+    else:
+        assert lines == [f"error: file not found: {tmp_path / 'missing'}"]
+    assert sorted(os.listdir(tmp_path)) == ["a_dir"] and os.listdir(tmp_path / "a_dir") == []
 
 
 def test_score_jsonl(workspace, capsys):

@@ -83,6 +83,27 @@ def test_sigmoid_matches_reference():
     assert out[3] == pytest.approx(1.0 / (1.0 + math.exp(-5.0)), rel=1e-15)
 
 
+def test_sigmoid_is_bitwise_the_where_form():
+    # the numerator max(e, x >= 0) is np.where(x >= 0, 1.0, e) for every x:
+    # e <= 1 where x >= 0, e >= 0 below, and a NaN propagates through both
+    edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308, -1e308,
+             745.2, -745.2]
+    x = np.concatenate([edges, RngStream(8).normal_vec(100_000) * 40.0])
+    e = np.exp(-np.abs(x))
+    assert sigmoid(x).tobytes() == (np.where(x >= 0, 1.0, e) / (1.0 + e)).tobytes()
+
+
+def test_helpers_leave_their_input_unchanged():
+    # softmax and log_softmax write their last operation into an array they
+    # made: no helper writes into its input
+    x = RngStream(4).normal_vec((6, 9)) * 5.0
+    saved = x.tobytes()
+    for fn in (softmax, log_softmax, sigmoid):
+        fn(x)
+        fn(x[0])
+        assert x.tobytes() == saved
+
+
 class TestGaussianVec:
     def test_sigma_zero_is_exact_zero(self):
         out = gaussian_vec(RngStream(3), 4, 0.0)

@@ -1,5 +1,7 @@
 import ast
 import os
+import subprocess
+import sys
 
 PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "npad")
 
@@ -37,3 +39,12 @@ def test_relative_import_graph_is_acyclic():
     for module in sorted(graph):
         visit(module)
     assert graph["model"] and "decode" in graph["chains"]      # the walk sees the imports
+
+
+def test_import_npad_leaves_multiprocessing_unloaded():
+    # only a decode with a pool of workers imports multiprocessing
+    code = "import sys, npad; print('multiprocessing' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.path.dirname(PACKAGE)}, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False"]

@@ -18,7 +18,9 @@ from npad.model import (
     encode_rows,
     init_params,
     initial_rows,
+    _attend_rows,
     _gru_stacks,
+    _gru_step,
     step_rows,
 )
 from npad.backprop import forward_rows
@@ -429,3 +431,36 @@ def test_step_reads_weights_changed_in_place_after_a_new_bind():
         _, (_, _, z, r, n) = _gru_fwd(t, "dec", steps["u"][0, 0], steps["q"][0, 0])
         for got, want in zip((steps["z"], steps["r"], steps["n"]), (z, r, n)):
             assert np.array_equal(got[0, 0], want), name
+
+
+def test_kernels_leave_every_input_unchanged():
+    # the step's sums and activations run in place, but only in buffers the
+    # kernel allocated itself: every array passed in (states, tokens, noise,
+    # the encoding, the GRU stacks, the encoder's input products and states)
+    # and every weight keeps its bits
+    params = make_params(3, d_emb=4, d_hid=5, n_src=35, n_tgt=35, scale=0.3)
+    rng = RngStream(3)
+    random_biases(params, rng)
+    sources = rng.integers(3, 35, size=(2, 6))
+    enc, (Xd, S, G, stacks) = encode_rows(params, sources)
+    H = rng.uniform_vec((4, 5), -1.0, 1.0)
+    prev = rng.integers(0, 35, size=4)
+    noise = rng.uniform_vec((4, 5), -0.3, 0.3)
+    W, *gru = stacks
+    WX = (W[:, :, None, None] @ Xd[:, None, ..., None])[..., 0]
+    one = EncodedSource(enc.annotations[:1], enc.att_keys[:1], enc.dec_gru)
+    wx = (one.dec_gru[0][:, None] @ rng.uniform_vec((4, 14), -1.0, 1.0)[:, :, None])[..., 0]
+    inputs = [H, prev, noise, enc.annotations, enc.att_keys, *enc.dec_gru, WX, S, *stacks, wx,
+              *params.tensors.values()]
+    saved = [a.tobytes() for a in inputs]
+    step_rows(params, one, H, prev, noise)
+    step_rows(params, one, H, prev)
+    _attend_rows(params, one, H)
+    _gru_step(wx, H, *one.dec_gru[1:])
+    for k in range(S.shape[0]):
+        h, zr, n = _gru_step(WX[:, :, k], S[k], *gru)
+        assert np.array_equal(zr, G[k, :, :2]) and np.array_equal(n, G[k, :, 2])
+        if k + 1 < S.shape[0]:
+            assert np.array_equal(h, S[k + 1])
+    encode_rows(params, sources)
+    assert [a.tobytes() for a in inputs] == saved
