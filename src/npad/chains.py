@@ -55,13 +55,24 @@ def _streams(seed: int, chains, which: int) -> list[RngStream]:
     return RngStream.many(derive_seeds(derive_seeds(seed, np.asarray(chains)), which))
 
 
-def _grown(table, need: int, first: int, cap: int, live, draw):
+def _blocks(width: int, source_len: int, max_len: int) -> tuple[int, int]:
+    """A chain's drawn rows as (first block, cap). A chain of beam `width`
+    has one row at step 1 and at most `width` rows after it: at most
+    `1 + (max_len - 1) * width` in all, and `1 + source_len * width` for an
+    output one token longer than its source, which sizes the first block
+    (at least 16)."""
+    return max(16, 1 + source_len * width), 1 + (max_len - 1) * width
+
+
+def _grown(table, need: int, blocks: tuple[int, int], live, draw):
     """`table` (chains, rows, ...) widened to hold `need` rows per chain: its
-    rows start at `first` and double, at least `need` and at most `cap`. The
-    grown table is allocated once, and each chain in `live` draws all its new
-    rows straight into them with one `draw(i, out)` call; the others' new
-    rows stay zero. Successive draws from one stream equal one draw of their
-    total, so a chain's rows do not depend on when they were drawn."""
+    rows start at the first of `blocks` (`_blocks`) and double, at least
+    `need` and at most the cap. The grown table is allocated once, and each
+    chain in `live` draws all its new rows straight into them with one
+    `draw(i, out)` call; the others' new rows stay zero. Successive draws
+    from one stream equal one draw of their total, so a chain's rows do not
+    depend on when they were drawn."""
+    first, cap = blocks
     have = table.shape[1]
     grown = np.zeros((table.shape[0], min(cap, max(need, 2 * have, first))) + table.shape[2:])
     grown[:, :have] = table
@@ -70,14 +81,12 @@ def _grown(table, need: int, first: int, cap: int, live, draw):
     return grown
 
 
-def _chain_noise(cell, seed: int, chains: list[int], draws: int, dim: int, first: int,
-                 width: int):
+def _chain_noise(cell, seed: int, chains: list[int], dim: int, blocks: tuple[int, int]):
     """The chains' noise as `search_rows` takes it, or None when no chain is
-    noisy. Each noisy chain draws at most `draws` standard normal rows of its
-    stream, in blocks as its steps need them, the first of `first` rows; at
-    step t its rows take the next ones in order, times sigma0 / t. A
-    zero-noise chain draws nothing and gets zero rows. A chain of `width` 1
-    has one row per step, so its step-t row is the t-th.
+    noisy. Each noisy chain draws standard normal rows of its stream in
+    `blocks` (`_grown`) as its steps need them; at step t its rows take the
+    next ones in order, times sigma0 / t. A zero-noise chain draws nothing
+    and gets zero rows.
     """
     sigma0 = np.array([_sigma0(cell, m) for m in chains])
     if not sigma0.any():
@@ -89,15 +98,12 @@ def _chain_noise(cell, seed: int, chains: list[int], draws: int, dim: int, first
 
     def noise(t, beams):
         nonlocal table
-        if width == 1:
-            nth, need = t - 1, t      # each live chain has had one row per step
-        else:
-            # a chain's rows are contiguous: each takes the next unused row of its chain
-            nth = used[beams] + np.arange(beams.size) - np.searchsorted(beams, beams)
-            used[:] += np.bincount(beams, minlength=len(chains))
-            need = int(nth.max()) + 1
+        # a chain's rows are contiguous: each takes the next unused row of its chain
+        nth = used[beams] + np.arange(beams.size) - np.searchsorted(beams, beams)
+        used[:] += np.bincount(beams, minlength=len(chains))
+        need = int(nth.max()) + 1
         if need > table.shape[1]:
-            table = _grown(table, need, first, draws,
+            table = _grown(table, need, blocks,
                            [i for i in np.unique(beams).tolist() if i in streams],
                            lambda i, out: streams[i].normal_vec(out.shape, out=out))
         rows = table[beams, nth]
@@ -107,17 +113,16 @@ def _chain_noise(cell, seed: int, chains: list[int], draws: int, dim: int, first
     return noise
 
 
-def _sampler(seed: int, chains: list[int], steps: int, first: int):
-    """The sampling `pick`: each chain draws at most `steps` uniforms, in
-    blocks as its steps need them, the first of `first`, and picks its
-    step-t token with the t-th."""
+def _sampler(seed: int, chains: list[int], blocks: tuple[int, int]):
+    """The sampling `pick`: each chain draws uniforms in `blocks` (`_grown`)
+    as its steps need them, and picks its step-t token with the t-th."""
     streams = _streams(seed, chains, 1)
     u = np.zeros((len(chains), 0))
 
     def pick(t, logp, beams):
         nonlocal u
         if t > u.shape[1]:
-            u = _grown(u, t, first, steps, beams.tolist(),
+            u = _grown(u, t, blocks, beams.tolist(),
                        lambda i, out: np.copyto(out, streams[i].uniform_vec(out.size)))
         return categorical_rows(np.exp(logp), u[beams, t - 1])
 
@@ -147,11 +152,8 @@ def run_chains(model, cell, seed: int, chains,
     limits = limits or default_limits(model.source_len)
     sigmas = [_sigma0(cell, m) for m in chains]
     width = cell.beam_width or 1
-    # a beam chain has one row at step 1 and at most `width` rows after it: at
-    # most `draws` in all, and `first` for an output one token longer than
-    # its source, which sizes its first block of drawn rows (at least 16)
-    draws, first = 1 + (limits.max_len - 1) * width, max(16, 1 + model.source_len * width)
-    noise = _chain_noise(cell, seed, chains, draws, model.state_dim, first, width)
+    blocks = _blocks(width, model.source_len, limits.max_len)
+    noise = _chain_noise(cell, seed, chains, model.state_dim, blocks)
     if width > 1:
         hyps = [best for best, _ in search_rows(model, len(chains), width, noise=noise,
                                                 limits=limits)]
@@ -162,8 +164,7 @@ def run_chains(model, cell, seed: int, chains,
         replays = {seq: best.logp for seq, (best, _) in zip(distinct, forced)}
         rescored = [replays[tuple(h.tokens)] if s else h.logp for h, s in zip(hyps, sigmas)]
     else:
-        sample = cell.strategy == "sample"
-        pick = _sampler(seed, chains, limits.max_len, first) if sample else greedy_pick
+        pick = _sampler(seed, chains, blocks) if cell.strategy == "sample" else greedy_pick
         found, replayed = search_rows(model, len(chains), pick=pick, noise=noise, limits=limits,
                                       replay=np.array(sigmas) > 0)
         hyps = [best for best, _ in found]

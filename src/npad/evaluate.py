@@ -233,15 +233,6 @@ def decode_corpus(params, sources, references, cell: Cell, base_seed: int,
     return records
 
 
-def __getattr__(name: str):
-    """`evaluate.mp`, the multiprocessing module `decode_corpus` imports for its
-    pool, imported on first use like there (PEP 562)."""
-    if name == "mp":
-        import multiprocessing
-        return multiprocessing
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass
 class ExperimentSpec:
     model: str

@@ -71,18 +71,18 @@ class TestNoiseSchedule:
 
     def test_inverse_t_values(self):
         cell = Cell(strategy="npad", chains=2, sigma0=0.3)
-        rows = self.one_row_per_step(_chain_noise(cell, 5, [0, 1], 7, 4, 16, 1), 2, 7)
+        rows = self.one_row_per_step(_chain_noise(cell, 5, [0, 1], 4, (16, 7)), 2, 7)
         z = self.stream(5, 1, 7, 4)
         assert np.array_equal(rows[0, 1], z[0] * 0.3)
         assert np.array_equal(rows[1, 1], z[1] * (0.3 / 2))
         assert np.allclose(rows[1, 1], z[1] * 0.15, rtol=1e-15, atol=0)
         assert not rows[:, 0].any()
         silent = Cell(strategy="npad", chains=2, sigma0=0.0, include_zero_chain=False)
-        assert _chain_noise(silent, 0, [0, 1], 7, 4, 16, 1) is None
+        assert _chain_noise(silent, 0, [0, 1], 4, (16, 7)) is None
 
     def test_strictly_decreasing(self):
         cell = Cell(strategy="npad", chains=2, sigma0=0.5)
-        rows = self.one_row_per_step(_chain_noise(cell, 9, [1], 19, 6, 16, 1), 1, 19)[:, 0]
+        rows = self.one_row_per_step(_chain_noise(cell, 9, [1], 6, (16, 19)), 1, 19)[:, 0]
         z = self.stream(9, 1, 19, 6)
         sigmas = np.linalg.norm(rows, axis=1) / np.linalg.norm(z, axis=1)
         assert np.allclose(sigmas, 0.5 / np.arange(1, 20), rtol=1e-12, atol=0)
@@ -99,7 +99,7 @@ class TestNoiseSchedule:
         # one row throughout, so at step 3 chain 1 takes stream rows 3 and 4;
         # a first block of one row makes every step grow the table
         cell = Cell(strategy="npad", chains=3, sigma0=0.7)
-        noise = _chain_noise(cell, 8, [1, 2], 12, 5, 1, 2)
+        noise = _chain_noise(cell, 8, [1, 2], 5, (1, 12))
         steps = [noise(1, np.array([0, 1])), noise(2, np.array([0, 0, 1])),
                  noise(3, np.array([0, 0, 1]))]
         z1, z2 = self.stream(8, 1, 5, 5), self.stream(8, 2, 3, 5)

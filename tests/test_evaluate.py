@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -200,7 +201,7 @@ class TestDecodeCorpus:
         class FakeContext:
             Pool = FakePool
 
-        monkeypatch.setattr(evaluate.mp, "get_context", lambda method: FakeContext)
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
         monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(evaluate, "_WORKER_CTX", None)      # restored after the test
         sources = [p.source for p in pairs[:n]]
