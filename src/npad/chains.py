@@ -24,6 +24,12 @@ one non-noisy replay row per distinct noisy prefix (`search_rows`'s
 known only when its search ends, and replaying every live beam row would
 cost about `width` times the rows, so the distinct outputs of noisy beam
 chains are rescored by one forced search after it (`decode.forced_pick`).
+
+Selection reads only the non-noisy score, which never rises (no
+log-probability is above 0). So when the caller keeps no chain results, a
+greedy or sampling chain strictly below a completed chain's score stops
+early (`search_rows`'s `prune`): `select_best` prefers completed chains and
+ties stay, so the selection keeps every bit.
 """
 from __future__ import annotations
 
@@ -129,8 +135,8 @@ def _sampler(seed: int, chains: list[int], blocks: tuple[int, int]):
     return pick
 
 
-def run_chains(model, cell, seed: int, chains,
-               limits: DecodeLimits | None = None) -> list[ChainResult]:
+def run_chains(model, cell, seed: int, chains, limits: DecodeLimits | None = None,
+               prune: bool = False) -> list[ChainResult]:
     """Run the given chains of a sample or npad `evaluate.Cell` against a
     bound model, as the searches of one `search_rows` call.
 
@@ -143,6 +149,8 @@ def run_chains(model, cell, seed: int, chains,
 
     Noisy greedy and sampling chains are rescored by their replay rows in
     the search, noisy beam chains by a forced search after it (see above).
+    With `prune`, greedy and sampling chains that cannot win stop early, and
+    their results are the prefixes they stopped at (see above).
     """
     chains = list(chains)
     count = cell.chains or 1
@@ -166,7 +174,7 @@ def run_chains(model, cell, seed: int, chains,
     else:
         pick = _sampler(seed, chains, blocks) if cell.strategy == "sample" else greedy_pick
         found, replayed = search_rows(model, len(chains), pick=pick, noise=noise, limits=limits,
-                                      replay=np.array(sigmas) > 0)
+                                      replay=np.array(sigmas) > 0, prune=prune)
         hyps = [best for best, _ in found]
         rescored = [r if s else h.logp for h, s, r in zip(hyps, sigmas, replayed.tolist())]
     return [ChainResult(m, h, h.logp, r, s) for m, h, r, s in zip(chains, hyps, rescored, sigmas)]
@@ -185,8 +193,10 @@ def select_best(results: list[ChainResult]) -> ChainResult:
     return max(pool, key=lambda r: r.rescored_logp)
 
 
-def npad_search(model, cell, seed: int, limits: DecodeLimits | None = None):
+def npad_search(model, cell, seed: int, limits: DecodeLimits | None = None,
+                keep_chains: bool = True):
     """Run every chain of a sample or npad cell against a bound model (see
-    `run_chains`); returns (best, all results)."""
-    results = run_chains(model, cell, seed, range(cell.chains or 1), limits)
-    return select_best(results), results
+    `run_chains`); returns (best, all results). Without `keep_chains` the
+    chains that can no longer win stop early, and the results are None."""
+    results = run_chains(model, cell, seed, range(cell.chains or 1), limits, not keep_chains)
+    return select_best(results), results if keep_chains else None

@@ -167,7 +167,7 @@ def _first_k(neg, k):
 
 
 def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, noise=None,
-                limits: DecodeLimits | None = None, replay=None):
+                limits: DecodeLimits | None = None, replay=None, prune: bool = False):
     """Run n independent searches together and return (best, completed) for
     each: every live row of every search is a row of one step (one
     `step_batch` call per KERNEL_ROWS rows).
@@ -195,6 +195,15 @@ def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, nois
     interact, so each is bitwise `force_score` of the search's tokens. The
     call then returns (results, replayed), replayed[s] being search s's
     total (0.0 unmarked).
+
+    `prune` (pick runs only) ends each search that can no longer be selected
+    by its non-noisy score (`chains.select_best`): its replay total if
+    marked, else its own score, neither of which rises, as no log-probability
+    is above 0. After each step's EOS filter a live search strictly below the
+    best completed one ends, its best the prefix flagged incomplete; as
+    selection prefers completed searches, it could never win. Ties and NaN
+    totals stay, so the lowest-index winner stays. Only for a caller that
+    keeps no other result.
     """
     if not is_integer(width):
         raise ContractError(f"beam width must be an integer, got {width!r}")
@@ -202,8 +211,8 @@ def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, nois
         raise ContractError(f"beam width must be >= 1, got {width}")
     if not 0 <= float(eta) <= MAX_SCALE:
         raise ContractError(f"eta must be finite, >= 0 and <= {MAX_SCALE:g}, got {eta}")
-    if replay is not None and pick is None:
-        raise ContractError("only pick searches can replay their outputs")
+    if (replay is not None or prune) and pick is None:
+        raise ContractError("only pick searches can replay or prune")
     limits = limits or default_limits(model.source_len)
     beams = np.arange(n)
     h0 = model.initial()
@@ -214,6 +223,8 @@ def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, nois
     tokens = np.zeros((n, min(limits.max_len, 64)), dtype=np.int64)
     k_live = np.full(n, width)
     completed: list[list[Hypothesis]] = [[] for _ in range(n)]
+    live: list[list[Hypothesis]] = [[] for _ in range(n)]
+    bound = -np.inf                     # the best completed selection score (prune)
     # each search's replay row (-1 unmarked), the replay rows' states and
     # previous tokens, and each search's replay total
     node = np.full(n, -1) if replay is None else np.where(replay, 0, -1)
@@ -249,13 +260,20 @@ def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, nois
                 on = mine >= 0
                 replayed[beams[on]] += Rlogp[mine[on], prev[on]]
         tokens[:, t - 1] = prev
-        ended = prev == model.eos
-        if ended.any():
+        ended = dropped = prev == model.eos
+        if prune:
+            total = np.where(node[beams] >= 0, replayed[beams], scores)
+            if ended.any():
+                bound = np.maximum(bound, total[ended].max())
+            dropped = ended | (total < bound)
+            for i in np.flatnonzero(dropped & ~ended):
+                live[beams[i]].append(Hypothesis(tokens[i, :t].tolist(), float(scores[i]), False))
+        if dropped.any():
             for i in np.flatnonzero(ended):
                 completed[beams[i]].append(
                     Hypothesis(tokens[i, :t].tolist(), float(scores[i]), True))
             k_live -= np.bincount(beams[ended], minlength=n)
-            keep = ~ended
+            keep = ~dropped
             H, prev, scores = H[keep], prev[keep], scores[keep]
             beams, tokens = beams[keep], tokens[keep]
         if Rprev.size:
@@ -265,7 +283,6 @@ def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, nois
             keys, node[marked] = np.unique(node[marked] * model.n_tokens + prev[on],
                                            return_inverse=True)
             RH, Rprev = RH[keys // model.n_tokens], keys % model.n_tokens
-    live = [[] for _ in range(n)]
     for i, s in enumerate(beams):
         live[s].append(Hypothesis(tokens[i].tolist(), float(scores[i]), False))
     found = [(min(done, key=_rank), done) if done else (min(live[s], key=_rank), [])

@@ -158,9 +158,11 @@ def corpus_bleu(hypotheses, references) -> float:
     return bp * exp(sum(log_precisions) / 4)
 
 
-def _decode_cell(params, source, cell: Cell, seed: int, max_len: int | None = None):
-    """`decode_with_cell` plus the chain results of a sample or npad cell
-    (None for the other strategies).
+def _decode_cell(params, source, cell: Cell, seed: int, max_len: int | None = None,
+                 keep_chains: bool = False):
+    """`decode_with_cell` plus, with `keep_chains`, the chain results of a
+    sample or npad cell (else None). Without them, chains that can no longer
+    win stop early (`chains.npad_search`).
 
     A noise-free decoder's own score is already the non-noisy replay of its
     output, bit for bit, so only chain outputs are rescored.
@@ -168,7 +170,7 @@ def _decode_cell(params, source, cell: Cell, seed: int, max_len: int | None = No
     model = BoundModel(params, source)
     limits = None if max_len is None else DecodeLimits(max_len)
     if cell.strategy in CHAINED:
-        best, results = npad_search(model, cell, seed, limits)
+        best, results = npad_search(model, cell, seed, limits, keep_chains)
         hyp = best.hypothesis
         return list(hyp.tokens), best.rescored_logp, hyp.complete, results
     if cell.strategy == "greedy":
@@ -200,9 +202,8 @@ def _init_worker(ctx: dict) -> None:
 def _decode_item(i: int, ctx: dict | None = None):
     """Decode sentence i of the context (a pool worker's own by default)."""
     ctx = ctx or _WORKER_CTX
-    outcome = _decode_cell(ctx["params"], ctx["sources"][i], ctx["cell"],
-                           derive_seed(ctx["base_seed"], i), ctx["max_len"])
-    return outcome if ctx["keep_chains"] else outcome[:3] + (None,)
+    return _decode_cell(ctx["params"], ctx["sources"][i], ctx["cell"],
+                        derive_seed(ctx["base_seed"], i), ctx["max_len"], ctx["keep_chains"])
 
 
 def decode_corpus(params, sources, references, cell: Cell, base_seed: int,

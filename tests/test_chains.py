@@ -427,3 +427,122 @@ class TestReplayInSearch:
                 prefixes = {tuple(o[:t - 1]) for o, sigma0 in live if sigma0}
                 assert count == len(live) + len(prefixes)
             assert len(rows) == max(len(o) for o in outputs)
+
+
+class CountingModel:
+    """A bound model that counts the rows passed to `step_batch`."""
+
+    def __init__(self, model):
+        self.model = model
+        self.rows = 0
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def step_batch(self, H, prev, noise=None):
+        self.rows += prev.size
+        return self.model.step_batch(H, prev, noise)
+
+
+def pick_bits(best):
+    return (best.chain_index, best.hypothesis.tokens, best.rescored_logp.hex(),
+            best.hypothesis.complete)
+
+
+def pruned_and_full(model, cell, seed, limits=None):
+    """(best, rows) of npad_search with chains dropped, then of the full run."""
+    out = []
+    for keep_chains in (False, True):
+        counted = CountingModel(model)
+        best, results = npad_search(counted, cell, seed, limits, keep_chains)
+        assert (results is None) != keep_chains
+        out.append((best, counted.rows))
+    return out
+
+
+# Every chain kind the bound applies to: noisy greedy chains with and
+# without the zero chain, and sampling chains without and with noise.
+BOUND_CELLS = [cfg_for(chains, sigma0, inner=inner, zero_chain=zero_chain)
+               for chains, sigma0, inner, zero_chain in (
+                   (50, 0.3, "greedy", True), (50, 0.3, "greedy", False),
+                   (50, 0.5, "greedy", True), (50, 0.5, "greedy", False),
+                   (20, 0.0, "sample", False), (20, 0.3, "sample", True))]
+
+
+class TestCompletedBound:
+    """Without kept chain results, a live chain whose non-noisy total is
+    strictly below a completed chain's selection score stops, and the
+    selection keeps every bit."""
+
+    def test_selection_unchanged_and_rows_dropped_on_the_translate_model(self,
+                                                                         frozen_translate):
+        params, pairs, _ = frozen_translate
+        saved = {}
+        for cell in BOUND_CELLS:
+            saved[cell] = [0, 0]
+            for i, pair in enumerate(pairs):
+                (pruned, rows), (full, all_rows) = pruned_and_full(
+                    BoundModel(params, pair.source), cell, derive_seed(55, i))
+                assert pick_bits(pruned) == pick_bits(full)
+                assert rows <= all_rows
+                saved[cell][0] += rows
+                saved[cell][1] += all_rows
+        # the bound must act, or it could switch itself off unseen
+        assert all(rows < all_rows for rows, all_rows in saved.values()), saved
+
+    def test_selection_unchanged_on_table_models(self):
+        models = [garden_path(noise_weight=4.0),
+                  TableModel({(0, TableModel.bos): [0.3, 0.3, 0.1, 0.3]}, n_tokens=4,
+                             default=[0.3, 0.3, 0.15, 0.25], noise_weight=3.0)]
+        dropped = 0
+        for model, cell, seed in product(models, BOUND_CELLS, range(4)):
+            (pruned, rows), (full, all_rows) = pruned_and_full(model, cell, seed,
+                                                               DecodeLimits(6))
+            assert pick_bits(pruned) == pick_bits(full)
+            dropped += all_rows - rows
+        assert dropped > 0
+
+    @pytest.mark.parametrize("cell", [cfg_for(8, 0.5), cfg_for(8, 0.0, inner="sample",
+                                                                   zero_chain=False)])
+    def test_a_tie_with_the_bound_is_kept(self, cell):
+        # at step 1 the table gives token 0 and EOS log(1/2) each, and token 0
+        # is then followed by EOS with probability 1: a chain that took token 0
+        # has the total of one that ended at once, and both complete with equal
+        # scores. Noise moves token 0's logit, so the greedy chains split too
+        model = TableModel({(0, TableModel.bos): [0.5, 0.0, 0.5], (1, 0): [0.0, 0.0, 1.0]},
+                           noise_weight=1.0)
+        (pruned, rows), (full, all_rows) = pruned_and_full(model, cell, SEED, DecodeLimits(3))
+        results = run_chains(model, cell, SEED, range(8), DecodeLimits(3))
+        assert {tuple(r.hypothesis.tokens) for r in results} == {(2,), (0, 2)}
+        # the lowest-index chain took token 0, so it wins only if its tie was kept
+        assert full.hypothesis.tokens == [0, 2] and full.chain_index == 0
+        assert pick_bits(pruned) == pick_bits(full)
+        assert rows == all_rows
+
+    def test_nothing_dropped_when_no_chain_completes(self):
+        never_eos = TableModel({}, default=[0.5, 0.5, 0.0], noise_weight=2.0)
+        for cell in BOUND_CELLS:
+            (pruned, rows), (full, all_rows) = pruned_and_full(never_eos, cell, SEED,
+                                                               DecodeLimits(5))
+            assert not full.hypothesis.complete
+            assert pick_bits(pruned) == pick_bits(full)
+            assert rows == all_rows
+
+    def test_a_dropped_chain_reports_its_prefix(self, tiny_params):
+        # run_chains' own results under prune: a dropped chain's result is the
+        # prefix it stopped at, flagged incomplete, with that prefix's replay
+        model = BoundModel(tiny_params, [3, 4])
+        cell = cfg_for(30, 0.8)
+        results = run_chains(model, cell, SEED, range(30), DecodeLimits(8), prune=True)
+        full = run_chains(model, cell, SEED, range(30), DecodeLimits(8))
+        stopped = [r for r, f in zip(results, full) if r.hypothesis.tokens != f.hypothesis.tokens]
+        assert stopped
+        for r in stopped:
+            assert not r.hypothesis.complete
+            assert r.rescored_logp == force_score(model, r.hypothesis.tokens)
+            assert r.rescored_logp < select_best(full).rescored_logp
+        assert select_best(results) == select_best(full)
+
+    def test_beam_searches_refuse_to_prune(self, tiny_params):
+        with pytest.raises(ContractError, match="only pick searches"):
+            decode.search_rows(BoundModel(tiny_params, [3]), 2, 2, prune=True)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -11,8 +12,9 @@ from npad.cli import main
 from npad.decode import force_score
 from npad.evaluate import Cell
 from npad.model import BoundModel
-from npad.serialize import load_model, load_pairs, load_vocab
+from npad.serialize import load_model, load_pairs, load_vocab, save_pairs, save_vocab
 from npad.tasks import ConfigError
+from conftest import FROZEN_MODEL
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +111,35 @@ def test_decode_npad_writes_output_and_chain_trace(workspace):
     for rec in records:
         rescored = [c["rescored_logp"] for c in chain_lines if c["input_id"] == rec["input_id"]]
         assert rec["logp"] == max(rescored)
+
+
+# sha256 of the chain trace of 50-chain NPAD on the frozen model's 12 held-out
+# sentences, generated before chains that can no longer win were stopped: the
+# trace runs every chain to its end.
+NPAD_50_TRACE_SHA256 = "9b9bc8a14716c9aedb3566dd3093b023f28040815403e25f88935b78f9cbe6e4"
+
+
+def test_decode_npad_output_is_the_same_with_and_without_the_trace(frozen_translate,
+                                                                    tmp_path):
+    # without a trace the chains that can no longer win stop early; the
+    # output keeps its bytes, and the trace still holds every chain in full
+    _, pairs, data = frozen_translate
+    save_vocab(str(tmp_path / "src.txt"), data.src_vocab)
+    save_vocab(str(tmp_path / "tgt.txt"), data.tgt_vocab)
+    save_pairs(str(tmp_path / "test.tsv"), pairs, data.src_vocab, data.tgt_vocab)
+    decode = ["decode", "--strategy", "npad", "--chains", "50", "--sigma0", "0.3",
+              "--seed", "55", "--model", FROZEN_MODEL, "--vocab-src", str(tmp_path / "src.txt"),
+              "--vocab-tgt", str(tmp_path / "tgt.txt"), "--input", str(tmp_path / "test.tsv")]
+    assert main(decode + ["--output", str(tmp_path / "plain.jsonl")]) == 0
+    assert main(decode + ["--output", str(tmp_path / "traced.jsonl"),
+                          "--trace-chains", str(tmp_path / "chains.jsonl")]) == 0
+    plain = (tmp_path / "plain.jsonl").read_bytes()
+    assert plain == (tmp_path / "traced.jsonl").read_bytes()
+    trace = (tmp_path / "chains.jsonl").read_bytes()
+    lines = [json.loads(line) for line in trace.splitlines()]
+    assert [(c["input_id"], c["chain_index"]) for c in lines] == \
+        [(i, m) for i in range(len(pairs)) for m in range(50)]
+    assert hashlib.sha256(trace).hexdigest() == NPAD_50_TRACE_SHA256
 
 
 def test_decode_flag_validation(workspace, capsys):

@@ -166,7 +166,7 @@ class TestDecodeCorpus:
         # to arrive raises a later sentence's error, and which one can vary
         params, data, pairs = toy_setup
 
-        def failing(params, source, cell, seed, max_len=None):
+        def failing(params, source, cell, seed, max_len=None, keep_chains=False):
             if source == (0,):
                 time.sleep(0.3)
             raise ContractError(f"sentence {source[0]}")
