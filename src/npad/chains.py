@@ -12,10 +12,11 @@ of the inner decoder.
 This is the only module that draws random numbers while decoding: chain m's
 private Gaussian stream, scaled by sigma_t = sigma0 / t at step t, and a
 sampling chain's private uniforms, both drawn in blocks as the steps need
-them. All chains run as the searches of one `decode.search_rows` call, so
-every step of every chain is a row of one batched step; each noisy row
-takes the next standard normal row of its chain's stream. Rows never
-interact, so each chain's result is bitwise the one it gets when run alone.
+them. All chains run as the searches of one `decode.search_rows` call
+(two when the zero chain runs first, below), so every step of every chain
+is a row of one batched step; each noisy row takes the next standard normal
+row of its chain's stream. Rows never interact, so each chain's result is
+bitwise the one it gets when run alone.
 
 A zero-noise chain's own score is its non-noisy replay. Noisy greedy and
 sampling chains are rescored inside the same search: each step also runs
@@ -29,7 +30,12 @@ Selection reads only the non-noisy score, which never rises (no
 log-probability is above 0). So when the caller keeps no chain results, a
 greedy or sampling chain strictly below a completed chain's score stops
 early (`search_rows`'s `prune`): `select_best` prefers completed chains and
-ties stay, so the selection keeps every bit.
+ties stay, so the selection keeps every bit. A greedy npad cell's zero
+chain then runs alone first, as plain greedy, and the other chains run as a
+second search whose bound starts at its score if it completed: the bound
+acts from step 1, not from the first completion. Sampling cells, npad
+without the zero chain and npad around beam keep the one search; a sampled
+chain's score bounds too little to pay for a second search.
 """
 from __future__ import annotations
 
@@ -138,7 +144,8 @@ def _sampler(seed: int, chains: list[int], blocks: tuple[int, int]):
 def run_chains(model, cell, seed: int, chains, limits: DecodeLimits | None = None,
                prune: bool = False) -> list[ChainResult]:
     """Run the given chains of a sample or npad `evaluate.Cell` against a
-    bound model, as the searches of one `search_rows` call.
+    bound model, as the searches of one `search_rows` call (two under
+    `prune`, see below).
 
     The cell has `cell.chains or 1` chains. Chain m adds noise of scale
     `cell.sigma0 or 0.0`, or none when it is the zero chain (m = 0 under
@@ -150,7 +157,10 @@ def run_chains(model, cell, seed: int, chains, limits: DecodeLimits | None = Non
     Noisy greedy and sampling chains are rescored by their replay rows in
     the search, noisy beam chains by a forced search after it (see above).
     With `prune`, greedy and sampling chains that cannot win stop early, and
-    their results are the prefixes they stopped at (see above).
+    their results are the prefixes they stopped at. A greedy npad cell that
+    runs its zero chain among others then runs it alone first, and the
+    others as a second search pruned from its completed score (see above);
+    the results stay in the order of `chains`.
     """
     chains = list(chains)
     count = cell.chains or 1
@@ -158,6 +168,19 @@ def run_chains(model, cell, seed: int, chains, limits: DecodeLimits | None = Non
         if not 0 <= m < count:
             raise ContractError(f"chain index {m} outside 0..{count - 1}")
     limits = limits or default_limits(model.source_len)
+    if not (prune and cell.strategy == "npad" and (cell.beam_width or 1) == 1
+            and cell.include_zero_chain and 0 in chains and len(chains) > 1):
+        return _search(model, cell, seed, chains, limits, -np.inf if prune else None)
+    [zero] = _search(model, cell, seed, [0], limits, None)
+    rest = iter(_search(model, cell, seed, [m for m in chains if m], limits,
+                        zero.rescored_logp if zero.hypothesis.complete else -np.inf))
+    return [zero if m == 0 else next(rest) for m in chains]
+
+
+def _search(model, cell, seed: int, chains: list[int], limits: DecodeLimits,
+            prune: float | None) -> list[ChainResult]:
+    """`run_chains`'s one search of the given chains, pruned from the bound
+    `prune` (`search_rows`)."""
     sigmas = [_sigma0(cell, m) for m in chains]
     width = cell.beam_width or 1
     blocks = _blocks(width, model.source_len, limits.max_len)

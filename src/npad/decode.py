@@ -167,7 +167,7 @@ def _first_k(neg, k):
 
 
 def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, noise=None,
-                limits: DecodeLimits | None = None, replay=None, prune: bool = False):
+                limits: DecodeLimits | None = None, replay=None, prune: float | None = None):
     """Run n independent searches together and return (best, completed) for
     each: every live row of every search is a row of one step (one
     `step_batch` call per KERNEL_ROWS rows).
@@ -196,14 +196,16 @@ def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, nois
     call then returns (results, replayed), replayed[s] being search s's
     total (0.0 unmarked).
 
-    `prune` (pick runs only) ends each search that can no longer be selected
-    by its non-noisy score (`chains.select_best`): its replay total if
-    marked, else its own score, neither of which rises, as no log-probability
-    is above 0. After each step's EOS filter a live search strictly below the
-    best completed one ends, its best the prefix flagged incomplete; as
-    selection prefers completed searches, it could never win. Ties and NaN
-    totals stay, so the lowest-index winner stays. Only for a caller that
-    keeps no other result.
+    `prune` (pick runs only), None or a starting bound, ends each search
+    that can no longer be selected by its non-noisy score
+    (`chains.select_best`): its replay total if marked, else its own score,
+    neither of which rises, as no log-probability is above 0. The bound
+    starts at `prune`, a completed selection score from outside the call
+    (-inf if none), and after each step's EOS filter rises to the best
+    completed search's score; a live search strictly below it ends, its best
+    the prefix flagged incomplete. As selection prefers completed searches,
+    it could never win. Ties and NaN totals stay, so the lowest-index winner
+    stays. Only for a caller that keeps no other result.
     """
     if not is_integer(width):
         raise ContractError(f"beam width must be an integer, got {width!r}")
@@ -211,7 +213,7 @@ def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, nois
         raise ContractError(f"beam width must be >= 1, got {width}")
     if not 0 <= float(eta) <= MAX_SCALE:
         raise ContractError(f"eta must be finite, >= 0 and <= {MAX_SCALE:g}, got {eta}")
-    if (replay is not None or prune) and pick is None:
+    if (replay is not None or prune is not None) and pick is None:
         raise ContractError("only pick searches can replay or prune")
     limits = limits or default_limits(model.source_len)
     beams = np.arange(n)
@@ -224,7 +226,7 @@ def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, nois
     k_live = np.full(n, width)
     completed: list[list[Hypothesis]] = [[] for _ in range(n)]
     live: list[list[Hypothesis]] = [[] for _ in range(n)]
-    bound = -np.inf                     # the best completed selection score (prune)
+    bound = prune                       # the best completed selection score so far
     # each search's replay row (-1 unmarked), the replay rows' states and
     # previous tokens, and each search's replay total
     node = np.full(n, -1) if replay is None else np.where(replay, 0, -1)
@@ -261,7 +263,7 @@ def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, nois
                 replayed[beams[on]] += Rlogp[mine[on], prev[on]]
         tokens[:, t - 1] = prev
         ended = dropped = prev == model.eos
-        if prune:
+        if bound is not None:
             total = np.where(node[beams] >= 0, replayed[beams], scores)
             if ended.any():
                 bound = np.maximum(bound, total[ended].max())

@@ -430,17 +430,20 @@ class TestReplayInSearch:
 
 
 class CountingModel:
-    """A bound model that counts the rows passed to `step_batch`."""
+    """A bound model that counts the `step_batch` calls and the rows passed
+    to them."""
 
     def __init__(self, model):
         self.model = model
         self.rows = 0
+        self.calls = 0
 
     def __getattr__(self, name):
         return getattr(self.model, name)
 
     def step_batch(self, H, prev, noise=None):
         self.rows += prev.size
+        self.calls += 1
         return self.model.step_batch(H, prev, noise)
 
 
@@ -546,3 +549,74 @@ class TestCompletedBound:
     def test_beam_searches_refuse_to_prune(self, tiny_params):
         with pytest.raises(ContractError, match="only pick searches"):
             decode.search_rows(BoundModel(tiny_params, [3]), 2, 2, prune=True)
+
+
+class TestZeroChainFirst:
+    """Without kept chain results, a greedy npad cell's zero chain runs alone
+    first, and its completed score bounds the noisy chains from step 1."""
+
+    def test_noisy_chains_below_the_zero_chain_stop_at_step_1(self):
+        # step 1 gives token 0 probability 0.2 and token 1 0.8, and EOS follows
+        # token 1 with probability 1: the zero chain completes [1, 2] at log
+        # 0.8 in step 2. Noise pushes some chains onto token 0, whose non-noisy
+        # log 0.2 is below that at step 1, when no chain of theirs has completed
+        model = TableModel({(0, TableModel.bos): [0.2, 0.8, 0.0], (1, 1): [0.0, 0.0, 1.0]},
+                           default=[1.0, 1.0, 0.0], noise_weight=3.0)
+        cell = cfg_for(12, 0.5)
+        pruned = run_chains(model, cell, SEED, range(12), DecodeLimits(4), prune=True)
+        full = run_chains(model, cell, SEED, range(12), DecodeLimits(4))
+        zero = full[0].hypothesis
+        assert (zero.tokens, zero.complete) == ([1, 2], True)
+        assert zero.logp == pytest.approx(math.log(0.8))
+        stopped = [r for r, f in zip(pruned, full) if f.hypothesis.tokens[0] == 0]
+        assert stopped and len(stopped) < 11
+        for r in stopped:
+            assert r.hypothesis == Hypothesis([0], r.noisy_logp, False)
+            assert r.rescored_logp == force_score(model, [0])
+            assert r.rescored_logp == pytest.approx(math.log(0.2))
+        assert [r for r, f in zip(pruned, full) if f.hypothesis.tokens[0] != 0] == \
+            [f for f in full if f.hypothesis.tokens[0] != 0]
+        assert select_best(pruned) == select_best(full)
+
+    def test_an_unfinished_zero_chain_bounds_nothing(self):
+        # after token 1 the table gives token 1 0.6 and EOS 0.4, so at max_len
+        # 2 the zero chain stops unfinished at log 0.8 + log 0.6, above the log
+        # 0.2 of the chains that noise pushed onto token 0 and then EOS. Those
+        # complete, so one of them is selected and none may stop
+        model = TableModel({(0, TableModel.bos): [0.2, 0.8, 0.0], (1, 0): [0.0, 0.0, 1.0],
+                            (1, 1): [0.0, 0.6, 0.4]}, noise_weight=3.0)
+        cell = cfg_for(12, 0.5)
+        (pruned, rows), (full, all_rows) = pruned_and_full(model, cell, SEED, DecodeLimits(2))
+        assert not run_chains(model, cell, SEED, [0], DecodeLimits(2))[0].hypothesis.complete
+        assert full.hypothesis.tokens == [0, 2] and full.chain_index > 0
+        assert pick_bits(pruned) == pick_bits(full)
+        assert rows == all_rows
+
+    @pytest.mark.parametrize("cell, runs", [
+        (cfg_for(8, 0.5), 2),
+        (cfg_for(8, 0.5, zero_chain=False), 1),
+        (cfg_for(4, 0.5, width=2), 1),
+        (cfg_for(8, 0.0, inner="sample", zero_chain=False), 1),
+        (cfg_for(8, 0.3, inner="sample"), 1)])
+    def test_only_greedy_npad_with_its_zero_chain_runs_it_first(self, cell, runs):
+        # every sequence ends at step 3, so nothing drops: a search costs 3
+        # calls, and only the zero-chain pre-pass doubles them
+        model = TableModel({(2, 0): [0.0, 0.0, 1.0], (2, 1): [0.0, 0.0, 1.0]},
+                           default=[1.0, 1.0, 0.0], noise_weight=2.0)
+        calls = []
+        for keep_chains in (True, False):
+            counted = CountingModel(model)
+            npad_search(counted, cell, SEED, DecodeLimits(5), keep_chains)
+            calls.append(counted.calls)
+        rescore = 3 if cell.beam_width and cell.beam_width > 1 else 0
+        assert calls == [3 + rescore, 3 * runs + rescore]
+
+    def test_rows_fall_to_at_most_0_7_of_the_full_run(self, frozen_translate):
+        params, pairs, _ = frozen_translate
+        rows = all_rows = 0
+        for i, pair in enumerate(pairs):
+            (pruned, r), (full, a) = pruned_and_full(BoundModel(params, pair.source),
+                                                     cfg_for(50, 0.3), derive_seed(55, i))
+            assert pick_bits(pruned) == pick_bits(full)
+            rows, all_rows = rows + r, all_rows + a
+        assert rows <= 0.7 * all_rows, (rows, all_rows)

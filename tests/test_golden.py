@@ -5,7 +5,10 @@ Each configuration decodes the 12 held-out pairs of `frozen_translate` with
 sentence i's seed derive_seed(55, i) and hashes, per sentence, the tokens,
 the `float.hex` of every score and the complete flag; a configuration that
 keeps its chain results hashes every chain's tokens, noisy and rescored
-scores as well. One changed bit anywhere changes a digest.
+scores as well. Beside the decoders: `score_sequence` of each held-out pair,
+the parameter bytes after one `train.train` epoch on the first 64 training
+pairs, and `exact_search` of a tiny model on a few sources. One changed bit
+anywhere changes a digest.
 
 A change that legitimately moves float bits regenerates the table (print
 `_digests` on the new code) and says so as a test-data change.
@@ -13,14 +16,19 @@ A change that legitimately moves float bits regenerates the table (print
 import hashlib
 
 from npad.core import derive_seed
+from npad.decode import DecodeLimits, exact_search, score_sequence
 from npad.evaluate import Cell, decode_corpus, decode_with_cell
+from npad.model import BoundModel
+from npad.train import TrainConfig, train
+from conftest import make_params
 
 SEED = 55
 NPAD_50 = Cell(strategy="npad", sigma0=0.3, chains=50)
 NPAD_BEAM = Cell(strategy="npad", sigma0=0.3, chains=5, beam_width=5)
 
-# sha256 per configuration, generated before the completed-score bound on
-# chains landed and unchanged by it.
+# sha256 per configuration. The decoders' were generated before the
+# completed-score bound on chains landed, the last three before the zero
+# chain ran ahead of the noisy chains; neither change moved a digest.
 GOLDEN = {
     "greedy":
         "97bfa9809ab4e3b6563909edcf90f9cd26c819cc323769549667a6f9f50743c6",
@@ -38,6 +46,12 @@ GOLDEN = {
         "eb0181bb208b1c1c255987cc82622ed7e30a910b3ca585c83fdc39f23b49df34",
     "sample-20 sigma0 0.3":
         "fcb6d2520a4d4aae20f60acf9017c8f0e95167f7bdf8dcd58cbb047b4ed5a0f6",
+    "score_sequence":
+        "c3d371645993bd55c5dc177be7f12f0bf5563a8d33e746156cad2d3c9ced8efc",
+    "train 1 epoch":
+        "05360cfef3e92deed8681bf226415fd97b61cd01689bfe0a0363f389553ec24d",
+    "exact tiny":
+        "8de32517e4afab8d3b484e57168dd0bec34d26fe21cb5aa77eeae64a06cd4138",
 }
 
 
@@ -46,7 +60,7 @@ def _line(tokens, *scores_and_flags) -> str:
                      *(v.hex() if isinstance(v, float) else str(v) for v in scores_and_flags)])
 
 
-def _digests(params, pairs) -> dict:
+def _digests(params, pairs, data) -> dict:
     sources = [p.source for p in pairs]
 
     def corpus(cell, keep_chains=False):
@@ -68,10 +82,17 @@ def _digests(params, pairs) -> dict:
         lines[name] = [_line(c.hypothesis.tokens, c.chain_index, c.noisy_logp,
                              c.rescored_logp, c.hypothesis.complete)
                        for r in corpus(cell, keep_chains=True) for c in r.chains]
+    lines["score_sequence"] = [score_sequence(params, p.source, p.target).hex() for p in pairs]
+    trained, _ = train(params, data.pairs[:64], pairs, TrainConfig(epochs=1, seed=SEED))
+    lines["train 1 epoch"] = [f"{name} {tensor.tobytes().hex()}"
+                              for name, tensor in trained.tensors.items()]
+    tiny = make_params(7)
+    lines["exact tiny"] = [_line(h.tokens, h.logp, h.complete) for h in (
+        exact_search(BoundModel(tiny, source), DecodeLimits(6))
+        for source in ([0], [3, 4], [1, 2, 4], [4, 0, 3, 1]))]
     return {name: hashlib.sha256("\n".join(text).encode()).hexdigest()
             for name, text in lines.items()}
 
 
 def test_decodes_on_the_frozen_model_keep_every_bit(frozen_translate):
-    params, pairs, _ = frozen_translate
-    assert _digests(params, pairs) == GOLDEN
+    assert _digests(*frozen_translate) == GOLDEN
