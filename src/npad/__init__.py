@@ -2,14 +2,13 @@
 built around noisy parallel approximate decoding."""
 
 from .chains import ChainResult, npad_search, run_chains, select_best
-from .core import ContractError, RngStream, derive_seed, gaussian_vec, softmax
+from .core import ContractError, RngStream, derive_seed, softmax
 from .decode import (
     DecodeLimits,
     Hypothesis,
     beam_search,
     diverse_beam_search,
     exact_search,
-    force_score,
     greedy_search,
     score_sequence,
 )
@@ -24,8 +23,6 @@ from .model import (
     ModelParams,
     Vocab,
     VocabError,
-    attention_context,
-    decoder_step,
     init_params,
 )
 from .tasks import SequencePair, TaskData, gen_task

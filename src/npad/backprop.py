@@ -37,7 +37,7 @@ def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
 def forward_rows(params: ModelParams, pairs: list[SequencePair], keep_cache: bool = True):
     """Force-decode pairs of one source and one target length with zero noise,
     as the rows of each encoder and decoder step. Returns (nll (B,), cache
-    for backprop); nll[b] is bitwise `decode.force_score` of pair b, negated.
+    for backprop); nll[b] is bitwise pair b's forced search score, negated.
     The cache holds each decoder step's rows in (T, B, ...) arrays, so it
     grows as T x source length; without `keep_cache` it is None.
     """

@@ -205,7 +205,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def gaussian_vec(rng: RngStream, dim: int, sigma: float) -> np.ndarray:
-    """dim i.i.d. draws from N(0, sigma^2).
+    """dim i.i.d. draws from N(0, sigma^2): a one-vector helper the benchmark reads.
 
     sigma == 0 returns the exact zero vector without consuming any draws, so
     a zero-noise stream is bitwise identical to no stream at all.

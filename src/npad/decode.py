@@ -1,6 +1,7 @@
 """Inner decoding strategies: greedy, beam, diverse beam, and an exhaustive
 oracle for tiny instances, plus the shared search engine, forced searches
-(`forced_pick`, `force_score`) and sequence scoring (`score_sequence`).
+(`forced_pick`) and sequence scoring (`score_sequence`). The benchmark's
+one-sequence helper `force_score` is one forced search; nothing here calls it.
 
 Nothing here draws a random number. `search_rows` is the one search loop:
 it runs any number of independent greedy, picked or beam searches, taking a
@@ -99,10 +100,10 @@ def forced_pick(sequences, max_len: int):
 
 
 def force_score(model, tokens) -> float:
-    """Non-noisy log-probability of `tokens` under the bound model: one forced
-    search of len(tokens) steps. A sequence without EOS is scored as a
-    prefix; one with EOS before its last token would end early and is
-    refused."""
+    """The benchmark's non-noisy log-probability of `tokens` under the bound
+    model: one forced search of len(tokens) steps. A sequence without EOS is
+    scored as a prefix; one with EOS before its last token would end early
+    and is refused."""
     tokens = _vocab_indices(tokens, model.n_tokens, "tgt")
     if np.any(tokens[:-1] == model.eos):
         raise ContractError("EOS before the last token of a sequence to score")
@@ -112,9 +113,9 @@ def force_score(model, tokens) -> float:
 
 def score_sequence(params, source, target) -> float:
     """Non-noisy log-probability of `target` given `source`: the one-pair call
-    of training's forward (`backprop.pair_nlls`), bitwise `force_score` on
-    the bound source. A `target` without EOS is scored as a prefix, so
-    unfinished decodes can be rescored."""
+    of training's forward (`backprop.pair_nlls`), bitwise the forced search
+    (`forced_pick`) of `target` on the bound source. A `target` without EOS
+    is scored as a prefix, so unfinished decodes can be rescored."""
     # 0.0 - nll, not -nll: a target of probability 1 scores +0.0, as a search does
     return 0.0 - pair_nlls(params, [SequencePair(tuple(source), tuple(target))])[0]
 
@@ -192,7 +193,7 @@ def search_rows(model, n: int, width: int = 1, eta: float = 0.0, pick=None, nois
     once `pick` has chosen token t, each marked search adds its replay row's
     log-probability of that token to its total, which starts at 0.0. The
     totals add in the order a search adds its scores and rows never
-    interact, so each is bitwise `force_score` of the search's tokens. The
+    interact, so each is bitwise `score_sequence` of the search's tokens. The
     call then returns (results, replayed), replayed[s] being search s's
     total (0.0 unmarked).
 

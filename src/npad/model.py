@@ -257,9 +257,6 @@ def _matvec_rows(W: np.ndarray, X: np.ndarray) -> np.ndarray:
     A gemm's per-row bits depend on the batch size; a stack of gemv calls
     gives each row exactly the bits of the single-vector product.
     """
-    if X.shape[0] == 1:
-        # the same gemv, without the stacked call's overhead, which costs more at B = 1
-        return (W @ X[0])[None]
     return (W @ X[:, :, None])[:, :, 0]
 
 
@@ -275,9 +272,9 @@ def _attend_rows(params: ModelParams, enc: EncodedSource, Q: np.ndarray):
 
 
 def attention_context(params: ModelParams, h: np.ndarray, enc: EncodedSource):
-    """Context vector and attention weights of one decoder state row h
-    (d_hid,) over one encoded source (a stack of one): the one-row call of
-    `_attend_rows`."""
+    """The benchmark's one-row call of `_attend_rows`: context vector and
+    attention weights of one decoder state row h (d_hid,) over one encoded
+    source (a stack of one)."""
     if h.shape != (params.dims.d_hid,):
         raise ContractError(f"state dim {h.shape} != d_hid {params.dims.d_hid}")
     _, alpha, C = _attend_rows(params, enc, h[None])
@@ -300,7 +297,7 @@ def step_rows(params: ModelParams, enc: EncodedSource, H: np.ndarray, prev: np.n
     every B: products are stacks of per-row gemv calls and reductions run
     along each row. Rows never interact. `enc` holds one source for every
     row, or one per row. Arguments are not checked here; the decoders build
-    them and `decoder_step` checks one-row calls.
+    them.
     """
     t = params.tensors
     Q = H if noise is None else H + noise
@@ -318,8 +315,8 @@ def step_rows(params: ModelParams, enc: EncodedSource, H: np.ndarray, prev: np.n
 
 def decoder_step(params: ModelParams, h: np.ndarray, prev_token: int,
                  enc: EncodedSource, noise: np.ndarray | None = None):
-    """One decoder transition of the state row h (d_hid,): the checked
-    one-row call of `step_rows`.
+    """One decoder transition of the state row h (d_hid,): the benchmark's
+    checked one-row call of `step_rows`.
 
     The noise vector is added to the previous hidden state before anything
     else happens: the attention query and the GRU both see the perturbed

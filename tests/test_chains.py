@@ -14,14 +14,13 @@ from npad.decode import (
     Hypothesis,
     beam_search,
     exact_search,
-    force_score,
     greedy_search,
     score_sequence,
 )
 from npad.evaluate import Cell
 from npad.model import BoundModel
 from npad.tasks import ConfigError
-from conftest import make_params
+from conftest import forced_scores, make_params
 from table_models import RecordingModel, TableModel, garden_path
 
 
@@ -247,7 +246,8 @@ class TestRunChain:
         # the opening choice with probability ~0.39 per chain
         model = garden_path(noise_weight=5.0)
         cfg, limits = cfg_for(50, 0.3), DecodeLimits(3)
-        greedy_score = force_score(model, greedy_search(model, limits=limits).tokens)
+        [greedy_score] = forced_scores(model, [greedy_search(model, limits=limits).tokens],
+                                       limits.max_len)
         escaped = []
         for m in range(1, 50):
             [r] = run_chains(model, cfg, 1234, [m], limits)
@@ -279,10 +279,10 @@ class TestNpadDecode:
             limits = DecodeLimits(5)
             best, _ = npad_search(model, cfg_for(6, 0.3), seed, limits)
             inner = greedy_search(model, limits=limits)
-            assert best.rescored_logp >= force_score(model, inner.tokens)
+            assert best.rescored_logp >= score_sequence(params, src, inner.tokens)
             best_b, _ = npad_search(model, cfg_for(4, 0.3, inner="beam", width=3), seed, limits)
             inner_b, _ = beam_search(model, 3, limits=limits)
-            assert best_b.rescored_logp >= force_score(model, inner_b.tokens)
+            assert best_b.rescored_logp >= score_sequence(params, src, inner_b.tokens)
 
     def test_chain_sets_nest_and_selection_monotone_in_m(self, tiny_params):
         src = [3, 4]
@@ -383,7 +383,7 @@ class TestReplayInSearch:
     """Noisy greedy and sampling chains are rescored inside their search: one
     zero-noise replay row per distinct noisy prefix runs in each step."""
 
-    def test_rescored_is_force_score_bit_for_bit(self, monkeypatch):
+    def test_rescored_is_score_sequence_bit_for_bit(self, monkeypatch):
         # strong noise on a 5-token model: chains end at different steps, stop
         # at max_len unfinished, repeat each other's outputs and share long
         # prefixes; each chain's rescore is its own teacher-forced replay
@@ -391,13 +391,15 @@ class TestReplayInSearch:
         for kernel_rows in (decode.KERNEL_ROWS, 3):
             monkeypatch.setattr(decode, "KERNEL_ROWS", kernel_rows)
             for seed in range(3):
-                model = BoundModel(make_params(seed, n_tgt=5, scale=1.2), [3, 4, 3])
+                params, source = make_params(seed, n_tgt=5, scale=1.2), [3, 4, 3]
+                model = BoundModel(params, source)
                 for inner, zero_chain, max_len in product(("greedy", "sample"), (True, False),
                                                           (4, 10)):
                     cell = cfg_for(16, 0.9, inner=inner, zero_chain=zero_chain)
                     results = run_chains(model, cell, seed, range(16), DecodeLimits(max_len))
                     for r in results:
-                        assert r.rescored_logp == force_score(model, r.hypothesis.tokens)
+                        assert r.rescored_logp == score_sequence(params, source,
+                                                                 r.hypothesis.tokens)
                     outputs = [tuple(r.hypothesis.tokens) for r in results]
                     seen["lengths"] |= {len(o) for o in outputs}
                     seen["incomplete"] += sum(not r.hypothesis.complete for r in results)
@@ -542,7 +544,7 @@ class TestCompletedBound:
         assert stopped
         for r in stopped:
             assert not r.hypothesis.complete
-            assert r.rescored_logp == force_score(model, r.hypothesis.tokens)
+            assert r.rescored_logp == score_sequence(tiny_params, [3, 4], r.hypothesis.tokens)
             assert r.rescored_logp < select_best(full).rescored_logp
         assert select_best(results) == select_best(full)
 
@@ -572,7 +574,7 @@ class TestZeroChainFirst:
         assert stopped and len(stopped) < 11
         for r in stopped:
             assert r.hypothesis == Hypothesis([0], r.noisy_logp, False)
-            assert r.rescored_logp == force_score(model, [0])
+            assert [r.rescored_logp] == forced_scores(model, [[0]], 1)
             assert r.rescored_logp == pytest.approx(math.log(0.2))
         assert [r for r, f in zip(pruned, full) if f.hypothesis.tokens[0] != 0] == \
             [f for f in full if f.hypothesis.tokens[0] != 0]

@@ -9,12 +9,11 @@ import pytest
 
 import npad
 from npad.cli import main
-from npad.decode import force_score
 from npad.evaluate import Cell
 from npad.model import BoundModel
 from npad.serialize import load_model, load_pairs, load_vocab, save_pairs, save_vocab
 from npad.tasks import ConfigError
-from conftest import FROZEN_MODEL
+from conftest import FROZEN_MODEL, forced_scores
 
 
 @pytest.fixture(scope="module")
@@ -457,7 +456,7 @@ def test_score_jsonl(workspace, capsys):
     assert all(r["logp"] < 0 for r in recs)
 
 
-def test_score_is_force_score_bit_for_bit_in_file_order(workspace, capsys):
+def test_score_is_the_forced_search_bit_for_bit_in_file_order(workspace, capsys):
     # npad score runs training's forward over length groups; each line must
     # be the pair's forced search on its bound source, in file order. Three
     # (source, target) length classes interleave, one of them over 16 pairs
@@ -478,8 +477,8 @@ def test_score_is_force_score_bit_for_bit_in_file_order(workspace, capsys):
     pairs = load_pairs(str(path), load_vocab(f"{d}/vocab_src.txt"), load_vocab(f"{d}/vocab_tgt.txt"))
     assert [r["input_id"] for r in recs] == list(range(40))
     assert [r["n_target_tokens"] for r in recs] == [len(p.target) for p in pairs]
-    assert [r["logp"] for r in recs] == [force_score(BoundModel(params, p.source), p.target)
-                                         for p in pairs]
+    assert [r["logp"] for r in recs] == [
+        forced_scores(BoundModel(params, p.source), [p.target], len(p.target))[0] for p in pairs]
 
 
 def _write_spec(workspace, name, cells, base_seed=7):

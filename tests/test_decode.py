@@ -25,7 +25,7 @@ from npad.decode import (
 from npad.evaluate import MAX_ROWS, Cell
 from npad.model import EOS, BoundModel, VocabError
 from npad.tasks import ConfigError
-from conftest import make_params
+from conftest import forced_scores, make_params
 from table_models import TableModel, garden_path, point_mass_eos
 
 
@@ -518,7 +518,7 @@ class TestExact:
         model = TableModel({(0, TableModel.bos): [0.4, 0.2, 0.4], (1, 0): [0.0, 0.0, 1.0]})
         limits = DecodeLimits(3)
         hyp = exact_search(model, limits)
-        assert hyp.tokens == [0, eos] and hyp.logp == force_score(model, [eos])
+        assert hyp.tokens == [0, eos] and [hyp.logp] == forced_scores(model, [[eos]], 3)
         best, completed = beam_search(model, 3, limits=limits)
         assert best == hyp and [eos] in [h.tokens for h in completed]
 
@@ -539,14 +539,6 @@ class TestExact:
     def test_refuses_huge_spaces(self, tiny_params):
         with pytest.raises(SearchSpaceError):
             exact_search(BoundModel(tiny_params, [3]), DecodeLimits(15))
-
-
-def forced_scores(model, seqs, max_len):
-    """The sequences rescored as the searches of one forced search, as NPAD
-    rescores the outputs of its noisy beam chains."""
-    found = search_rows(model, len(seqs), pick=forced_pick(seqs, max_len),
-                        limits=DecodeLimits(max_len))
-    return [best.logp for best, _ in found]
 
 
 class TestReplaySoundness:
@@ -592,7 +584,7 @@ class TestReplaySoundness:
             hyps.append(diverse_beam_search(model, 3, 0.01)[0])
             hyps += samples(model, 3, seed)
             for hyp in hyps:
-                assert force_score(model, hyp.tokens) == pytest.approx(hyp.logp, abs=1e-9)
+                assert score_sequence(params, source, hyp.tokens) == hyp.logp
 
     def test_all_decoders_respect_max_len(self):
         never_eos = TableModel({}, default=[0.5, 0.5, 0.0])

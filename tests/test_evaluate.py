@@ -144,8 +144,25 @@ class TestDecodeCorpus:
         refs = [p.target for p in pairs]
         seq = decode_corpus(params, sources, refs, cell, base_seed=4, workers=1)
         par = decode_corpus(params, sources, refs, cell, base_seed=4, workers=3)
-        assert [(r.input_id, r.tokens, r.rescored_logp) for r in seq] == \
-            [(r.input_id, r.tokens, r.rescored_logp) for r in par]
+        assert [(r.input_id, r.tokens, r.rescored_logp, r.complete) for r in seq] == \
+            [(r.input_id, r.tokens, r.rescored_logp, r.complete) for r in par]
+
+    def test_worker_count_does_not_change_kept_chains(self, frozen_translate):
+        # each sentence's kept chain results, every bit, whichever worker ran it
+        params, pairs, _ = frozen_translate
+        sources = [p.source for p in pairs]
+
+        def kept(cell, workers):
+            records = decode_corpus(params, sources, None, cell, 8, workers=workers,
+                                    keep_chains=True)
+            return [[(c.chain_index, c.hypothesis.tokens, c.noisy_logp.hex(),
+                      c.rescored_logp.hex(), c.hypothesis.complete, c.sigma0_effective)
+                     for c in r.chains] for r in records]
+
+        for cell in (Cell(strategy="npad", sigma0=0.3, chains=20),
+                     Cell(strategy="sample", sigma0=0.3, chains=20),
+                     Cell(strategy="npad", sigma0=0.3, chains=5, beam_width=5)):
+            assert kept(cell, 1) == kept(cell, 3), cell
 
     def test_max_len_zero_or_non_integral_refused(self, toy_setup):
         # max_len=0 decoded at the default length, 2.5 failed inside the search

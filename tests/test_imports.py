@@ -48,3 +48,16 @@ def test_import_npad_leaves_multiprocessing_unloaded():
                          env={**os.environ, "PYTHONPATH": os.path.dirname(PACKAGE)}, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["False"]
+
+
+def test_one_row_helpers_stay_out_of_the_package_root():
+    # the benchmark's one-row helpers live in their own modules only, and
+    # BoundModel.step stays, as the benchmark's tracer reads it eagerly
+    import npad
+    from npad import core, decode, model
+    helpers = {"decoder_step": model, "attention_context": model, "gaussian_vec": core,
+               "force_score": decode}
+    for name, module in helpers.items():
+        assert name not in npad.__all__ and not hasattr(npad, name), name
+        assert callable(getattr(module, name)), name
+    assert callable(model.BoundModel.step)
