@@ -24,7 +24,7 @@ one non-noisy replay row per distinct noisy prefix (`search_rows`'s
 `replay`), with no rescoring pass after it. A noisy beam chain's output is
 known only when its search ends, and replaying every live beam row would
 cost about `width` times the rows, so the distinct outputs of noisy beam
-chains are rescored by one forced search after it (`decode.forced_pick`).
+chains are rescored by one forced search after it (`decode.forced_scores`).
 
 Selection reads only the non-noisy score, which never rises (no
 log-probability is above 0). So when the caller keeps no chain results, a
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ContractError, RngStream, categorical_rows, derive_seeds
-from .decode import DecodeLimits, Hypothesis, default_limits, forced_pick, greedy_pick, search_rows
+from .decode import DecodeLimits, Hypothesis, default_limits, forced_scores, greedy_pick, search_rows
 
 
 @dataclass
@@ -190,9 +190,7 @@ def _search(model, cell, seed: int, chains: list[int], limits: DecodeLimits,
                                                 limits=limits)]
         # a zero-noise chain's own score is its replay; only noisy outputs are rescored
         distinct = list(dict.fromkeys(tuple(h.tokens) for h, s in zip(hyps, sigmas) if s))
-        forced = search_rows(model, len(distinct), pick=forced_pick(distinct, limits.max_len),
-                             limits=limits)
-        replays = {seq: best.logp for seq, (best, _) in zip(distinct, forced)}
+        replays = dict(zip(distinct, forced_scores(model, distinct, limits.max_len)))
         rescored = [replays[tuple(h.tokens)] if s else h.logp for h, s in zip(hyps, sigmas)]
     else:
         pick = _sampler(seed, chains, blocks) if cell.strategy == "sample" else greedy_pick

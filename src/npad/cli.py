@@ -74,11 +74,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-emb", type=_at_least(int, "--d-emb"), default=16)
     p.add_argument("--d-hid", type=_at_least(int, "--d-hid"), default=32)
     p.add_argument("--epochs", type=_at_least(int, "--epochs"), default=30)
-    p.add_argument("--batch-size", type=_at_least(int, "--batch-size"), default=16)
-    p.add_argument("--lr", type=float, default=0.2)
-    p.add_argument("--lr-decay", type=float, default=1.0)
-    p.add_argument("--clip-norm", type=float, default=1.0)
-    p.add_argument("--patience", type=int, default=10)
+    p.add_argument("--batch-size", type=_at_least(int, "--batch-size"),
+                   default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--lr-decay", type=float, default=TrainConfig.lr_decay)
+    p.add_argument("--clip-norm", type=float, default=TrainConfig.clip_norm)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
     p.add_argument("--plain-sgd", action="store_true", help="disable adaptive scaling")
     p.add_argument("--stop-below", type=float, help="stop when valid per-token NLL drops below")
     p.add_argument("--seed", type=int, required=True)

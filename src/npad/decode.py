@@ -1,7 +1,8 @@
 """Inner decoding strategies: greedy, beam, diverse beam, and an exhaustive
-oracle for tiny instances, plus the shared search engine, forced searches
-(`forced_pick`) and sequence scoring (`score_sequence`). The benchmark's
-one-sequence helper `force_score` is one forced search; nothing here calls it.
+oracle for tiny instances, plus the shared search engine, the one forced
+search (`forced_scores`) and sequence scoring (`score_sequence`). The
+benchmark's one-sequence helper `force_score` is one call of it; nothing
+here calls it.
 
 Nothing here draws a random number. `search_rows` is the one search loop:
 it runs any number of independent greedy, picked or beam searches, taking a
@@ -86,35 +87,35 @@ def _step(model, H, prev, noise=None):
     return np.concatenate([h for h, _ in steps]), np.concatenate([lp for _, lp in steps])
 
 
-def forced_pick(sequences, max_len: int):
-    """The `search_rows` pick that feeds search s the tokens of sequence s:
-    a search of max_len then scores each sequence as it scores its own
-    output (teacher forcing). Each must be one such a search emits: ending
-    at its one EOS, or max_len tokens long."""
-    if not all(0 < len(seq) <= max_len for seq in sequences):
-        raise ContractError(f"a sequence to score must hold 1 to max_len={max_len} tokens")
-    forced = np.zeros((len(sequences), max(map(len, sequences), default=0)), dtype=np.int64)
-    for s, seq in enumerate(sequences):
-        forced[s, :len(seq)] = seq
-    return lambda t, logp, beams: forced[beams, t - 1]
+def forced_scores(model, sequences, max_len: int) -> list[float]:
+    """Each sequence's non-noisy log-probability under the bound model: one
+    forced search of max_len steps feeds search s the tokens of sequence s
+    (teacher forcing) and scores it as it scores its own output. Each must be
+    one such a search emits: target-vocabulary indices (else VocabError),
+    non-empty, EOS only last and none only at max_len tokens (else ContractError)."""
+    limits = DecodeLimits(max_len)
+    seqs = [_vocab_indices(seq, model.n_tokens, "tgt") for seq in sequences]
+    forced = np.zeros((len(seqs), max((seq.size for seq in seqs), default=0)), dtype=np.int64)
+    for s, seq in enumerate(seqs):
+        if not (0 < seq.size <= max_len and not np.any(seq[:-1] == model.eos)
+                and (seq[-1] == model.eos or seq.size == max_len)):
+            raise ContractError(f"no search of max_len={max_len} emits {seq.tolist()}")
+        forced[s, :seq.size] = seq
+    found = search_rows(model, len(seqs), pick=lambda t, logp, beams: forced[beams, t - 1],
+                        limits=limits)
+    return [best.logp for best, _ in found]
 
 
 def force_score(model, tokens) -> float:
     """The benchmark's non-noisy log-probability of `tokens` under the bound
-    model: one forced search of len(tokens) steps. A sequence without EOS is
-    scored as a prefix; one with EOS before its last token would end early
-    and is refused."""
-    tokens = _vocab_indices(tokens, model.n_tokens, "tgt")
-    if np.any(tokens[:-1] == model.eos):
-        raise ContractError("EOS before the last token of a sequence to score")
-    pick = forced_pick([tokens], tokens.size)
-    return search_rows(model, 1, pick=pick, limits=DecodeLimits(tokens.size))[0][0].logp
+    model: `forced_scores` at max_len len(tokens), so one without EOS is a prefix."""
+    return forced_scores(model, [tokens], len(tokens))[0]
 
 
 def score_sequence(params, source, target) -> float:
     """Non-noisy log-probability of `target` given `source`: the one-pair call
     of training's forward (`backprop.pair_nlls`), bitwise the forced search
-    (`forced_pick`) of `target` on the bound source. A `target` without EOS
+    (`forced_scores`) of `target` on the bound source. A `target` without EOS
     is scored as a prefix, so unfinished decodes can be rescored."""
     # 0.0 - nll, not -nll: a target of probability 1 scores +0.0, as a search does
     return 0.0 - pair_nlls(params, [SequencePair(tuple(source), tuple(target))])[0]

@@ -219,7 +219,9 @@ def decode_corpus(params, sources, references, cell: Cell, base_seed: int,
     n = len(sources)
     ctx = {"params": params, "sources": sources, "cell": cell,
            "base_seed": base_seed, "max_len": max_len, "keep_chains": keep_chains}
-    workers = min(workers, n, len(os.sched_getaffinity(0)))
+    # sched_getaffinity, the CPUs this process may use, exists only on Linux
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, n, cpus or 1)
     if workers > 1:
         import multiprocessing as mp    # only a pool needs it: `import npad` stays without it
 

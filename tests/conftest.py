@@ -5,7 +5,6 @@ import pytest
 from hypothesis import strategies as st
 
 from npad.core import RngStream
-from npad.decode import DecodeLimits, forced_pick, search_rows
 from npad.model import Dims, init_params
 from npad.serialize import load_model
 from npad.tasks import gen_task
@@ -21,14 +20,6 @@ def make_params(seed: int, d_emb=3, d_hid=4, n_src=5, n_tgt=4, scale=0.8):
     """Small random model; the default scale gives well-spread distributions."""
     dims = Dims(d_emb=d_emb, d_hid=d_hid, n_src=n_src, n_tgt=n_tgt)
     return init_params(RngStream(seed), dims, scale=scale)
-
-
-def forced_scores(model, seqs, max_len):
-    """The sequences rescored as the searches of one forced search, as NPAD
-    rescores the outputs of its noisy beam chains."""
-    found = search_rows(model, len(seqs), pick=forced_pick(seqs, max_len),
-                        limits=DecodeLimits(max_len))
-    return [best.logp for best, _ in found]
 
 
 def damaged(data, blob: bytes) -> bytes:

@@ -14,13 +14,14 @@ from npad.decode import (
     Hypothesis,
     beam_search,
     exact_search,
+    forced_scores,
     greedy_search,
     score_sequence,
 )
 from npad.evaluate import Cell
 from npad.model import BoundModel
 from npad.tasks import ConfigError
-from conftest import forced_scores, make_params
+from conftest import make_params
 from table_models import RecordingModel, TableModel, garden_path
 
 

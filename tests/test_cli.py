@@ -8,12 +8,14 @@ import sys
 import pytest
 
 import npad
-from npad.cli import main
+from npad.cli import build_parser, main
+from npad.decode import forced_scores
 from npad.evaluate import Cell
 from npad.model import BoundModel
 from npad.serialize import load_model, load_pairs, load_vocab, save_pairs, save_vocab
 from npad.tasks import ConfigError
-from conftest import FROZEN_MODEL, forced_scores
+from npad.train import TrainConfig
+from conftest import FROZEN_MODEL
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +74,17 @@ def test_train_artifacts(workspace):
     lines = open(workspace["trace"]).read().strip().split("\n")
     assert lines[0] == "epoch,train_nll,valid_nll"
     assert len(lines) == 3
+
+
+def test_train_flag_defaults_are_train_config_defaults():
+    # `npad train` without its optional flags trains as TrainConfig's defaults do
+    args = build_parser().parse_args(["train", "--input", "a", "--valid", "b", "--vocab-src",
+                                      "c", "--vocab-tgt", "d", "--model", "e", "--seed", "0"])
+    defaults = TrainConfig(epochs=args.epochs)
+    for name in ("batch_size", "lr", "lr_decay", "clip_norm", "patience"):
+        assert getattr(args, name) == getattr(defaults, name), name
+    assert (not args.plain_sgd, args.stop_below) == (defaults.adaptive,
+                                                     defaults.stop_below_token_nll)
 
 
 def test_decode_greedy_jsonl_schema(workspace, capsys):

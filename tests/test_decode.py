@@ -17,7 +17,7 @@ from npad.decode import (
     diverse_beam_search,
     exact_search,
     force_score,
-    forced_pick,
+    forced_scores,
     greedy_search,
     score_sequence,
     search_rows,
@@ -25,7 +25,7 @@ from npad.decode import (
 from npad.evaluate import MAX_ROWS, Cell
 from npad.model import EOS, BoundModel, VocabError
 from npad.tasks import ConfigError
-from conftest import forced_scores, make_params
+from conftest import make_params
 from table_models import TableModel, garden_path, point_mass_eos
 
 
@@ -554,7 +554,10 @@ class TestReplaySoundness:
             assert force_score(model, [1, 0, 3]) == score_sequence(params, source, [1, 0, 3])
         for seqs in ([[3], []], [[3, 2], [3, 3, 3, 3, 2]]):
             with pytest.raises(ContractError):
-                forced_pick(seqs, 4)
+                forced_scores(model, seqs, 4)
+        # no EOS and shorter than max_len: the pick would run past its tokens
+        with pytest.raises(ContractError):
+            forced_scores(BoundModel(make_params(7), [3, 4]), [[0]], 4)
 
     def test_rescoring_rejects_out_of_range_tokens(self):
         model = random_model(0)
@@ -566,6 +569,9 @@ class TestReplaySoundness:
             force_score(model, [])
         assert forced_scores(model, [[0, model.n_tokens - 1]], 2) == [
             force_score(model, [0, model.n_tokens - 1])]
+        # a negative index would score the last vocabulary column
+        with pytest.raises(VocabError):
+            forced_scores(BoundModel(make_params(7), [3, 4]), [[-1, EOS]], 3)
 
     def test_force_score_refuses_eos_before_its_last_token(self):
         # a forced search ends at the first EOS and would score only a prefix
@@ -573,6 +579,8 @@ class TestReplaySoundness:
         for seq in ([3, EOS, 3], [EOS, EOS], [EOS, 1, 0, EOS]):
             with pytest.raises(ContractError):
                 force_score(model, seq)
+        with pytest.raises(ContractError):
+            forced_scores(BoundModel(make_params(7), [3, 4]), [[3, EOS, 3]], 3)
         assert force_score(model, [3, 1, EOS]) == score_sequence(*random_case(0), [3, 1, EOS])
 
     def test_silent_decoders_replay_to_their_logp(self):

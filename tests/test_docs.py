@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import os
 import re
 
@@ -34,3 +35,23 @@ def test_readme_cli_synopsis_lists_every_flag():
                     if flag != "--help" and flag.startswith("--")}
              for name, sub in commands.items()}
     assert listed == taken
+
+
+def test_docs_cite_only_names_the_package_has():
+    # every `module.name` in a code span of README.md or docs/*.md names an
+    # attribute of npad.<module>, so a renamed or deleted function leaves no
+    # stale citation behind
+    modules = [name[:-3] for name in os.listdir(os.path.join(ROOT, "src", "npad"))
+               if name.endswith(".py") and name != "__init__.py"]
+    docs = os.path.join(ROOT, "docs")
+    paths = [os.path.join(ROOT, "README.md")] + sorted(
+        os.path.join(docs, name) for name in os.listdir(docs) if name.endswith(".md"))
+    cited = set()
+    for path in paths:
+        with open(path, encoding="utf-8") as f:
+            text = re.sub(r"```.*?```", "", f.read(), flags=re.S)
+        for span in re.findall(r"`([^`]+)`", text):
+            cited.update((os.path.basename(path), module, name) for module, name in
+                         re.findall(r"(?<![\w./])(\w+)\.(\w+)", span) if module in modules)
+    missing = [c for c in cited if not hasattr(importlib.import_module(f"npad.{c[1]}"), c[2])]
+    assert len(cited) > 30 and missing == []

@@ -227,6 +227,12 @@ class TestDecodeCorpus:
         assert sizes == ([] if pool is None else [pool])
         assert [r.tokens for r in records] == \
             [r.tokens for r in decode_corpus(params, sources, None, cell, base_seed=4)]
+        # an os without sched_getaffinity (macOS, Windows) caps the pool by its CPU count
+        monkeypatch.delattr(evaluate.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(evaluate.os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        assert decode_corpus(params, sources, None, cell, base_seed=4, workers=workers) == records
+        assert sizes == ([] if pool is None else [pool])
 
     def test_every_logp_replay_verifies(self, toy_setup):
         # a record's logp, and every chain's rescored logp, is the non-noisy
@@ -259,9 +265,9 @@ class TestDecodeCorpus:
         # only NPAD around beam runs a forced search to rescore
         params, data, pairs = toy_setup
         rescored = []
-        forced_pick = chains.forced_pick
-        monkeypatch.setattr(chains, "forced_pick",
-                            lambda seqs, max_len: rescored.extend(seqs) or forced_pick(seqs, max_len))
+        forced_scores = chains.forced_scores
+        monkeypatch.setattr(chains, "forced_scores", lambda model, seqs, max_len:
+                            rescored.extend(seqs) or forced_scores(model, seqs, max_len))
         records = decode_corpus(params, [p.source for p in pairs], None,
                                 Cell(strategy="sample", chains=4), base_seed=2)
         assert len(records) == len(pairs) and rescored == []
