@@ -7,7 +7,6 @@ from .decode import (
     DecodeLimits,
     Hypothesis,
     beam_search,
-    diverse_beam_search,
     exact_search,
     greedy_search,
     score_sequence,

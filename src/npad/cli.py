@@ -1,8 +1,8 @@
 """Command-line surface: gen-data | train | decode | score | experiment | report.
 
 Every command is deterministic given its flags and input files; stochastic
-commands require an explicit --seed. Output files are written atomically and
-input files are never modified.
+commands require an explicit --seed. Output paths are checked before any
+work, output files are written atomically and input files are never modified.
 """
 from __future__ import annotations
 
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-count", type=_at_least(int, "--test-count", 0), default=0)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_gen_data)
+    p.set_defaults(func=cmd_gen_data, outputs=lambda a: ())
 
     p = sub.add_parser("train", help="train a model on a pair file")
     p.add_argument("--input", required=True)
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plain-sgd", action="store_true", help="disable adaptive scaling")
     p.add_argument("--stop-below", type=float, help="stop when valid per-token NLL drops below")
     p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, outputs=lambda a: (a.model, a.trace))
 
     p = sub.add_parser("decode", help="decode a test file, one JSON line per input")
     p.add_argument("--strategy", required=True, choices=STRATEGIES)
@@ -97,23 +97,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_at_least(int, "--workers"), default=1)
     p.add_argument("--max-len", type=_at_least(int, "--max-len"))
     p.add_argument("--trace-chains", help="JSON-lines per chain (npad/sample only)")
-    p.set_defaults(func=cmd_decode)
+    p.set_defaults(func=cmd_decode, outputs=lambda a: (
+        a.output, a.trace_chains if a.strategy in CHAINED else None))
 
     p = sub.add_parser("score", help="force-decode log-probabilities of pair file")
     _model_files(p)
-    p.set_defaults(func=cmd_score)
+    p.set_defaults(func=cmd_score, outputs=lambda a: (a.output,))
 
     p = sub.add_parser("experiment", help="run every cell of an experiment spec")
     p.add_argument("--spec", required=True)
     p.add_argument("--output", help="results CSV; default: stdout")
     p.add_argument("--seed", type=int, help="override the spec's base_seed")
     p.add_argument("--workers", type=_at_least(int, "--workers"), default=1)
-    p.set_defaults(func=cmd_experiment)
+    p.set_defaults(func=cmd_experiment, outputs=lambda a: (a.output,))
 
     p = sub.add_parser("report", help="render a results CSV as an aligned table")
     p.add_argument("--input", required=True)
     p.add_argument("--output", help="default: stdout")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, outputs=lambda a: (a.output,))
     return parser
 
 
@@ -163,9 +164,6 @@ def _check_output(path: str) -> None:
 
 
 def cmd_train(args) -> int:
-    for path in (args.model, args.trace):
-        if path:
-            _check_output(path)
     src_vocab = load_vocab(args.vocab_src)
     tgt_vocab = load_vocab(args.vocab_tgt)
     dataset = load_pairs(args.input, src_vocab, tgt_vocab)
@@ -311,6 +309,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for path in args.outputs(args):         # the files the command will write
+            if path:
+                _check_output(path)
         return args.func(args)
     except SystemExit as e:
         return int(e.code or 0)

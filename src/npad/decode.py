@@ -1,8 +1,8 @@
-"""Inner decoding strategies: greedy, beam, diverse beam, and an exhaustive
-oracle for tiny instances, plus the shared search engine, the one forced
-search (`forced_scores`) and sequence scoring (`score_sequence`). The
-benchmark's one-sequence helper `force_score` is one call of it; nothing
-here calls it.
+"""Inner decoding strategies: greedy, beam search with an optional
+sibling-rank penalty (`beam_search(..., eta)`) and an exhaustive oracle for
+tiny instances, plus the shared search engine, the one forced search
+(`forced_scores`) and sequence scoring (`score_sequence`). The benchmark's
+one-sequence helper `force_score` is one call of it; nothing here calls it.
 
 Nothing here draws a random number. `search_rows` is the one search loop:
 it runs any number of independent greedy, picked or beam searches, taking a
@@ -299,18 +299,13 @@ def greedy_search(model, limits: DecodeLimits | None = None) -> Hypothesis:
     return search_rows(model, 1, pick=greedy_pick, limits=limits)[0][0]
 
 
-def beam_search(model, width: int, limits: DecodeLimits | None = None):
+def beam_search(model, width: int, limits: DecodeLimits | None = None, eta: float = 0.0):
     """Beam search; returns (best completed hypothesis, all completed).
 
-    If nothing completes within max_len, the best live hypothesis is returned
-    flagged incomplete and the completed list is empty.
-    """
-    return search_rows(model, 1, width, limits=limits)[0]
-
-
-def diverse_beam_search(model, width: int, eta: float, limits: DecodeLimits | None = None):
-    """Beam search where the r-th ranked expansion of each parent has its
-    selection score reduced by eta * r. Reported scores are unpenalized.
+    The r-th ranked expansion of each parent loses eta * r at selection only
+    (diverse decoding); reported scores are unpenalized. If nothing completes
+    within max_len, the best live hypothesis is returned flagged incomplete
+    and the completed list is empty.
     """
     return search_rows(model, 1, width, eta, limits=limits)[0]
 

@@ -15,14 +15,7 @@ from math import exp, inf, log
 
 from .chains import ChainResult, npad_search
 from .core import ContractError, derive_seed, is_integer, is_number
-from .decode import (
-    MAX_SCALE,
-    DecodeLimits,
-    beam_search,
-    diverse_beam_search,
-    exact_search,
-    greedy_search,
-)
+from .decode import MAX_SCALE, DecodeLimits, beam_search, exact_search, greedy_search
 from .model import EOS, BoundModel
 from .serialize import load_model, load_pairs, load_vocab
 from .tasks import ConfigError
@@ -175,12 +168,10 @@ def _decode_cell(params, source, cell: Cell, seed: int, max_len: int | None = No
         return list(hyp.tokens), best.rescored_logp, hyp.complete, results
     if cell.strategy == "greedy":
         hyp = greedy_search(model, limits)
-    elif cell.strategy == "beam":
-        hyp, _ = beam_search(model, cell.beam_width, limits=limits)
-    elif cell.strategy == "diverse":
-        hyp, _ = diverse_beam_search(model, cell.beam_width, cell.eta, limits)
-    else:
+    elif cell.strategy == "exact":
         hyp = exact_search(model, limits)
+    else:                               # beam, or diverse: beam with a rank penalty
+        hyp, _ = beam_search(model, cell.beam_width, limits, cell.eta or 0.0)
     return list(hyp.tokens), hyp.logp, hyp.complete, None
 
 
@@ -225,7 +216,9 @@ def decode_corpus(params, sources, references, cell: Cell, base_seed: int,
     if workers > 1:
         import multiprocessing as mp    # only a pool needs it: `import npad` stays without it
 
-        with mp.get_context("fork").Pool(workers, _init_worker, (ctx,)) as pool:
+        # spawn where there is no fork: the context travels in the initializer's arguments
+        method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        with mp.get_context(method).Pool(workers, _init_worker, (ctx,)) as pool:
             outcomes = list(pool.imap(_decode_item, range(n), chunksize=-(-n // (4 * workers))))
     else:
         outcomes = [_decode_item(i, ctx) for i in range(n)]

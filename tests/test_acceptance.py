@@ -15,7 +15,6 @@ from npad.core import RngStream
 from npad.decode import (
     DecodeLimits,
     beam_search,
-    diverse_beam_search,
     exact_search,
     greedy_search,
     score_sequence,
@@ -202,7 +201,7 @@ def test_criterion_6_diverse_decoding_parity(translate_model, translate_grid):
     for pair in translate_model.test[:10]:
         model = BoundModel(params, pair.source)
         b_best, b_done = beam_search(model, 5)
-        d_best, d_done = diverse_beam_search(model, 5, 0.0)
+        d_best, d_done = beam_search(model, 5, eta=0.0)
         assert d_best.tokens == b_best.tokens and d_best.logp == b_best.logp
         assert [(h.tokens, h.logp) for h in d_done] == [(h.tokens, h.logp) for h in b_done]
     diverse_cells = translate_grid["diverse"]

@@ -457,6 +457,51 @@ def test_train_refuses_an_unwritable_output_before_training(workspace, tmp_path,
     assert sorted(os.listdir(tmp_path)) == ["a_dir"] and os.listdir(tmp_path / "a_dir") == []
 
 
+@pytest.mark.parametrize("command, flag, work", [
+    ("decode", "--output", "decode_corpus"), ("decode", "--trace-chains", "decode_corpus"),
+    ("score", "--output", "pair_nlls"), ("experiment", "--output", "run_experiment"),
+    ("report", "--output", "render_report")])
+@pytest.mark.parametrize("bad", ["a_dir", "missing/out"])
+def test_every_command_refuses_an_unwritable_output_before_its_work(
+        workspace, tmp_path, capsys, monkeypatch, command, flag, work, bad):
+    # decode once ran every sentence, wrote --output and only then failed on
+    # the trace, naming a temporary file the user never gave
+    monkeypatch.setattr(f"npad.cli.{work}", lambda *args, **kw: pytest.fail(f"{work} was called"))
+    d = workspace["data"]
+    files = ["--vocab-src", f"{d}/vocab_src.txt", "--vocab-tgt", f"{d}/vocab_tgt.txt"]
+    results = workspace["root"] / "header.csv"
+    results.write_text("strategy,beam_width,sigma0,chains,eta,mean_nll,mean_nll_per_token,bleu\n")
+    argv = {
+        "decode": ["decode", "--strategy", "npad", "--chains", "3", "--sigma0", "0.3",
+                   "--seed", "1", "--model", workspace["model"], *files,
+                   "--input", f"{d}/test.tsv", "--trace-chains", str(tmp_path / "t.jsonl")],
+        "score": ["score", "--model", workspace["model"], *files, "--input", f"{d}/test.tsv"],
+        "experiment": ["experiment", "--spec", _write_spec(workspace, "refuse.json",
+                                                           [{"strategy": "greedy"}])],
+        "report": ["report", "--input", str(results)],
+    }[command]
+    os.mkdir(tmp_path / "a_dir")
+    assert main(argv + ["--output", str(tmp_path / "out"), flag, str(tmp_path / bad)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    if bad == "a_dir":
+        assert lines == [f"error: file: {tmp_path / 'a_dir'}: Is a directory"]
+    else:
+        assert lines == [f"error: file not found: {tmp_path / 'missing'}"]
+    assert sorted(os.listdir(tmp_path)) == ["a_dir"] and os.listdir(tmp_path / "a_dir") == []
+
+
+def test_decode_checks_no_chain_trace_it_will_not_write(workspace, tmp_path, capsys):
+    # a strategy without chains ignores --trace-chains, so its path is not refused
+    d = workspace["data"]
+    out = tmp_path / "out.jsonl"
+    assert main(["decode", "--strategy", "greedy", "--model", workspace["model"],
+                 "--vocab-src", f"{d}/vocab_src.txt", "--vocab-tgt", f"{d}/vocab_tgt.txt",
+                 "--input", f"{d}/test.tsv", "--output", str(out),
+                 "--trace-chains", str(tmp_path / "missing" / "t.jsonl")]) == 0
+    assert "--trace-chains only applies to npad/sample; ignored" in capsys.readouterr().err
+    assert len(out.read_text().splitlines()) == 6
+
+
 def test_score_jsonl(workspace, capsys):
     d = workspace["data"]
     rc = main(["score", "--model", workspace["model"],
@@ -511,6 +556,7 @@ def test_experiment_byte_identical_reruns_and_workers(workspace):
         {"strategy": "sample", "chains": 3},
         {"strategy": "npad", "sigma0": 0.3, "chains": 4},
         {"strategy": "beam", "beam_width": 3},
+        {"strategy": "diverse", "beam_width": 3, "eta": 0.5},
     ])
     outs = [str(workspace["root"] / f"r{i}.csv") for i in range(3)]
     assert main(["experiment", "--spec", spec, "--seed", "7", "--output", outs[0]]) == 0

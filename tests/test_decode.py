@@ -14,7 +14,6 @@ from npad.decode import (
     SearchSpaceError,
     beam_search,
     default_limits,
-    diverse_beam_search,
     exact_search,
     force_score,
     forced_scores,
@@ -241,7 +240,7 @@ class TestBeam:
         # equal-score siblings rank by token ascending for the diversity penalty
         ranks = TableModel({(0, TableModel.bos): [0.3, 0.3, 0.1, 0.3]}, n_tokens=4,
                            default=[0.0, 0.0, 1.0, 0.0])
-        _, done = diverse_beam_search(ranks, 2, 1.0, limits=DecodeLimits(2))
+        _, done = beam_search(ranks, 2, limits=DecodeLimits(2), eta=1.0)
         assert [h.tokens for h in done] == [[0, 2], [1, 2]]
 
 
@@ -410,7 +409,7 @@ class TestDiverse:
         for seed in range(200):
             model = random_model(seed)
             b_best, b_done = beam_search(model, 3)
-            d_best, d_done = diverse_beam_search(model, 3, 0.0)
+            d_best, d_done = beam_search(model, 3, eta=0.0)
             assert d_best.tokens == b_best.tokens
             assert d_best.logp == b_best.logp
             assert [(h.tokens, h.logp) for h in d_done] == [(h.tokens, h.logp) for h in b_done]
@@ -420,7 +419,7 @@ class TestDiverse:
             model = random_model(seed)
             g = greedy_search(model)
             for eta in (0.001, 0.1, 1.0, 10.0):
-                d, _ = diverse_beam_search(model, 1, eta)
+                d, _ = beam_search(model, 1, eta=eta)
                 assert d.tokens == g.tokens and d.logp == g.logp
 
     def test_large_eta_flips_second_slot_to_other_parent(self):
@@ -435,30 +434,31 @@ class TestDiverse:
         model = TableModel(rows)
         limits = DecodeLimits(2)
         # step 1 keeps parents [0] and [1] either way; the flip is at step 2
-        _, small_eta = diverse_beam_search(model, 2, 0.001, limits=limits)
+        _, small_eta = beam_search(model, 2, limits=limits, eta=0.001)
         assert sorted(h.tokens for h in small_eta) == [[0, 2]]
-        _, large_eta = diverse_beam_search(model, 2, 1.0, limits=limits)
+        _, large_eta = beam_search(model, 2, limits=limits, eta=1.0)
         assert sorted(h.tokens for h in large_eta) == [[0, 2], [1, 2]]
         flipped = [h for h in large_eta if h.tokens == [1, 2]][0]
         assert flipped.logp == pytest.approx(math.log(0.3) + math.log(0.55), abs=1e-12)
 
     def test_rejects_negative_eta(self, tiny_params):
         with pytest.raises(ContractError):
-            diverse_beam_search(BoundModel(tiny_params, [3]), 2, -0.5)
+            beam_search(BoundModel(tiny_params, [3]), 2, eta=-0.5)
 
     def test_rejects_eta_that_overflows(self, tiny_params):
         # eta * rank near the float maximum ranked every lower expansion -inf
         model = BoundModel(tiny_params, [3])
-        diverse_beam_search(model, 2, decode.MAX_SCALE)
-        with pytest.raises(ContractError, match="eta must be finite, >= 0 and <= 1e"):
-            diverse_beam_search(model, 2, 1.7e308)
+        beam_search(model, 2, eta=decode.MAX_SCALE)
+        for bad in (1.7e308, math.inf, math.nan):
+            with pytest.raises(ContractError, match="eta must be finite, >= 0 and <= 1e"):
+                beam_search(model, 2, eta=bad)
 
     @pytest.mark.filterwarnings("error")
     def test_numpy_float_eta_compares_without_a_warning(self, tiny_params):
         # the bound 1e100 cast to float32 or float16 overflowed with a warning
         model = BoundModel(tiny_params, [3])
         for kind in (np.float32, np.float16):
-            assert diverse_beam_search(model, 2, kind(0.5)) == diverse_beam_search(model, 2, 0.5)
+            assert beam_search(model, 2, eta=kind(0.5)) == beam_search(model, 2, eta=0.5)
 
 
 class TestExact:
@@ -589,7 +589,7 @@ class TestReplaySoundness:
             model = BoundModel(params, source)
             hyps = [greedy_search(model)]
             hyps.append(beam_search(model, 3)[0])
-            hyps.append(diverse_beam_search(model, 3, 0.01)[0])
+            hyps.append(beam_search(model, 3, eta=0.01)[0])
             hyps += samples(model, 3, seed)
             for hyp in hyps:
                 assert score_sequence(params, source, hyp.tokens) == hyp.logp
@@ -600,7 +600,7 @@ class TestReplaySoundness:
         assert len(greedy_search(never_eos, limits=limits).tokens) <= 3
         assert len(beam_search(never_eos, 2, limits=limits)[0].tokens) <= 3
         assert all(len(h.tokens) <= 3 for h in samples(never_eos, 3, 0, limits))
-        assert len(diverse_beam_search(never_eos, 2, 0.5, limits=limits)[0].tokens) <= 3
+        assert len(beam_search(never_eos, 2, limits=limits, eta=0.5)[0].tokens) <= 3
 
 
 def test_table_model_rows_match_the_per_row_formula():

@@ -164,6 +164,34 @@ class TestDecodeCorpus:
                      Cell(strategy="npad", sigma0=0.3, chains=5, beam_width=5)):
             assert kept(cell, 1) == kept(cell, 3), cell
 
+    def test_spawn_pool_where_there_is_no_fork(self, frozen_translate, monkeypatch):
+        # a platform without fork (Windows) raised ValueError from
+        # get_context("fork"); a spawn pool decodes every bit as one process does
+        params, pairs, _ = frozen_translate
+        sources = [p.source for p in pairs[:4]]
+        cell = Cell(strategy="npad", sigma0=0.3, chains=5)
+        get_context = multiprocessing.get_context
+
+        def no_fork(method=None):
+            if method == "fork":
+                raise ValueError("cannot find context for 'fork'")
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn", "forkserver"])
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: set(range(2)))
+
+        def bits(workers):
+            records = decode_corpus(params, sources, None, cell, 8, workers=workers,
+                                    keep_chains=True)
+            return [(r.tokens, r.rescored_logp.hex(), r.complete,
+                     [(c.chain_index, c.hypothesis.tokens, c.noisy_logp.hex(),
+                       c.rescored_logp.hex(), c.hypothesis.complete, c.sigma0_effective)
+                      for c in r.chains]) for r in records]
+
+        assert bits(2) == bits(1)
+
     def test_max_len_zero_or_non_integral_refused(self, toy_setup):
         # max_len=0 decoded at the default length, 2.5 failed inside the search
         # and True ran as 1
