@@ -67,7 +67,7 @@ def forward_rows(params: ModelParams, pairs: list[SequencePair], keep_cache: boo
 
 
 def _gru_back_rows(stacks, dh: np.ndarray, hprev, z, r, n):
-    """Backward through one `model._gru_step`, given its `_gru_stacks`, its
+    """Backward through one `model._gru_step`, given its GRU's `params.gru`, its
     states' gradients dh (..., B, d_hid), h_prev and gates, with its leading
     axes. Returns (dx, dh_prev) and the gates' pre-activation gradients (dz,
     dr, dn), the weight gradients' row factors."""
@@ -128,7 +128,7 @@ def backward_rows(params: ModelParams, cache) -> dict:
         dh = dhc[:, :d_hid] + carry
         dctx = dhc[:, d_hid:].copy()
 
-        du, dq, (z[j], dr[j], n[j]) = _gru_back_rows(enc.dec_gru, dh, q[j], z[j], r[j], n[j])
+        du, dq, (z[j], dr[j], n[j]) = _gru_back_rows(params.gru["dec"], dh, q[j], z[j], r[j], n[j])
         du_emb[j] = du[:, :d_emb]
         dctx += du[:, d_emb:]
 
@@ -156,14 +156,14 @@ def backward_rows(params: ModelParams, cache) -> dict:
     dA += _matvec_rows(t["init.W"].T, dpre0)[:, None, :] / L
 
     # encoder: both directions as the rows of each step; step k read positions k and L-1-k
-    X, S, G, stacks = cache["enc_steps"]
+    X, S, G = cache["enc_steps"]
     z, r, n = (G[:, :, g] for g in range(3))               # (L, 2, B, d_hid) views
     dr = np.empty_like(r)
     carry = np.zeros((2, B, d_hid))
     dX = np.zeros((L, B, d_emb))
     for k in range(L - 1, -1, -1):
         dh = np.stack([dA[:, k, :d_hid], dA[:, L - 1 - k, d_hid:]]) + carry
-        dx, carry, (z[k], dr[k], n[k]) = _gru_back_rows(stacks, dh, S[k], z[k], r[k], n[k])
+        dx, carry, (z[k], dr[k], n[k]) = _gru_back_rows(params.gru["enc"], dh, S[k], z[k], r[k], n[k])
         dX[k] += dx[0]
         dX[L - 1 - k] += dx[1]
     for d, pre in enumerate(("enc_f", "enc_b")):

@@ -195,12 +195,12 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function: 1 / (1 + e^-x) for x >= 0 and
-    e^x / (1 + e^x) below, both from one exp(-|x|): the numerator is
-    max(e, 1) = 1 where x >= 0 (there e <= 1) and max(e, 0) = e below."""
-    x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    return np.maximum(e, x >= 0) / (1.0 + e)
+    """Stable logistic function of a float array (not 0-d): 1 / (1 + e^-x) for x >= 0, e^x /
+    (1 + e^x) below, both from one e = exp(-|x|): the numerator max(e, heaviside(x,
+    1)) is 1 where x >= 0 (e <= 1), e below and NaN at NaN, all in a float64 loop."""
+    e = np.abs(x)
+    np.exp(np.negative(e, out=e), out=e)
+    return np.maximum(e, np.heaviside(x, 1.0)) / (1.0 + e)
 
 
 def gaussian_vec(rng: RngStream, dim: int, sigma: float) -> np.ndarray:

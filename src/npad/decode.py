@@ -123,7 +123,7 @@ def score_sequence(params, source, target) -> float:
 
 def greedy_pick(t, logp, beams):
     """The argmax token of each row: `search_rows`'s greedy `pick`."""
-    return np.argmax(logp, axis=1)
+    return logp.argmax(axis=1)
 
 
 def _rank(hyp: Hypothesis):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ContractError, RngStream, log_softmax, sigmoid, softmax
+from .core import ContractError, RngStream, is_integer, log_softmax, sigmoid, softmax
 
 PAD, BOS, EOS = 0, 1, 2
 PAD_TOKEN, BOS_TOKEN, EOS_TOKEN = "<pad>", "<s>", "</s>"
@@ -119,9 +119,24 @@ def tensor_shapes(dims: Dims) -> dict[str, tuple]:
     return shapes
 
 
+class _Tensors(dict):
+    """`ModelParams.tensors`: a dict whose entries change only in place, as GRU
+    gate tensors are views of their stacks (`t[name] -= g` rebinds to itself)."""
+
+    def __setitem__(self, name, value):
+        if value is not self.get(name):
+            raise ContractError(f"tensor {name!r} can only be changed in place")
+
+    def _fixed(self, *args, **kwargs):
+        raise ContractError("the tensors of ModelParams are a fixed set")
+
+    __delitem__ = clear = pop = popitem = setdefault = update = __ior__ = _fixed
+
+
 @dataclass
 class ModelParams:
-    """All learned weights, keyed by tensor name (see tensor_shapes)."""
+    """All learned weights, keyed by tensor name (see tensor_shapes); each GRU's
+    gate tensors are views of its stacks in `gru` (docs/model.md, "GRU cell")."""
 
     dims: Dims
     tensors: dict[str, np.ndarray] = field(repr=False)
@@ -138,6 +153,18 @@ class ModelParams:
                 raise ContractError(f"tensor {name}: shape {t.shape}, expected {shape}")
             if not np.all(np.isfinite(t)):
                 raise ContractError(f"tensor {name} has non-finite entries")
+        tensors, self.gru = dict(self.tensors), {}
+        for key, pres in (("enc", ("enc_f", "enc_b")), ("dec", ("dec",))):
+            # W, U and b each one (directions, gates, ...) copy, the gates' tensors its views
+            names = [[[f"{p}.{m}{g}" for g in "zrn"] for p in pres] for m in "WUb"]
+            stacks = [np.array([[tensors[n] for n in row] for row in grid]) for grid in names]
+            for grid, stack in zip(names, stacks):
+                tensors.update(zip(sum(grid, []), stack.reshape(-1, *stack.shape[2:])))
+            self.gru[key] = _gru_stacks(*(s[0] if key == "dec" else s for s in stacks))
+        self.tensors = _Tensors(tensors)
+
+    def __reduce__(self):    # pickling rebuilds through the constructor, and so the stacks
+        return ModelParams, (self.dims, dict(self.tensors))
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.dims, {k: v.copy() for k, v in self.tensors.items()})
@@ -160,11 +187,10 @@ def init_params(rng: RngStream, dims: Dims, scale: float = 0.08) -> ModelParams:
 @dataclass
 class EncodedSource:
     """B encoded sources of one length: per-position annotations plus cached
-    attention keys, and the decoder GRU stacks."""
+    attention keys."""
 
     annotations: np.ndarray        # (B, source_len, 2*d_hid)
     att_keys: np.ndarray           # (B, source_len, d_hid): Wk a_i + b, cached
-    dec_gru: tuple                 # the decoder GRU's `_gru_stacks`, made at encode time
 
     @property
     def source_len(self) -> int:
@@ -172,27 +198,26 @@ class EncodedSource:
 
 
 def _vocab_indices(tokens, n: int, side: str) -> np.ndarray:
-    """`tokens` as int64 indices into the vocabulary V_side ("src" or "tgt")
-    of n tokens. An index outside it, one beyond int64 too, is a VocabError."""
-    try:
-        idx = np.asarray(tokens, dtype=np.int64)
-    except OverflowError:
-        idx = None
-    if idx is None or np.any(idx < 0) or np.any(idx >= n):
+    """`tokens` as int64 indices into the vocabulary V_side ("src" or "tgt") of n
+    tokens: a non-integer (a bool too) is a ContractError, one outside V_side a VocabError."""
+    tokens = np.asarray(tokens, dtype=object)
+    flat = tokens.ravel().tolist()
+    if not all(map(is_integer, {type(x): x for x in flat}.values())):    # a token per type
+        raise ContractError(f"{side} token indices must be integers")
+    if flat and (min(flat) < 0 or max(flat) >= n):    # Python ints, which never overflow
         raise VocabError(f"token index out of range (|V_{side}|={n})")
-    return idx
+    return tokens.astype(np.int64)
 
 
-def _gru_stacks(tensors: dict, pre: str):
-    """Copies of GRU `pre`'s gate tensors stacked per gate for `_gru_step`:
-    (W (3, d_hid, d_in), U_zr (2, 1, d_hid, d_hid), U_n, b_zr, b_n)."""
-    W, U, b = (np.array([tensors[f"{pre}.{m}{g}"] for g in "zrn"]) for m in "WUb")
-    return W, U[:2, None], U[2:], b[:2, None], b[2:]
+def _gru_stacks(W, U, b):
+    """`_gru_step`'s views of one GRU's gate stacks W (..., 3, d_hid, d_in), U
+    and b: (W, U_zr (..., 2, 1, d_hid, d_hid), U_n, b_zr, b_n)."""
+    return W, U[..., :2, None, :, :], U[..., 2:, :, :], b[..., :2, None, :], b[..., 2:, :]
 
 
 def _gru_step(wx, h, Uzr, Un, bzr, bn):
     """One GRU step (docs/model.md) of states h (..., B, d_hid) from the gates'
-    input products wx (..., 3, B, d_hid) and `_gru_stacks`'s U and b, with
+    input products wx (..., 3, B, d_hid) and the `_gru_stacks` U and b, with
     h's leading axes: returns (h', zr, n), z and r stacked in zr."""
     # each sum Wx + Uh + b runs in the gemv output's buffer: (Uh + Wx) + b is
     # bitwise (Wx + Uh) + b, since IEEE addition commutes exactly
@@ -220,7 +245,7 @@ def encode_rows(params: ModelParams, sources):
     Returns the sources stacked into one EncodedSource ((B, L, ...) arrays)
     and, for backpropagation, the arrays the steps ran on, in their order:
     the inputs (2, L, B, d_emb), the states before each step (L, 2, B,
-    d_hid), the gates z, r, n (L, 2, 3, B, d_hid) and the `_gru_stacks`.
+    d_hid) and the gates z, r, n (L, 2, 3, B, d_hid).
     """
     src = _vocab_indices(sources, params.dims.n_src, "src")
     if src.ndim != 2 or src.size == 0:
@@ -228,8 +253,7 @@ def encode_rows(params: ModelParams, sources):
     t = params.tensors
     B, L = src.shape
     d_hid = params.dims.d_hid
-    stacks = tuple(np.array(s) for s in zip(_gru_stacks(t, "enc_f"), _gru_stacks(t, "enc_b")))
-    W, *gru = stacks                                  # (2, ...): direction 0 forward, 1 backward
+    W, *gru = params.gru["enc"]                       # (2, ...): direction 0 forward, 1 backward
     X = t["src_embed"][src.T]                                 # (L, B, d_emb)
     Xd = np.stack([X, X[::-1]])                               # direction d's input at its step k
     # one gemv per gate, never one [Wz; Wr; Wn] product, which changes bits
@@ -241,8 +265,7 @@ def encode_rows(params: ModelParams, sources):
     ann = np.empty((B, L, 2 * d_hid))
     ann[:, :, :d_hid] = S[1:, 0].transpose(1, 0, 2)
     ann[:, :, d_hid:] = S[:0:-1, 1].transpose(1, 0, 2)        # the backward direction ran from the right
-    enc = EncodedSource(ann, ann @ t["att.Wk"].T + t["att.b"], _gru_stacks(t, "dec"))
-    return enc, (Xd, S[:-1], G, stacks)
+    return EncodedSource(ann, ann @ t["att.Wk"].T + t["att.b"]), (Xd, S[:-1], G)
 
 
 def initial_rows(params: ModelParams, annotations: np.ndarray) -> np.ndarray:
@@ -267,7 +290,7 @@ def _attend_rows(params: ModelParams, enc: EncodedSource, Q: np.ndarray):
     M = np.add(enc.att_keys, Q[:, None, :] @ t["att.Wq"].T)
     np.tanh(M, out=M)
     alpha = softmax(M @ t["att.v"])
-    C = (np.swapaxes(enc.annotations, -1, -2) @ alpha[:, :, None])[:, :, 0]
+    C = (enc.annotations.swapaxes(-1, -2) @ alpha[:, :, None])[:, :, 0]
     return M, alpha, C
 
 
@@ -303,7 +326,7 @@ def step_rows(params: ModelParams, enc: EncodedSource, H: np.ndarray, prev: np.n
     Q = H if noise is None else H + noise
     M, alpha, C = _attend_rows(params, enc, Q)
     U = np.concatenate([t["tgt_embed"][prev], C], axis=1)
-    W, *gru = enc.dec_gru
+    W, *gru = params.gru["dec"]
     Hn, zr, n = _gru_step((W[:, None] @ U[:, :, None])[..., 0], Q, *gru)
     HC = np.concatenate([Hn, C], axis=1)
     logits = _matvec_rows(t["out.W"], HC)

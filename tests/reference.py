@@ -10,7 +10,7 @@ import numpy as np
 
 from npad.core import ContractError, RngStream, sigmoid
 from npad.decode import score_sequence
-from npad.model import BOS, EOS, EncodedSource, _gru_stacks, step_rows
+from npad.model import BOS, EOS, EncodedSource, step_rows
 from npad.tasks import N_SPECIALS, ConfigError, SequencePair, TaskData, _content_vocab
 from npad.train import DivergenceError, zero_grads
 
@@ -63,7 +63,7 @@ def encode_with_cache(params, source):
         h, cache = _gru_fwd(t, "enc_b", X[i], h)
         ann[i, d_hid:] = h
         b_caches.append(cache)
-    enc = EncodedSource(ann[None], (ann @ t["att.Wk"].T + t["att.b"])[None], _gru_stacks(t, "dec"))
+    enc = EncodedSource(ann[None], (ann @ t["att.Wk"].T + t["att.b"])[None])
     return enc, {"src": src, "f_caches": f_caches, "b_caches": b_caches}
 
 

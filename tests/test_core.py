@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -91,6 +92,31 @@ def test_sigmoid_is_bitwise_the_where_form():
     x = np.concatenate([edges, RngStream(8).normal_vec(100_000) * 40.0])
     e = np.exp(-np.abs(x))
     assert sigmoid(x).tobytes() == (np.where(x >= 0, 1.0, e) / (1.0 + e)).tobytes()
+
+
+def test_softmax_and_log_softmax_keep_their_bits_on_edge_values():
+    # both helpers are bitwise these expressions, written out, on edge values
+    # (a row of any two, and one among normals) and on scaled normals: a
+    # rewrite, such as an exp run in place, must keep every bit
+    def softmax_ref(x):
+        e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+        return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=e)
+
+    def log_softmax_ref(x):
+        shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+        total = np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+        return np.subtract(shifted, total, out=shifted)
+
+    edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308, -1e308]
+    normals = RngStream(9).normal_vec(100_000) * 40.0
+    among = normals[:len(edges) * 20].reshape(len(edges), 20)
+    among[:, 7] = edges
+    cases = [np.array(edges), np.array(list(product(edges, repeat=2))), among,
+             *among, normals.reshape(-1, 20), normals[:35]]
+    with np.errstate(all="ignore"):
+        for x in cases:
+            assert softmax(x).tobytes() == softmax_ref(x).tobytes()
+            assert log_softmax(x).tobytes() == log_softmax_ref(x).tobytes()
 
 
 def test_helpers_leave_their_input_unchanged():

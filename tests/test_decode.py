@@ -559,6 +559,15 @@ class TestReplaySoundness:
         with pytest.raises(ContractError):
             forced_scores(BoundModel(make_params(7), [3, 4]), [[0]], 4)
 
+    def test_rescoring_rejects_non_integer_tokens(self):
+        # [[3.7, 2]] was scored as [3, 2]
+        model = BoundModel(make_params(7), [3, 4])
+        for bad in ([3.7, 2], [True, 2], ["3", "2"], np.array([3.0, 2.0])):
+            with pytest.raises(ContractError, match="integers"):
+                forced_scores(model, [bad], 4)
+        assert forced_scores(model, [np.array([3, 2], dtype=np.int32)], 4) == \
+            forced_scores(model, [[3, 2]], 4)
+
     def test_rescoring_rejects_out_of_range_tokens(self):
         model = random_model(0)
         for bad in (-1, model.n_tokens, 2**63, 2**70, -2**63 - 1):

@@ -1,4 +1,7 @@
+import copy
 import math
+import multiprocessing
+import pickle
 from itertools import product
 
 import numpy as np
@@ -19,12 +22,13 @@ from npad.model import (
     init_params,
     initial_rows,
     _attend_rows,
-    _gru_stacks,
     _gru_step,
     step_rows,
+    tensor_shapes,
 )
+from npad import evaluate
 from npad.backprop import forward_rows
-from npad.decode import score_sequence
+from npad.decode import greedy_search, score_sequence
 from npad.tasks import SequencePair
 from conftest import make_params
 from reference import _attend, _gru_fwd, encode_with_cache, log_softmax
@@ -42,7 +46,7 @@ def manual_encoded(params, annotations):
     """One source of the given (L, 2*d_hid) annotations, as a stack of one."""
     ann = np.asarray(annotations, dtype=np.float64)[None]
     keys = ann @ params.tensors["att.Wk"].T + params.tensors["att.b"]
-    return EncodedSource(ann, keys, _gru_stacks(params.tensors, "dec"))
+    return EncodedSource(ann, keys)
 
 
 def encode_one(params, source):
@@ -104,6 +108,18 @@ class TestEncode:
             with pytest.raises(VocabError):
                 BoundModel(tiny_params, [3, bad])
 
+    def test_non_integer_tokens_are_a_contract_error(self, tiny_params):
+        # the int64 cast truncated 3.9 to 3, read True as 1 and parsed "3",
+        # so each of these decoded another source
+        for bad in ([3.9, 4.2], [True, 4], ["3", "4"], [np.float64(3.0), 4],
+                    np.array([3.0, 4.0]), np.array([True, False])):
+            with pytest.raises(ContractError, match="integers"):
+                encode_rows(tiny_params, [bad])
+            with pytest.raises(ContractError, match="integers"):
+                BoundModel(tiny_params, bad)
+        assert np.array_equal(encode_one(tiny_params, np.array([3, 4], dtype=np.uint8)).annotations,
+                              encode_one(tiny_params, [3, 4]).annotations)
+
     def test_empty_source_rejected(self, tiny_params):
         with pytest.raises(ContractError):
             encode_one(tiny_params, [])
@@ -155,7 +171,7 @@ def test_encode_rows_bitwise_equal_per_vector_encoder(batch):
             for gate in "zrn":
                 params.tensors[f"{pre}.b{gate}"][:] = rng.uniform_vec(d_hid, -0.3, 0.3)
         sources = rng.integers(3, 35, size=(batch, length))
-        enc, (X, S, G, _) = encode_rows(params, sources)
+        enc, (X, S, G) = encode_rows(params, sources)
         for b, source in enumerate(sources):
             ref, caches = encode_with_cache(params, source)
             alone = encode_one(params, source)
@@ -345,6 +361,14 @@ class TestScoreSequence:
             total += math.exp(score_sequence(tiny_params, source, list(seq)))
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_non_integer_tokens_are_a_contract_error(self, tiny_params):
+        # [3.5, 4] scored as [3, 4]
+        for bad in ([3.5, 4], [True, 4], ["3"]):
+            with pytest.raises(ContractError, match="integers"):
+                score_sequence(tiny_params, bad, [2])
+            with pytest.raises(ContractError, match="integers"):
+                score_sequence(tiny_params, [3, 4], bad)
+
     def test_rejects_bad_targets(self, tiny_params):
         with pytest.raises(ContractError):
             score_sequence(tiny_params, [3], [])
@@ -451,21 +475,22 @@ def test_kernels_leave_every_input_unchanged():
     rng = RngStream(3)
     random_biases(params, rng)
     sources = rng.integers(3, 35, size=(2, 6))
-    enc, (Xd, S, G, stacks) = encode_rows(params, sources)
+    enc, (Xd, S, G) = encode_rows(params, sources)
     H = rng.uniform_vec((4, 5), -1.0, 1.0)
     prev = rng.integers(0, 35, size=4)
     noise = rng.uniform_vec((4, 5), -0.3, 0.3)
+    stacks, dec_gru = params.gru["enc"], params.gru["dec"]
     W, *gru = stacks
     WX = (W[:, :, None, None] @ Xd[:, None, ..., None])[..., 0]
-    one = EncodedSource(enc.annotations[:1], enc.att_keys[:1], enc.dec_gru)
-    wx = (one.dec_gru[0][:, None] @ rng.uniform_vec((4, 14), -1.0, 1.0)[:, :, None])[..., 0]
-    inputs = [H, prev, noise, enc.annotations, enc.att_keys, *enc.dec_gru, WX, S, *stacks, wx,
+    one = EncodedSource(enc.annotations[:1], enc.att_keys[:1])
+    wx = (dec_gru[0][:, None] @ rng.uniform_vec((4, 14), -1.0, 1.0)[:, :, None])[..., 0]
+    inputs = [H, prev, noise, enc.annotations, enc.att_keys, *dec_gru, WX, S, *stacks, wx,
               *params.tensors.values()]
     saved = [a.tobytes() for a in inputs]
     step_rows(params, one, H, prev, noise)
     step_rows(params, one, H, prev)
     _attend_rows(params, one, H)
-    _gru_step(wx, H, *one.dec_gru[1:])
+    _gru_step(wx, H, *dec_gru[1:])
     for k in range(S.shape[0]):
         h, zr, n = _gru_step(WX[:, :, k], S[k], *gru)
         assert np.array_equal(zr, G[k, :, :2]) and np.array_equal(n, G[k, :, 2])
@@ -473,3 +498,98 @@ def test_kernels_leave_every_input_unchanged():
             assert np.array_equal(h, S[k + 1])
     encode_rows(params, sources)
     assert [a.tobytes() for a in inputs] == saved
+
+
+def stack_view(params, name):
+    """The view of `params.gru` that GRU tensor `name` must share memory with."""
+    pre, (m, g) = name.split(".")
+    W, Uzr, Un, bzr, bn = params.gru["dec" if pre == "dec" else "enc"]
+    return {"W": W, "U": Uzr if g in "zr" else Un, "b": bzr if g in "zr" else bn}[m]
+
+
+GRU_TENSORS = [f"{pre}.{m}{g}" for pre in ("enc_f", "enc_b", "dec") for m in "WUb" for g in "zrn"]
+
+
+class TestStoredStacks:
+    """Each GRU's gate tensors are views of the stacks the kernels read."""
+
+    def test_in_place_edits_reach_bound_sources_and_the_next_bind(self):
+        params = make_params(4, d_emb=4, d_hid=5, n_src=35, n_tgt=35, scale=0.3)
+        random_biases(params, RngStream(4))
+        source, q, prev = (3, 9, 4), RngStream(5).uniform_vec((1, 5), -1.0, 1.0), np.array([6])
+        bound = BoundModel(params, source)
+        before = bound.step_batch(q, prev)
+        params.tensors["dec.Uz"] += 0.25          # rebinds the entry to itself
+        for name in GRU_TENSORS:
+            assert np.shares_memory(params.tensors[name], stack_view(params, name)), name
+        # a source bound before the edit steps with the new decoder weights too,
+        # as it does with the new attention and readout weights
+        after = bound.step_batch(q, prev)
+        assert not np.array_equal(before[1], after[1])
+        h, logp, _ = per_vector_step(params, bound.enc, q[0], prev[0])
+        assert np.array_equal(after[0][0], h) and np.array_equal(after[1][0], logp)
+        fresh = BoundModel(params, source)
+        assert all(np.array_equal(a, b) for a, b in zip(fresh.step_batch(q, prev), after))
+        # an encoder edit moves the next bind's annotations, as the reference reads them
+        params.tensors["enc_b.Wn"] -= 0.5
+        ref, _ = encode_with_cache(params, source)
+        again = encode_one(params, source)
+        assert not np.array_equal(again.annotations, fresh.enc.annotations)
+        assert np.array_equal(again.annotations, ref.annotations)
+
+    def test_rebinding_adding_or_removing_a_tensor_raises(self):
+        params = make_params(7)
+        t = params.tensors
+        saved = {name: tensor for name, tensor in t.items()}
+        for name in ("dec.Uz", "enc_f.bn", "out.W"):
+            with pytest.raises(ContractError, match="in place"):
+                t[name] = t[name].copy()
+        with pytest.raises(ContractError):
+            t["extra"] = np.zeros(1)
+        for change in (lambda: t.__delitem__("out.b"), lambda: t.pop("out.b"), t.popitem,
+                       t.clear, lambda: t.update({"out.b": np.zeros(4)}),
+                       lambda: t.setdefault("extra", np.zeros(1))):
+            with pytest.raises(ContractError):
+                change()
+        assert set(t) == set(tensor_shapes(params.dims))
+        assert all(t[name] is tensor for name, tensor in saved.items())
+
+    def test_pickle_and_copies_decode_the_same_from_their_own_stacks(self):
+        params = make_params(5, d_emb=4, d_hid=5, n_src=35, n_tgt=35, scale=0.3)
+        random_biases(params, RngStream(5))
+        source = (3, 9, 4, 17)
+        want = greedy_search(BoundModel(params, source))
+        for other in (pickle.loads(pickle.dumps(params)), params.copy(), copy.deepcopy(params)):
+            assert list(other.tensors) == list(params.tensors)
+            for name, tensor in other.tensors.items():
+                assert np.array_equal(tensor, params.tensors[name]), name
+                assert not np.shares_memory(tensor, params.tensors[name]), name
+            for name in GRU_TENSORS:
+                assert np.shares_memory(other.tensors[name], stack_view(other, name)), name
+            got = greedy_search(BoundModel(other, source))
+            assert got.tokens == want.tokens and got.logp.hex() == want.logp.hex()
+
+    def test_spawn_workers_decode_as_one_process_does(self, monkeypatch):
+        # a spawn pool pickles the parameters; each worker rebuilds the stacks
+        # through the constructor, after an in-place edit as well
+        params = make_params(6, d_emb=4, d_hid=5, n_src=35, n_tgt=35, scale=0.3)
+        params.tensors["dec.Un"] *= 0.5
+        sources = [(3 + i, 9, 4 + 2 * i) for i in range(4)]
+        cell = evaluate.Cell(strategy="npad", sigma0=0.3, chains=3)
+        get_context = multiprocessing.get_context
+
+        def no_fork(method=None):
+            if method == "fork":
+                raise ValueError("cannot find context for 'fork'")
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn", "forkserver"])
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: set(range(2)))
+
+        def bits(workers):
+            records = evaluate.decode_corpus(params, sources, None, cell, 3, workers=workers)
+            return [(r.tokens, r.rescored_logp.hex(), r.complete) for r in records]
+
+        assert bits(2) == bits(1)
